@@ -114,13 +114,13 @@ constexpr int kReps = 12;
 
 /// Measurement configurations: unmonitored baseline, full §3.4 verification
 /// on every trap (the paper's system), verification with the kernel's
-/// verified-call cache enabled (os/asccache.h; on after the first trap per
-/// site every iteration takes the fast path), cache plus the policy-state
-/// shadow (os/ascshadow.h; the per-call state MACs collapse to a shadow
-/// transition, lbMAC materialized lazily), and the full tier lattice with
-/// the trap-less Inline tier on top (os/tiertable.h; after the promotion
-/// streak each call clears a pre-authorized register/watch probe instead of
-/// the enforcement pipeline).
+/// verified-call cache enabled (the Cached tier of os/tiertable.h; after the
+/// first trap per site every iteration takes the fast path), cache plus the
+/// policy-state shadow (the Shadowed tier; the per-call state MACs collapse
+/// to a shadow transition, lbMAC materialized lazily), and the full tier
+/// lattice with the trap-less Inline tier on top (after the promotion streak
+/// each call clears a pre-authorized register/watch probe instead of the
+/// enforcement pipeline).
 enum class Mode { Off, Auth, AuthCached, AuthShadow, AuthInline };
 
 /// Cycles per syscall for one configuration. Subtracts a calibration run

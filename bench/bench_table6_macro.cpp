@@ -68,9 +68,9 @@ void prepare(os::SimFs& fs) {
 constexpr int kReps = 4;
 
 /// Unmonitored baseline, full per-trap verification, verification with the
-/// kernel's verified-call cache (os/asccache.h), cache plus the policy-state
-/// shadow (os/ascshadow.h), and the full tier lattice with the trap-less
-/// Inline tier on top (os/tiertable.h).
+/// kernel's verified-call cache, cache plus the policy-state shadow, and the
+/// full tier lattice with the trap-less Inline tier on top (all three tiers
+/// of os/tiertable.h).
 enum class Mode { Off, Auth, AuthCached, AuthShadow, AuthInline };
 
 /// When `wall_ns_per_instr` is non-null it receives host wall-clock per

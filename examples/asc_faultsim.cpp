@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
   if (wants_promo) {
     cfg.configure_kernel = [](os::Kernel& k) {
       k.set_inline_tier(true);
-      k.set_inline_promote_threshold(2);
+      k.tier_table().set_inline_threshold(2);
     };
   }
   std::vector<fault::GuestProgram> guests = default_guests(pers);

@@ -368,7 +368,7 @@ int cmd_run(const std::string& path, const std::vector<std::string>& args,
                 u(w.live_refs),
                 w.live_ranges == 0 && w.registered == w.released ? "(balanced)"
                                                                 : "(LEAKED)");
-    const auto& hs = sys.kernel().health_stats();
+    const auto& hs = sys.kernel().tier_table().health_stats();
     if (hs.internal_faults > 0) {
       std::printf("[health machine]\n");
       std::printf("  internal-faults=%llu degradations=%llu quarantines=%llu "

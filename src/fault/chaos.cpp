@@ -284,11 +284,11 @@ ChaosResult ChaosEngine::run() {
     System sys(cfg_.personality);
     sys.kernel().set_failure_mode(mode);
     if (mode == os::FailureMode::Budgeted) sys.kernel().set_violation_budget(2);
-    sys.kernel().set_health_promote_threshold(cfg_.promote_threshold);
-    sys.kernel().set_health_backoff_cap(cfg_.backoff_cap);
+    sys.kernel().tier_table().set_health_promote_threshold(cfg_.promote_threshold);
+    sys.kernel().tier_table().set_health_backoff_cap(cfg_.backoff_cap);
     if (cfg_.inline_tier) {
       sys.kernel().set_inline_tier(true);
-      sys.kernel().set_inline_promote_threshold(2);
+      sys.kernel().tier_table().set_inline_threshold(2);
     }
     for (const auto& h : art.helpers) sys.machine().register_program(h.path, h.image);
     sys.machine().set_cycle_limit(cfg_.cycle_limit);
@@ -335,17 +335,11 @@ ChaosResult ChaosEngine::run() {
         trip(std::string(where) + ": watch accounting unbalanced (registered=" +
              std::to_string(w.registered) + " released=" + std::to_string(w.released) + ")");
       }
-      if (sys.kernel().shadow().size() != 0) {
-        trip(std::string(where) + ": shadow entries for dead pids");
+      if (sys.kernel().tier_table().sites() != 0) {
+        trip(std::string(where) + ": site records for dead pids");
       }
-      if (sys.kernel().call_cache().size() != 0) {
-        trip(std::string(where) + ": cache entries for dead pids");
-      }
-      if (sys.kernel().tracked_health() != 0) {
-        trip(std::string(where) + ": health records for dead pids");
-      }
-      if (sys.kernel().inline_sites() != 0) {
-        trip(std::string(where) + ": inline sites for dead pids");
+      if (sys.kernel().tier_table().pids() != 0) {
+        trip(std::string(where) + ": shadow/health records for dead pids");
       }
     };
 
@@ -497,7 +491,7 @@ ChaosResult ChaosEngine::run() {
                      std::to_string(report_at) + ",@" + std::to_string(report_at + 1);
       sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
         ++calls;
-        if (calls == bump_at && sys.kernel().shadow().has(p.pid)) {
+        if (calls == bump_at && sys.kernel().tier_table().shadow(p.pid) != nullptr) {
           // Desynchronize the kernel's own nonce copy; the next trap's
           // self-check must flag it and resync under the bumped counter.
           ++p.asc_counter;
@@ -518,7 +512,7 @@ ChaosResult ChaosEngine::run() {
       if (!behaves_like_clean(fr)) {
         trip("internal fault changed guest behavior (quarantine must be transparent)");
       }
-      const auto& hs = sys.kernel().health_stats();
+      const auto& hs = sys.kernel().tier_table().health_stats();
       if (hs.internal_faults != static_cast<std::uint64_t>(injected)) {
         trip("health machine counted " + std::to_string(hs.internal_faults) +
              " internal faults, injected " + std::to_string(injected));
@@ -586,7 +580,7 @@ ChaosResult ChaosEngine::run() {
       }
     }
 
-    lc.health = sys.kernel().health_stats();
+    lc.health = sys.kernel().tier_table().health_stats();
     char line[240];
     std::snprintf(line, sizeof line,
                   "#%03d %-9s plan=%-8s mode=%s repr=%s outcome=%s v=%s "

@@ -282,7 +282,7 @@ bool FaultInjector::apply_lifecycle(os::Process& p, std::uint32_t call_site) {
     case MutationClass::TeardownMidVerify: {
       // Full teardown while the pid's own trap is still in flight; the
       // machine's normal teardown will call end_process a second time.
-      kernel.end_process(p.pid);
+      kernel.tier_table().end_process(p.pid);
       std::snprintf(buf, sizeof buf,
                     "teardown-mid-verify: end_process(%d) at %s of call %d (site 0x%x)",
                     p.pid, stage.c_str(), calls_seen_, call_site);
@@ -290,12 +290,10 @@ bool FaultInjector::apply_lifecycle(os::Process& p, std::uint32_t call_site) {
       return true;
     }
     case MutationClass::DoubleInvalidation: {
-      // Double-free-shaped churn: both invalidations must be idempotent
-      // (write back at most once, never unwatch an already-released range).
-      kernel.shadow().flush_pid(p.pid);
-      kernel.shadow().flush_pid(p.pid);
-      kernel.call_cache().evict_pid(p.pid);
-      kernel.call_cache().evict_pid(p.pid);
+      // Double-free-shaped churn: the flush must be idempotent (write back
+      // at most once, never unwatch an already-released range).
+      kernel.tier_table().flush_pid(p.pid, os::DemotionCause::Disabled);
+      kernel.tier_table().flush_pid(p.pid, os::DemotionCause::Disabled);
       std::snprintf(buf, sizeof buf,
                     "double-invalidation: pid %d evicted twice at %s of call %d (site 0x%x)",
                     p.pid, stage.c_str(), calls_seen_, call_site);
@@ -540,7 +538,7 @@ bool FaultInjector::try_apply(os::Process& p, std::uint32_t call_site, std::uint
       // it BEFORE the tamper lands, so the very next call at the site
       // re-enters the full pipeline and fail-stops there.
       if (machine_ == nullptr ||
-          !machine_->kernel().inline_site_promoted(p.pid, call_site)) {
+          !machine_->kernel().tier_table().inline_site_promoted(p.pid, call_site)) {
         return false;
       }
       if (seed % 2 == 0) {

@@ -51,12 +51,12 @@ enum class MutationClass : std::uint8_t {
                        // policy-state shadow fast path)
   RotationDuringTrap,  // rotate the kernel key at a trap-stage boundary,
                        // mid-trap (lifecycle: every signed byte goes stale)
-  TeardownMidVerify,   // fire Kernel::end_process at a trap-stage boundary
+  TeardownMidVerify,   // fire TierTable::end_process at a trap-stage boundary
                        // while the pid's trap is in flight (lifecycle: must
                        // be benign -- teardown is idempotent and eager
                        // verification resumes coherently)
-  DoubleInvalidation,  // evict the pid's shadow entry and cache entries
-                       // TWICE back-to-back (lifecycle: double-free-shaped
+  DoubleInvalidation,  // flush the pid's shadow and site records TWICE
+                       // back-to-back (lifecycle: double-free-shaped
                        // bookkeeping bug; must be benign)
   PromoToctou,         // tamper with the call bytes or the policy-state
                        // record of a (pid, site) ALREADY promoted to the

@@ -293,7 +293,7 @@ FleetResult Driver::run() {
     sys.machine().set_cycle_limit(cfg_.cycle_limit);
     if (cfg_.inline_tier) {
       sys.kernel().set_inline_tier(true);
-      sys.kernel().set_inline_promote_threshold(2);
+      sys.kernel().tier_table().set_inline_threshold(2);
     }
 
     auto trip = [&](const std::string& what) {
@@ -332,17 +332,11 @@ FleetResult Driver::run() {
         trip(std::string(where) + ": watch accounting unbalanced (registered=" +
              std::to_string(w.registered) + " released=" + std::to_string(w.released) + ")");
       }
-      if (sys.kernel().shadow().size() != 0) {
-        trip(std::string(where) + ": shadow entries for dead pids");
+      if (sys.kernel().tier_table().sites() != 0) {
+        trip(std::string(where) + ": site records for dead pids");
       }
-      if (sys.kernel().call_cache().size() != 0) {
-        trip(std::string(where) + ": cache entries for dead pids");
-      }
-      if (sys.kernel().tracked_health() != 0) {
-        trip(std::string(where) + ": health records for dead pids");
-      }
-      if (sys.kernel().inline_sites() != 0) {
-        trip(std::string(where) + ": inline sites for dead pids");
+      if (sys.kernel().tier_table().pids() != 0) {
+        trip(std::string(where) + ": shadow/health records for dead pids");
       }
     };
 

@@ -41,15 +41,11 @@ crypto::Mac read_mac(const vm::Memory& mem, std::uint32_t addr) {
 CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::uint16_t sysno,
                                      SysId id, const SyscallSig& sig,
                                      const crypto::MacKey& key, const CostModel& cost,
-                                     bool capability_checking, TierTable* tiers,
-                                     bool use_cache, bool use_shadow) {
-  // The lattice's write-watch invalidation spine (os/tiertable.h) replaced
-  // the checker-local callback: every fast path shares ONE per-process
-  // watch, so the gating below decides only what each tier SERVES.
-  AscCache* cache =
-      (tiers != nullptr && use_cache && tiers->cache_enabled()) ? &tiers->cache() : nullptr;
-  AscShadow* shadow =
-      (tiers != nullptr && use_shadow && tiers->shadow_enabled()) ? &tiers->shadow() : nullptr;
+                                     bool capability_checking, TierTable& tiers) {
+  // The gates decide only what each tier SERVES; the lattice's write-watch
+  // spine (os/tiertable.h) invalidates every tier regardless.
+  const bool use_cache = tiers.serves_cache(p.pid);
+  const bool use_shadow = tiers.serves_shadow(p.pid);
   CheckResult res;
   res.cycles = cost.check_fixed;
   auto fail = [&](Violation v, std::string detail) {
@@ -123,10 +119,8 @@ CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::u
     std::vector<std::uint32_t> preds;
     std::vector<std::uint32_t> fd_sources;
     std::vector<policy::PatternRef> patterns;
-    const AscCache::Key ckey{p.pid, call_site, des.bits(), block_id};
     std::vector<std::uint8_t> material;
-    const AscCache::Entry* cache_entry = nullptr;  // the entry a hit reused
-    if (cache != nullptr) {
+    if (use_cache) {
       auto append = [&material](std::span<const std::uint8_t> bytes) {
         const auto n = static_cast<std::uint32_t>(bytes.size());
         for (int s = 0; s < 32; s += 8) {
@@ -142,7 +136,7 @@ CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::u
         append(as_contents[idx]);
       }
       append(pred_blob);
-      if (const AscCache::Entry* e = cache->lookup(ckey, material)) {
+      if (const TierTable::SiteRecord* e = tiers.lookup(p.pid, call_site, material)) {
         // Hit: static trust established earlier; reuse the decoded pred set
         // and charge the reduced cost. Everything from step 3.1 on (the
         // online memory checker, capabilities, patterns) still runs below.
@@ -152,7 +146,6 @@ CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::u
         preds = e->preds;
         fd_sources = e->fd_sources;
         patterns = e->patterns;
-        cache_entry = e;
       }
     }
 
@@ -217,12 +210,11 @@ CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::u
       }
 
       // Every static input verified under the key: remember this site. The
-      // entry's watch ranges make any guest write into the trusted bytes
-      // evict it before the write lands.
-      if (cache != nullptr) {
-        AscCache::Entry entry;
+      // record's watch ranges make any guest write into the trusted bytes
+      // drop it before the write lands.
+      if (use_cache) {
+        TierTable::SiteRecord entry;
         entry.material = std::move(material);
-        entry.control_flow = des.control_flow_constrained();
         entry.preds = preds;
         entry.fd_sources = fd_sources;
         entry.patterns = patterns;
@@ -238,22 +230,12 @@ CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::u
           entry.ranges.emplace_back(pred_as.addr - policy::kAsHeaderSize,
                                     pred_as.len + policy::kAsHeaderSize);
         }
-        tiers->ensure_write_watch(p);
-        if (!cache->has_range_hooks(p.pid)) {
-          // Range hooks let the cache return an evicted entry's watch ranges
-          // to this Memory; dropped again at teardown (Kernel::end_process),
-          // so the captured reference never outlives the process.
-          cache->set_range_hooks(
-              p.pid,
-              [&mem = p.mem](std::uint32_t addr, std::uint32_t len) { mem.watch(addr, len); },
-              [&mem = p.mem](std::uint32_t addr, std::uint32_t len) { mem.unwatch(addr, len); });
-        }
-        cache->insert(ckey, std::move(entry));
+        tiers.insert(p, call_site, std::move(entry));
       }
     }
 
     if (des.control_flow_constrained()) {
-      AscShadow::Entry* sh = shadow == nullptr ? nullptr : shadow->find(p.pid, lb_ptr);
+      TierTable::Shadow* sh = use_shadow ? tiers.find_shadow(p.pid, lb_ptr) : nullptr;
       if (sh != nullptr) {
         // Shadow fast path: the kernel's own {lastBlock, counter} copy is
         // trusted by construction (installed after a full 3.1 verification,
@@ -305,27 +287,7 @@ CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::u
         // The record in guest memory is fully verified and fresh: shadow it.
         // From the next trap on, 3.1-3.5 run against the kernel copy and the
         // guest record goes stale until an invalidation writes it back.
-        if (shadow != nullptr) {
-          tiers->ensure_write_watch(p);
-          if (!shadow->has_hooks(p.pid)) {
-            shadow->set_hooks(
-                p.pid,
-                [&mem = p.mem](std::uint32_t addr, std::uint32_t len) { mem.watch(addr, len); },
-                [&mem = p.mem](std::uint32_t addr, std::uint32_t len) {
-                  mem.unwatch(addr, len);
-                },
-                // Lazy write-back: one CMAC under the kernel's current key
-                // (Kernel::set_key flushes BEFORE rotating, so a dirty record
-                // is always materialized under the key that shadowed it).
-                [&p, &key, &cost](const AscShadow::Entry& e) {
-                  const auto msg = policy::encode_policy_state(e.last_block, e.counter);
-                  p.cycles += cost.mac_cost(msg.size());
-                  p.mem.w32(e.state_ptr, e.last_block);
-                  p.mem.write_bytes(e.state_ptr + 4, key.mac(msg));
-                });
-          }
-          shadow->install(p.pid, lb_ptr, block_id, p.asc_counter);
-        }
+        if (use_shadow) tiers.install_shadow(p, lb_ptr, block_id, p.asc_counter);
       }
     }
 
@@ -389,40 +351,33 @@ CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::u
     }
 
     // ---- lattice bookkeeping: a fully clean verification completed ----
-    if (tiers != nullptr) {
-      if (!res.cache_hit && !res.shadow_hit) tiers->count_eager();
-      // Promotion evidence for the trap-less Inline tier: both fast paths
-      // served an eligible side-effect-light call whose every verified
-      // input the probe can re-check from registers and the shadow. Sites
-      // with authenticated-string, capability, or pattern obligations never
-      // qualify -- those checks must run on every call.
-      if (res.cache_hit && res.shadow_hit && tiers->inline_enabled() &&
-          inline_eligible(id) && patterns.empty() && fd_sources.empty() &&
-          cache_entry != nullptr) {
-        bool plain_args = true;
+    if (!res.cache_hit && !res.shadow_hit) tiers.count_eager();
+    // Promotion evidence for the trap-less Inline tier: both fast paths
+    // served an eligible side-effect-light call whose every verified input
+    // the probe can re-check from registers and the shadow. Sites with
+    // authenticated-string, capability, or pattern obligations never qualify
+    // -- those checks must run on every call.
+    if (res.cache_hit && res.shadow_hit && tiers.inline_enabled() && inline_eligible(id) &&
+        patterns.empty() && fd_sources.empty()) {
+      bool plain_args = true;
+      for (int i = 0; i < sig.arity; ++i) {
+        plain_args = plain_args && !des.arg_is_authenticated_string(i);
+      }
+      if (plain_args) {
+        TierTable::InlineProbe probe;
+        probe.sysno = sysno;
+        probe.descriptor = des.bits();
+        probe.block_id = block_id;
+        probe.pred_body = pred_body;
+        probe.state_ptr = lb_ptr;
+        probe.mac_ptr = mac_ptr;
         for (int i = 0; i < sig.arity; ++i) {
-          plain_args = plain_args && !des.arg_is_authenticated_string(i);
-        }
-        if (plain_args) {
-          TierTable::InlineCandidate cand;
-          cand.sysno = sysno;
-          cand.id = id;
-          cand.descriptor = des.bits();
-          cand.block_id = block_id;
-          cand.pred_body = pred_body;
-          cand.state_ptr = lb_ptr;
-          cand.mac_ptr = mac_ptr;
-          for (int i = 0; i < sig.arity; ++i) {
-            if (des.arg_constrained(i)) {
-              cand.const_args.emplace_back(static_cast<std::uint8_t>(1 + i),
-                                           regs[1 + static_cast<std::size_t>(i)]);
-            }
+          if (des.arg_constrained(i)) {
+            probe.const_args.emplace_back(static_cast<std::uint8_t>(1 + i),
+                                          regs[1 + static_cast<std::size_t>(i)]);
           }
-          cand.preds = preds;
-          cand.ranges = cache_entry->ranges;
-          cand.ranges.emplace_back(lb_ptr, policy::kPolicyStateSize);
-          tiers->note_clean_site(p, call_site, std::move(cand));
         }
+        tiers.note_clean_site(p.pid, call_site, std::move(probe));
       }
     }
   } catch (const GuestFault& f) {

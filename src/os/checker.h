@@ -44,15 +44,13 @@ struct CheckResult {
   bool shadow_hit = false;   // policy state served by the kernel-resident shadow
 };
 
-/// `tiers`, when non-null, routes the verification through the tier lattice
-/// (os/tiertable.h): `use_cache` gates the verified-call fast path
-/// (static-input AES-CMAC verifications are skipped when the site's bytes
-/// are identical to a previously verified trap, see os/asccache.h) and
-/// `use_shadow` the policy-state fast path (step 3's verify-MAC/re-MAC pair
-/// over {lastBlock, lbMAC} is replaced by the kernel-resident shadow while
-/// the guest record stays unwritten, see os/ascshadow.h; the slow path
-/// installs the shadow after a full step-3.1 verification). The caller owns
-/// the gates so the per-pid health floor stays a kernel decision. A fully
+/// The verification runs through the tier lattice (os/tiertable.h), which
+/// decides per pid what may serve it: the site record (static-input AES-CMAC
+/// verifications are skipped when the site's bytes are identical to a
+/// previously verified trap) and the policy-state shadow (step 3's
+/// verify-MAC/re-MAC pair over {lastBlock, lbMAC} is replaced by the
+/// kernel-resident copy while the guest record stays unwritten; the slow
+/// path installs the shadow after a full step-3.1 verification). A fully
 /// clean cache-hit + shadow-hit verification of an inline-eligible call is
 /// additionally reported to the lattice as promotion evidence for the
 /// trap-less Inline tier. Steps 4 (capabilities) and 5 (patterns) always
@@ -60,7 +58,6 @@ struct CheckResult {
 CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::uint16_t sysno,
                                      SysId id, const SyscallSig& sig,
                                      const crypto::MacKey& key, const CostModel& cost,
-                                     bool capability_checking, TierTable* tiers = nullptr,
-                                     bool use_cache = true, bool use_shadow = true);
+                                     bool capability_checking, TierTable& tiers);
 
 }  // namespace asc::os

@@ -80,7 +80,7 @@ struct CostModel {
   // {lastBlock, counter} record -- 2 x mac_cost(12) = 1060 cycles, the floor
   // under every cached call with control flow -- with one kernel map lookup
   // and an in-place update of the trusted copy. The deferred re-MAC is
-  // charged as a full mac_cost at write-back time instead (os/ascshadow.h).
+  // charged as a full mac_cost at write-back time instead (os/tiertable.h).
   std::uint64_t shadow_hit_fixed = 40;
 
   // ---- inline tier (trap-less pre-authorized fast path) ----

@@ -17,7 +17,7 @@
 //   Quarantined -> full eager verification, every MAC on every call
 //   (fail-stop) -> reserved for GENUINE guest tamper, at any health level
 //
-// Transitions: an internal fault (shadow/cache self-check mismatch, or an
+// Transitions: an internal fault (a shadow self-check mismatch, or an
 // external invariant oracle reporting through Kernel::report_internal_fault)
 // demotes one level and evicts the pid's fast-path state. Re-promotion is
 // earned: K consecutive clean eager verifications lift Quarantined back to
@@ -49,9 +49,9 @@ inline std::string health_state_name(HealthState s) {
   return "?";
 }
 
-/// One pid's health. Kept by the kernel for the life of the process (erased
-/// at end_process); `quarantines` survives re-promotion so backoff deepens
-/// across repeated quarantine entries.
+/// One pid's health. Kept in the pid's lattice record for the life of the
+/// process (erased at end_process); `quarantines` survives re-promotion so
+/// backoff deepens across repeated quarantine entries.
 struct HealthRecord {
   HealthState state = HealthState::Healthy;
   std::uint32_t clean_streak = 0;     // consecutive clean verifications

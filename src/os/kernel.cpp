@@ -23,7 +23,10 @@ struct TrapDepthGuard {
 }  // namespace
 
 Kernel::Kernel(Personality personality, CostModel cost)
-    : personality_(personality), cost_(cost), monitor_(std::make_unique<NullMonitor>()) {}
+    : personality_(personality),
+      cost_(cost),
+      monitor_(std::make_unique<NullMonitor>()),
+      tenant_(cost_) {}
 
 void Kernel::set_enforcement(Enforcement e) {
   // Any monitor swap revokes every inline promotion: the new monitor has
@@ -44,23 +47,15 @@ void Kernel::install_monitor(std::unique_ptr<SyscallMonitor> monitor) {
 }
 
 void Kernel::set_key(const crypto::Key128& key) {
-  // Rotation order matters: the lattice demotes every inline site and
-  // writes dirty shadowed records back under the OLD key first (the
-  // write-back hooks read the tenant's key through the reference the
-  // checker captured), leaving guest memory exactly as the eager protocol
-  // would have -- then no prior verification survives.
+  // Rotation order matters: the lattice drops every site record and writes
+  // dirty shadows back under the OLD key first (it reads the tenant's key
+  // through its reference to it), leaving guest memory exactly as the eager
+  // protocol would have -- then no prior verification survives.
   tenant_.tiers.on_key_rotation();
   tenant_.key.emplace(key);
   // (Charging note: the AES-CMAC subkey derivation -- cost_.mac_subkey_setup
   // -- is paid here, once per key, which is what lets mac_cost() omit it on
   // the per-call hot path.)
-}
-
-void Kernel::set_policy_shadow(bool on) {
-  // Turning the fast path off mid-run materializes every live record, so
-  // the next trap's slow path verifies a fresh, coherent guest record. The
-  // inline tier rides on the shadow, so its sites demote too.
-  tenant_.tiers.set_shadow_enabled(on);
 }
 
 void Kernel::set_monitor_policy(const std::string& program, MonitorPolicy policy) {
@@ -135,7 +130,7 @@ bool Kernel::apply_rekey(Process& p, const crypto::Key128& new_key, const RekeyV
   // would launder the tamper, so the swap is refused (the old key stays and
   // the next eager check fail-stops).
   std::uint32_t last_block = 0;
-  if (const AscShadow::Entry* sh = tenant_.tiers.shadow().peek(p.pid); sh != nullptr) {
+  if (const TierTable::Shadow* sh = tenant_.tiers.shadow(p.pid); sh != nullptr) {
     last_block = sh->last_block;
   } else {
     last_block = p.mem.r32(view.state_addr);
@@ -148,9 +143,9 @@ bool Kernel::apply_rekey(Process& p, const crypto::Key128& new_key, const RekeyV
     }
   }
 
-  // (2) The existing rotation spine: demote every inline site and write
-  // dirty shadowed records back under the OLD key, then install the new one
-  // (see set_key for the ordering contract).
+  // (2) The existing rotation spine: drop every site record and write dirty
+  // shadows back under the OLD key, then install the new one (see set_key
+  // for the ordering contract).
   set_key(new_key);
 
   // (3) Swap the re-signed MAC bytes into guest memory. The slots are MAC
@@ -164,12 +159,9 @@ bool Kernel::apply_rekey(Process& p, const crypto::Key128& new_key, const RekeyV
 
   // (4) Re-MAC the CURRENT policy state under the new key. The view
   // deliberately carries no state MAC (the install-time seed is stale for a
-  // live process); this is the same re-materialization evict_fast_paths
+  // live process); this is the same re-materialization a health eviction
   // performs, under the new key.
-  const auto msg = policy::encode_policy_state(last_block, p.asc_counter);
-  p.cycles += cost_.mac_cost(msg.size());
-  p.mem.w32(view.state_addr, last_block);
-  p.mem.write_bytes(view.state_addr + 4, tenant_.key->mac(msg));
+  write_policy_state(p, view.state_addr, last_block, p.asc_counter, tenant_.key.value(), cost_);
 
   ++rekey_counters_.rekeys;
   rekey_counters_.macs_applied += view.patches.size() + 1;
@@ -192,60 +184,31 @@ void Kernel::on_syscall(Process& p, std::uint32_t call_site) {
 
   // ---- (0) Inline tier: the trap-less pre-authorized path ----
   // A promoted (pid, site) whose live registers and shadowed control-flow
-  // state still match its verified snapshot skips the whole
-  // enforce->audit pipeline: just the trap cost, the pre-authorized probe,
-  // and the handler. Any mismatch demoted the site inside try_inline and we
-  // fall through to the full pipeline, which re-verifies every MAC --
-  // tamper fail-stops there, never here.
-  if (asc_monitor_ && tenant_.tiers.inline_enabled()) {
-    if (const TierTable::InlineSite* site = tenant_.tiers.try_inline(p, call_site)) {
-      TrapContext ctx;
-      ctx.charge(p, cost_.trap + cost_.inline_hit_cost());
-      ++p.syscall_count;
-      const auto& regs = p.cpu.regs;
-      ctx.pid = p.pid;
-      ctx.call_site = call_site;
-      ctx.sysno = site->sysno;
-      ctx.args = {regs[1], regs[2], regs[3], regs[4], regs[5]};
-      ctx.id = site->id;
-      ctx.effective_id = site->id;
-      ctx.effective_sysno = site->sysno;
-      ctx.effective_args = ctx.args;
-      std::int64_t ret;
-      try {
-        ret = dispatch(p, ctx);
-      } catch (const GuestFault&) {
-        ret = SimFs::kErrInval;
-      }
-      ctx.charge(p, cost_.handler_base_cost(ctx.effective_id));
-      if (p.running) p.cpu.regs[0] = static_cast<std::uint32_t>(ret);
-      if (tracing_) {
-        TraceEntry t;
-        t.id = ctx.effective_id;
-        t.sysno = ctx.effective_sysno;
-        t.call_site = ctx.call_site;
-        t.args = ctx.effective_args;
-        t.ret = ret;
-        trace_.push_back(std::move(t));
-      }
-      return;
-    }
-  }
+  // state still match its verified snapshot skips the enforce and audit
+  // stages: just the trap cost, the pre-authorized probe, and the handler.
+  // Any mismatch demoted the site inside try_inline and the trap takes the
+  // full pipeline, which re-verifies every MAC -- tamper fail-stops there,
+  // never here. An inline hit fires no stage hook.
+  const bool inline_hit = asc_monitor_ && tenant_.tiers.try_inline(p, call_site);
 
   // ---- (1) trap layer: capture this call's context ----
   TrapContext ctx = capture_trap(p, call_site);
-  if (stage_hook_) stage_hook_(p, ctx, TrapStage::Trap);
+  if (inline_hit) {
+    ctx.charge(p, cost_.inline_hit_cost());
+  } else {
+    if (stage_hook_) stage_hook_(p, ctx, TrapStage::Trap);
 
-  // ---- (2) enforcement layer ----
-  // A violation verdict goes to the audit layer, which applies the failure
-  // mode; only a kill ends the trap here. A tolerated violation (audit-only
-  // / within the violation budget) falls through to normal dispatch.
-  MonitorVerdict verdict = monitor_->inspect(p, ctx);
-  if (stage_hook_) stage_hook_(p, ctx, TrapStage::Enforce);
-  if (!verdict.allowed()) {
-    ctx.verdict = verdict.violation;
-    ctx.verdict_detail = verdict.detail;
-    if (tenant_.audit.deny(p, ctx, verdict.violation, verdict.detail, now_ns(p))) return;
+    // ---- (2) enforcement layer ----
+    // A violation verdict goes to the audit layer, which applies the failure
+    // mode; only a kill ends the trap here. A tolerated violation (audit-only
+    // / within the violation budget) falls through to normal dispatch.
+    MonitorVerdict verdict = monitor_->inspect(p, ctx);
+    if (stage_hook_) stage_hook_(p, ctx, TrapStage::Enforce);
+    if (!verdict.allowed()) {
+      ctx.verdict = verdict.violation;
+      ctx.verdict_detail = verdict.detail;
+      if (tenant_.audit.deny(p, ctx, verdict.violation, verdict.detail, now_ns(p))) return;
+    }
   }
 
   auto& regs = p.cpu.regs;
@@ -266,7 +229,7 @@ void Kernel::on_syscall(Process& p, std::uint32_t call_site) {
 
   ctx.charge(p, cost_.handler_base_cost(ctx.effective_id));
   if (p.running) regs[0] = static_cast<std::uint32_t>(ret);
-  if (stage_hook_) stage_hook_(p, ctx, TrapStage::Dispatch);
+  if (stage_hook_ && !inline_hit) stage_hook_(p, ctx, TrapStage::Dispatch);
 
   // Trace exit() too: training-based policies must learn it or they kill
   // every process at termination.
@@ -291,20 +254,10 @@ void Kernel::on_syscall(Process& p, std::uint32_t call_site) {
   // ---- (4) audit layer boundary ----
   // A killed trap never reaches here (the deny path returned above), so the
   // Dispatch/Audit stages fire only for traps the guest survived.
-  if (stage_hook_) stage_hook_(p, ctx, TrapStage::Audit);
+  if (stage_hook_ && !inline_hit) stage_hook_(p, ctx, TrapStage::Audit);
 }
 
 // ---- per-pid health machine (see os/health.h) ----
-
-HealthState Kernel::health(int pid) const {
-  const auto it = tenant_.tiers.health().find(pid);
-  return it == tenant_.tiers.health().end() ? HealthState::Healthy : it->second.state;
-}
-
-const HealthRecord* Kernel::health_record(int pid) const {
-  const auto it = tenant_.tiers.health().find(pid);
-  return it == tenant_.tiers.health().end() ? nullptr : &it->second;
-}
 
 void Kernel::report_internal_fault(Process& p, const std::string& detail) {
   internal_fault(p, nullptr, detail);
@@ -313,12 +266,12 @@ void Kernel::report_internal_fault(Process& p, const std::string& detail) {
 void Kernel::health_self_check(Process& p, const TrapContext& ctx) {
   // Already fully eager: nothing fast-path-resident left to distrust, and
   // re-reporting the same inconsistency every trap would mask recovery.
-  if (health(p.pid) == HealthState::Quarantined) return;
+  if (tenant_.tiers.health(p.pid) == HealthState::Quarantined) return;
 
   // Shadow coherence: the kernel copy's nonce must equal the process's
   // authoritative counter (the checker updates both in lockstep), and the
   // shadowed record must still lie inside the address space.
-  if (const AscShadow::Entry* sh = tenant_.tiers.shadow().peek(p.pid); sh != nullptr) {
+  if (const TierTable::Shadow* sh = tenant_.tiers.shadow(p.pid); sh != nullptr) {
     if (sh->counter != p.asc_counter) {
       internal_fault(p, &ctx,
                      "shadow nonce " + std::to_string(sh->counter) +
@@ -327,14 +280,7 @@ void Kernel::health_self_check(Process& p, const TrapContext& ctx) {
     }
     if (!p.mem.in_range(sh->state_ptr, policy::kPolicyStateSize)) {
       internal_fault(p, &ctx, "shadowed policy state out of address space");
-      return;
     }
-  }
-
-  // Cache/watch pairing: live entries without range hooks can never be
-  // evicted by a guest write -- their trusted bytes are unguarded.
-  if (tenant_.tiers.cache().size(p.pid) > 0 && !tenant_.tiers.cache().has_range_hooks(p.pid)) {
-    internal_fault(p, &ctx, "verified-call cache entries without range hooks");
   }
 }
 
@@ -342,10 +288,9 @@ void Kernel::note_verification(Process& p, const TrapContext& ctx, bool clean, b
   // A violation verdict resets the pid's inline-promotion streaks: the
   // Inline tier is re-earned with consecutive CLEAN verifications only.
   if (!clean) tenant_.tiers.note_unclean(p.pid);
-  const auto it = tenant_.tiers.health().find(p.pid);
-  if (it == tenant_.tiers.health().end()) return;  // untracked == Healthy: nothing to earn
-  HealthRecord& h = it->second;
-  if (h.state == HealthState::Healthy) return;
+  HealthRecord* rec = tenant_.tiers.health_record(p.pid);
+  if (rec == nullptr || rec->state == HealthState::Healthy) return;  // nothing to earn
+  HealthRecord& h = *rec;
   if (!clean) {
     // A genuine violation verdict interrupts the probation streak; the
     // audit layer separately applies the failure mode to the guest.
@@ -367,18 +312,19 @@ void Kernel::note_verification(Process& p, const TrapContext& ctx, bool clean, b
   }
   // Degraded: the cache may serve hits, but the control-flow check is eager.
   ++h.clean_streak;
-  if (h.clean_streak >= tenant_.tiers.promote_threshold) {
+  if (h.clean_streak >= tenant_.tiers.health_promote_threshold()) {
     h.state = HealthState::Healthy;
     h.clean_streak = 0;
     ++tenant_.tiers.health_stats().recoveries;
     health_event(p, &ctx, AuditKind::Health,
-                 "degraded -> healthy after " + std::to_string(tenant_.tiers.promote_threshold) +
+                 "degraded -> healthy after " +
+                     std::to_string(tenant_.tiers.health_promote_threshold()) +
                      " clean verifications");
   }
 }
 
 void Kernel::internal_fault(Process& p, const TrapContext* ctx, const std::string& detail) {
-  HealthRecord& h = tenant_.tiers.health()[p.pid];
+  HealthRecord& h = tenant_.tiers.track_health(p);
   ++h.internal_faults;
   ++tenant_.tiers.health_stats().internal_faults;
   health_event(p, ctx, AuditKind::InternalFault, detail);
@@ -386,7 +332,7 @@ void Kernel::internal_fault(Process& p, const TrapContext* ctx, const std::strin
   // The suspect state must go regardless of the resulting level: even a
   // Healthy->Degraded demotion means the existing fast-path entries were
   // built by bookkeeping that just failed a self-check.
-  evict_fast_paths(p);
+  tenant_.tiers.evict_pid(p.pid);
   h.clean_streak = 0;
 
   const HealthState before = h.state;
@@ -415,33 +361,10 @@ void Kernel::enter_quarantine(HealthRecord& h) {
   ++tenant_.tiers.health_stats().quarantines;
   // Exponential backoff: K, 2K, 4K, ... clean eager verifications required,
   // capped so a long-lived flapping pid can still eventually re-promote.
-  std::uint64_t k = tenant_.tiers.promote_threshold;
-  for (std::uint32_t i = 1; i < h.quarantines && k < tenant_.tiers.backoff_cap; ++i) k *= 2;
-  h.promote_after = static_cast<std::uint32_t>(
-      k > tenant_.tiers.backoff_cap ? tenant_.tiers.backoff_cap : k);
-}
-
-void Kernel::evict_fast_paths(Process& p) {
-  // Health demotion floors the whole lattice for this pid: inline sites go
-  // first (their watches unregister while the address space is live), then
-  // the shadow and cache below.
-  tenant_.tiers.demote_pid(p.pid, DemotionCause::HealthDemotion);
-  // A live shadow entry holds the ONLY trusted {lastBlock, counter}: the
-  // guest record went stale the moment the entry was installed. Write-back
-  // under the entry's own counter is exactly the state we no longer trust,
-  // so re-materialize under the kernel's authoritative per-process nonce
-  // instead -- the next trap's eager 3.1 check then verifies a coherent
-  // record. take_pid() has already unwatched the range, so these stores do
-  // not re-enter the invalidation path.
-  if (const auto e = tenant_.tiers.shadow().take_pid(p.pid)) {
-    if (tenant_.key && p.mem.in_range(e->state_ptr, policy::kPolicyStateSize)) {
-      const auto msg = policy::encode_policy_state(e->last_block, p.asc_counter);
-      p.cycles += cost_.mac_cost(msg.size());
-      p.mem.w32(e->state_ptr, e->last_block);
-      p.mem.write_bytes(e->state_ptr + 4, tenant_.key->mac(msg));
-    }
-  }
-  tenant_.tiers.cache().evict_pid(p.pid);
+  const std::uint32_t cap = tenant_.tiers.health_backoff_cap();
+  std::uint64_t k = tenant_.tiers.health_promote_threshold();
+  for (std::uint32_t i = 1; i < h.quarantines && k < cap; ++i) k *= 2;
+  h.promote_after = static_cast<std::uint32_t>(k > cap ? cap : k);
 }
 
 void Kernel::health_event(Process& p, const TrapContext* ctx, AuditKind kind,

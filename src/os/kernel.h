@@ -28,8 +28,6 @@
 #include <vector>
 
 #include "crypto/cmac.h"
-#include "os/asccache.h"
-#include "os/ascshadow.h"
 #include "os/auditlog.h"
 #include "os/costmodel.h"
 #include "os/fs.h"
@@ -100,58 +98,27 @@ class Kernel {
   void set_normalize_paths(bool on) { normalize_paths_ = on; }
   bool normalize_paths() const { return normalize_paths_; }
 
-  // ---- verified-call cache (the Cached tier of the lattice) ----
-  /// The MAC-verification fast path (os/asccache.h), on by default. When
-  /// disabled, every trap performs the full §3.4 verification (the paper's
-  /// uncached behavior; benchmarks compare both). Gating a fast path off
-  /// demotes every promoted inline site (see os/tiertable.h).
-  void set_verified_call_cache(bool on) { tenant_.tiers.set_cache_enabled(on); }
-  bool verified_call_cache() const { return tenant_.tiers.cache_enabled(); }
-  AscCache& call_cache() { return tenant_.tiers.cache(); }
-  const AscCache& call_cache() const { return tenant_.tiers.cache(); }
-  /// Hit/miss/eviction counters of the fast path (stats audit surface).
-  const AscCacheStats& cache_stats() const { return tenant_.tiers.cache().stats(); }
-
-  // ---- policy-state shadow (the Shadowed tier of the lattice) ----
-  /// The control-flow fast path (os/ascshadow.h), on by default: the kernel
-  /// keeps the trusted {lastBlock, counter} copy and skips both per-call
-  /// state MACs while the guest record stays unwritten. Disabling flushes
-  /// (writes back) every live record first, so the eager §3.2 protocol
-  /// resumes coherently mid-run.
-  void set_policy_shadow(bool on);
-  bool policy_shadow() const { return tenant_.tiers.shadow_enabled(); }
-  AscShadow& shadow() { return tenant_.tiers.shadow(); }
-  const AscShadow& shadow() const { return tenant_.tiers.shadow(); }
-  /// Hit/invalidation/write-back counters of the shadow, beside cache_stats.
-  const AscShadowStats& shadow_stats() const { return tenant_.tiers.shadow().stats(); }
-
-  // ---- the Inline tier (trap-less pre-authorized fast path) ----
-  /// Off by default: with the gate off the kernel is byte-identical to the
-  /// pre-lattice trap pipeline (golden oracle). When on, a (pid, site) that
-  /// earns N consecutive clean Shadowed-tier verifications of a
-  /// side-effect-light syscall is promoted: the trap skips the
-  /// enforce->audit pipeline behind a pre-authorized register/shadow probe,
-  /// demoted by exactly the events that invalidate the cache and shadow
-  /// (guest write, key rotation, teardown, health demotion, monitor swap).
-  void set_inline_tier(bool on) { tenant_.tiers.set_inline_enabled(on); }
-  bool inline_tier() const { return tenant_.tiers.inline_enabled(); }
-  /// N: clean Shadowed verifications a site re-earns after every demotion.
-  void set_inline_promote_threshold(std::uint32_t n) {
-    tenant_.tiers.set_inline_threshold(n);
-  }
-  std::uint32_t inline_promote_threshold() const {
-    return tenant_.tiers.inline_threshold();
-  }
-  /// The whole lattice (inspection + fault-injection surface).
+  // ---- the tier lattice (os/tiertable.h) ----
+  /// The whole lattice: gates, thresholds, per-site and per-pid records,
+  /// health, stats. The setters below are the run-configuration shorthand
+  /// `asctool run` and the benches use.
   TierTable& tier_table() { return tenant_.tiers; }
   const TierTable& tier_table() const { return tenant_.tiers; }
-  /// Aligned per-tier counters (eager/cached/shadowed/inline hits,
-  /// promotions, demotions by cause) -- the `asctool run --stats` table.
+  /// The verified-call cache (Cached tier), on by default. When disabled,
+  /// every trap performs the full §3.4 verification (the paper's uncached
+  /// behavior). Gating a fast path off demotes every inline site.
+  void set_verified_call_cache(bool on) { tenant_.tiers.set_cache_enabled(on); }
+  /// The policy-state shadow (Shadowed tier), on by default. Disabling
+  /// writes every live shadow back first, so the eager §3.2 protocol
+  /// resumes coherently mid-run.
+  void set_policy_shadow(bool on) { tenant_.tiers.set_shadow_enabled(on); }
+  /// The trap-less Inline tier, off by default: a (pid, site) that earns N
+  /// consecutive clean Shadowed-tier verifications of a side-effect-light
+  /// syscall skips the enforce->audit pipeline behind a pre-authorized
+  /// register/shadow probe.
+  void set_inline_tier(bool on) { tenant_.tiers.set_inline_enabled(on); }
+  /// Aligned per-tier counters -- the `asctool run --stats` table.
   TierStats tier_stats() const { return tenant_.tiers.stats(); }
-  bool inline_site_promoted(int pid, std::uint32_t call_site) const {
-    return tenant_.tiers.inline_site_promoted(pid, call_site);
-  }
-  std::size_t inline_sites() const { return tenant_.tiers.inline_sites(); }
 
   // ---- the tenant shard ----
   /// The whole per-tenant slice of this kernel's state (os/tenant.h): key,
@@ -160,55 +127,17 @@ class Kernel {
   TenantState& tenant_state() { return tenant_; }
   const TenantState& tenant_state() const { return tenant_; }
 
-  /// Process teardown/exec hook: one lattice-wide demotion (os/tiertable.h)
-  /// -- demote the pid's inline sites (its Memory is still alive here),
-  /// write back and drop its shadowed policy state, drop every cached
-  /// verification, erase its health record -- so recycled pids or re-execed
-  /// images can never inherit stale trust. Idempotent: a second call for
-  /// the same pid is a no-op, which the teardown-mid-verify chaos class
-  /// relies on.
-  void end_process(int pid) { tenant_.tiers.end_process(pid); }
-
   // ---- per-pid health (self-healing fast-path quarantine) ----
-  // See os/health.h for the state machine and the degradation lattice.
-  /// Current state of `pid` (Healthy when untracked).
-  HealthState health(int pid) const;
-  /// The pid's full record, or nullptr when untracked (inspection surface).
-  const HealthRecord* health_record(int pid) const;
-  /// Kernel-wide transition counters (survive process teardown).
-  const HealthStats& health_stats() const { return tenant_.tiers.health_stats(); }
-  /// Pids with a live health record (must be zero after all processes end).
-  std::size_t tracked_health() const { return tenant_.tiers.health().size(); }
-  /// Clean eager verifications required to leave Quarantined (K; doubles on
-  /// every re-entry, capped by the backoff cap). Also the Degraded->Healthy
-  /// probation length.
-  void set_health_promote_threshold(std::uint32_t k) {
-    tenant_.tiers.promote_threshold = k == 0 ? 1 : k;
-  }
-  std::uint32_t health_promote_threshold() const {
-    return tenant_.tiers.promote_threshold;
-  }
-  void set_health_backoff_cap(std::uint32_t cap) {
-    tenant_.tiers.backoff_cap = cap == 0 ? 1 : cap;
-  }
-  std::uint32_t health_backoff_cap() const { return tenant_.tiers.backoff_cap; }
-  /// Fast-path gates the enforcement layer consults per trap: the cache
-  /// survives until Quarantined, the shadow only while Healthy.
-  bool fast_path_cache_allowed(int pid) const {
-    return health(pid) != HealthState::Quarantined;
-  }
-  bool fast_path_shadow_allowed(int pid) const {
-    return health(pid) == HealthState::Healthy;
-  }
+  // See os/health.h for the state machine; the records live in the lattice.
   /// An EXTERNAL invariant oracle (chaos engine, tests) detected an
   /// inconsistency in this pid's kernel bookkeeping: demote its health and
   /// quarantine its fast paths. Never counts toward the violation budget --
   /// this is the monitor's defect, not the guest's.
   void report_internal_fault(Process& p, const std::string& detail);
-  /// Cheap per-trap self-checks of the fast-path bookkeeping (shadow nonce
-  /// coherence, cache/range-hook pairing), run by the ASC monitor before it
-  /// gates the fast paths. Charges no modeled cycles and emits no records on
-  /// clean runs. Demotes on a mismatch.
+  /// Cheap per-trap self-check of the fast-path bookkeeping (shadow nonce
+  /// coherence), run by the ASC monitor before it gates the fast paths.
+  /// Charges no modeled cycles and emits no records on clean runs. Demotes
+  /// on a mismatch.
   void health_self_check(Process& p, const TrapContext& ctx);
   /// Outcome of one ASC verification of `pid` (clean = no violation, eager =
   /// served by neither fast path); drives streak counting and the earned
@@ -290,7 +219,8 @@ class Kernel {
   /// The software trap handler. Entered by the VM on a SYSCALL instruction;
   /// `call_site` is the address of the trapping instruction (derived from
   /// the interrupt return address in the real system). Runs the pipeline:
-  /// capture, enforce, dispatch, audit.
+  /// capture, enforce, dispatch, audit. An Inline-tier hit replaces the
+  /// enforce stage with the lattice's probe and fires no stage hook.
   void on_syscall(Process& p, std::uint32_t call_site);
 
  private:
@@ -306,13 +236,9 @@ class Kernel {
 
   // ---- health machine internals (see os/health.h) ----
   /// Record an internal inconsistency: audit it, evict the pid's fast
-  /// paths, and demote one level. `ctx` may be null (oracle reports arrive
-  /// outside any trap).
+  /// paths (TierTable::evict_pid), and demote one level. `ctx` may be null
+  /// (oracle reports arrive outside any trap).
   void internal_fault(Process& p, const TrapContext* ctx, const std::string& detail);
-  /// Drop the pid's cache and shadow state; a live shadow entry is
-  /// re-materialized into guest memory under the authoritative kernel-side
-  /// nonce so eager verification resumes coherently.
-  void evict_fast_paths(Process& p);
   /// Enter (or deepen) quarantine: doubles the promote threshold per entry.
   void enter_quarantine(HealthRecord& h);
   /// Append an InternalFault/Health record (synthesizes a context-free

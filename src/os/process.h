@@ -58,9 +58,9 @@ struct Process {
   std::uint32_t umask = 022;
 
   // ASC monitoring state. The nonce is the kernel-trusted half of the §3.2
-  // online memory checker; when the policy-state shadow (os/ascshadow.h) is
-  // live for this pid, the shadow entry mirrors it and the {lastBlock,
-  // lbMAC} record in this process's memory lags behind until write-back.
+  // online memory checker; when the policy-state shadow (os/tiertable.h) is
+  // live for this pid, the shadow mirrors it and the {lastBlock, lbMAC}
+  // record in this process's memory lags behind until write-back.
   std::uint64_t asc_counter = 0;  // kernel-side nonce for the memory checker
   std::uint16_t program_id = 0;
   bool authenticated_image = false;

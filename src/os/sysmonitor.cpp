@@ -40,9 +40,7 @@ MonitorVerdict AscMonitor::inspect(Process& p, TrapContext& ctx) {
   kernel_.health_self_check(p, ctx);
   const CheckResult r = check_authenticated_call(
       p, ctx.call_site, ctx.sysno, *ctx.id, signature(*ctx.id), *kernel_.key(),
-      kernel_.cost(), kernel_.capability_checking(), &kernel_.tier_table(),
-      /*use_cache=*/kernel_.fast_path_cache_allowed(p.pid),
-      /*use_shadow=*/kernel_.fast_path_shadow_allowed(p.pid));
+      kernel_.cost(), kernel_.capability_checking(), kernel_.tier_table());
   ctx.charge(p, r.cycles);
   kernel_.note_verification(p, ctx, r.violation == Violation::None,
                             !r.cache_hit && !r.shadow_hit);

@@ -2,10 +2,10 @@
 //
 // Everything the kernel tracks on behalf of ONE tenant's guest processes
 // lives here, in a single value type with no hidden global state behind it:
-// the MAC key, the tiered verification lattice (os/tiertable.h -- the
-// verified-call cache, the policy-state shadow, the per-pid health map, and
-// the trap-less inline tier, behind ONE promotion/demotion lattice and one
-// write-watch invalidation spine), and the structured audit log. os::Kernel
+// the MAC key, the tiered verification lattice (os/tiertable.h -- one
+// verified record per (pid, call site) and one record per pid holding its
+// shadow and health, behind one write-watch invalidation spine), and the
+// structured audit log. os::Kernel
 // owns exactly one TenantState and delegates to it, so the single-tenant
 // API is unchanged -- but a fleet of kernels is now, by construction, a
 // fleet of disjoint shards: thousands of tenants can verify system calls
@@ -26,11 +26,16 @@
 
 #include "crypto/cmac.h"
 #include "os/auditlog.h"
+#include "os/costmodel.h"
 #include "os/tiertable.h"
 
 namespace asc::os {
 
 struct TenantState {
+  /// `cost` is the owning kernel's cost model, which shadow write-backs
+  /// charge.
+  explicit TenantState(const CostModel& cost) : tiers(key, cost) {}
+
   /// The tenant's MAC key (installer/kernel shared secret). Distinct tenants
   /// hold distinct MacKey instances even under equal key bytes, so rotation
   /// in one tenant can never invalidate another tenant's verifications.
@@ -39,6 +44,7 @@ struct TenantState {
   /// The tiered verification lattice: Eager -> Cached -> Shadowed -> Inline
   /// per (pid, site), with the per-pid health machine as its demotion floor
   /// and one write-watch spine invalidating every tier (os/tiertable.h).
+  /// Declared after `key`, which it reads for write-backs.
   TierTable tiers;
 
   /// Structured security/audit log; the fleet's aggregated audit pipeline

@@ -150,15 +150,16 @@ RunResult Machine::run_internal(const binary::Image& image, const std::vector<st
     res.violation_detail = std::string("guest fault: ") + f.what();
   }
 
-  // Process teardown: the kernel must drop every cached verification for
-  // this pid (its address space -- the bytes the cache vouches for -- dies
-  // with it).
-  kernel_.end_process(p.pid);
+  // Process teardown: the kernel must drop every verified record of this
+  // pid (its address space -- the bytes the records vouch for -- dies with
+  // it).
+  kernel_.tier_table().end_process(p.pid);
 
   res.final_watch = p.mem.watch_stats();
   res.predecode = p.predecode.stats();
   // Teardown must leave zero watched ranges: a leak means an eviction path
-  // (cache, shadow, or quarantine) kept a registration past the process.
+  // (site record, shadow, or quarantine) kept a registration past the
+  // process.
   assert(res.final_watch.live_ranges == 0 &&
          "process teardown left live watch ranges");
 

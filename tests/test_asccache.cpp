@@ -1,16 +1,16 @@
-// The verified-call cache (os/asccache.h): the MAC-verification fast path
-// must buy cycles without buying trust. Hits require byte-identical static
-// material; entries die on guest writes into their backing ranges, on key
-// rotation, and on process teardown; one process's verified entry can never
-// serve another.
+// The Cached tier of the lattice (os/tiertable.h): a site record must buy
+// cycles without buying trust. Hits require byte-identical static material;
+// records die on guest writes into their backing ranges, on key rotation,
+// and on process teardown, returning their watches on every path; one
+// process's verified record can never serve another.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <optional>
 
 #include "apps/libtoy.h"
 #include "core/asc.h"
 #include "isa/isa.h"
-#include "os/asccache.h"
+#include "os/tiertable.h"
 #include "tasm/assembler.h"
 #include "vm/memory.h"
 #include "workloads.h"
@@ -18,33 +18,52 @@
 namespace asc {
 namespace {
 
-using os::AscCache;
+using os::TierTable;
 
 const auto kPers = os::Personality::LinuxSim;
 
 using Bytes = std::vector<std::uint8_t>;
+using Ranges = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
-AscCache::Entry entry_with(Bytes material,
-                           std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges = {}) {
-  AscCache::Entry e;
-  e.material = std::move(material);
-  e.ranges = std::move(ranges);
-  return e;
+constexpr std::uint32_t kBase = binary::kAddressSpaceBase + 0x1000;
+
+TierTable::SiteRecord record_with(Bytes material, Ranges ranges = {}) {
+  TierTable::SiteRecord r;
+  r.material = std::move(material);
+  r.ranges = std::move(ranges);
+  return r;
 }
 
-// ---- pure cache semantics ----
+// A lattice bound to a real key and cost model; the processes whose address
+// spaces it watches are declared by each test.
+struct Lattice {
+  explicit Lattice(std::size_t capacity = 4096) : table(key, cost, capacity) {}
+  std::optional<crypto::MacKey> key{crypto::MacKey(test_key())};
+  os::CostModel cost;
+  TierTable table;
+};
+
+os::Process process(int pid) {
+  os::Process p;
+  p.pid = pid;
+  return p;
+}
+
+std::uint64_t live_refs(const os::Process& p) { return p.mem.watch_stats().live_refs; }
+
+// ---- pure record semantics ----
 
 TEST(AscCacheUnit, LookupRequiresByteIdenticalMaterial) {
-  AscCache cache;
-  const AscCache::Key k{1, 0x100, 0xab, 7};
-  EXPECT_EQ(cache.lookup(k, Bytes{42}), nullptr);  // cold
-  cache.insert(k, entry_with({42}));
-  EXPECT_NE(cache.lookup(k, Bytes{42}), nullptr);
+  Lattice l;
+  os::Process p = process(1);
+  EXPECT_EQ(l.table.lookup(1, 0x100, Bytes{42}), nullptr);  // cold
+  l.table.insert(p, 0x100, record_with({42}));
+  EXPECT_NE(l.table.lookup(1, 0x100, Bytes{42}), nullptr);
   // Same site, different bytes behind it: must be a miss, never a stale hit.
-  EXPECT_EQ(cache.lookup(k, Bytes{43}), nullptr);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().inserts, 1u);
+  EXPECT_EQ(l.table.lookup(1, 0x100, Bytes{43}), nullptr);
+  EXPECT_EQ(l.table.stats().cached, 1u);
+  EXPECT_EQ(l.table.stats().cache_misses, 2u);
+  EXPECT_EQ(l.table.sites(), 1u);
 }
 
 // The hit check is an exact comparison of the verified bytes, not a hash: a
@@ -52,138 +71,146 @@ TEST(AscCacheUnit, LookupRequiresByteIdenticalMaterial) {
 // and friends are invertible) must still miss. Any pair of distinct
 // equal-length byte strings stands in for such a collision here.
 TEST(AscCacheUnit, SameLengthDifferentBytesNeverHit) {
-  AscCache cache;
-  const AscCache::Key k{1, 0x100, 0xab, 7};
+  Lattice l;
+  os::Process p = process(1);
   const Bytes verified{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77};
-  cache.insert(k, entry_with(verified));
+  l.table.insert(p, 0x100, record_with(verified));
   for (std::size_t byte = 0; byte < verified.size(); ++byte) {
     Bytes forged = verified;
     forged[byte] ^= 0x01;
-    EXPECT_EQ(cache.lookup(k, forged), nullptr)
-        << "byte " << byte << " differs but the cache served a hit";
+    EXPECT_EQ(l.table.lookup(1, 0x100, forged), nullptr)
+        << "byte " << byte << " differs but the record served a hit";
   }
   // Prefix/extension of the verified bytes must miss too.
-  EXPECT_EQ(cache.lookup(k, Bytes(verified.begin(), verified.end() - 1)), nullptr);
+  EXPECT_EQ(l.table.lookup(1, 0x100, Bytes(verified.begin(), verified.end() - 1)), nullptr);
   Bytes extended = verified;
   extended.push_back(0x00);
-  EXPECT_EQ(cache.lookup(k, extended), nullptr);
-  EXPECT_NE(cache.lookup(k, verified), nullptr);
+  EXPECT_EQ(l.table.lookup(1, 0x100, extended), nullptr);
+  EXPECT_NE(l.table.lookup(1, 0x100, verified), nullptr);
 }
 
 TEST(AscCacheUnit, EntriesArePidIsolated) {
-  AscCache cache;
-  const AscCache::Key pid_a{1, 0x100, 0xab, 7};
-  AscCache::Key pid_b = pid_a;
-  pid_b.pid = 2;
-  cache.insert(pid_a, entry_with({42}));
-  // Identical site/descriptor/block and identical material -- but a
-  // different process. Serving A's verification to B would let B ride on
-  // A's policy.
-  EXPECT_EQ(cache.lookup(pid_b, Bytes{42}), nullptr);
-  EXPECT_NE(cache.lookup(pid_a, Bytes{42}), nullptr);
-  EXPECT_EQ(cache.size(1), 1u);
-  EXPECT_EQ(cache.size(2), 0u);
+  Lattice l;
+  os::Process a = process(1);
+  os::Process b = process(2);
+  l.table.insert(a, 0x100, record_with({42}, {{kBase, 16}}));
+  // Identical site and identical material -- but a different process.
+  // Serving A's verification to B would let B ride on A's policy.
+  EXPECT_EQ(l.table.lookup(2, 0x100, Bytes{42}), nullptr);
+  EXPECT_NE(l.table.lookup(1, 0x100, Bytes{42}), nullptr);
+  EXPECT_EQ(l.table.sites(1), 1u);
+  EXPECT_EQ(l.table.sites(2), 0u);
+  // The record watches A's address space only.
+  EXPECT_EQ(live_refs(a), 1u);
+  EXPECT_EQ(live_refs(b), 0u);
 }
 
 TEST(AscCacheUnit, InvalidateWriteEvictsOnlyOverlappingEntries) {
-  AscCache cache;
-  const AscCache::Key k1{1, 0x100, 0xab, 7};
-  const AscCache::Key k2{1, 0x200, 0xab, 8};
-  cache.insert(k1, entry_with({1}, {{0x1000, 16}}));
-  cache.insert(k2, entry_with({2}, {{0x2000, 16}}));
-  cache.invalidate_write(1, 0x1008, 4);  // inside k1's range only
-  EXPECT_EQ(cache.lookup(k1, Bytes{1}), nullptr);
-  EXPECT_NE(cache.lookup(k2, Bytes{2}), nullptr);
-  // A write in another pid's address space touches nothing of pid 1.
-  cache.invalidate_write(2, 0x2000, 16);
-  EXPECT_NE(cache.lookup(k2, Bytes{2}), nullptr);
-  // invalidation_writes counts watched writes delivered to the cache (both
-  // calls above); evictions counts entries actually dropped (only k1).
-  EXPECT_EQ(cache.stats().invalidation_writes, 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  Lattice l;
+  os::Process a = process(1);
+  os::Process b = process(2);
+  l.table.insert(a, 0x100, record_with({1}, {{kBase, 16}}));
+  l.table.insert(a, 0x200, record_with({2}, {{kBase + 0x100, 16}}));
+  l.table.insert(b, 0x200, record_with({3}, {{kBase + 0x100, 16}}));
+  a.mem.w32(kBase + 8, 0);  // inside the first record's range only
+  EXPECT_EQ(l.table.lookup(1, 0x100, Bytes{1}), nullptr);
+  EXPECT_NE(l.table.lookup(1, 0x200, Bytes{2}), nullptr);
+  // The same address written in another pid's address space touches
+  // nothing of pid 1.
+  b.mem.w8(kBase + 0x100, 0);
+  EXPECT_NE(l.table.lookup(1, 0x200, Bytes{2}), nullptr);
+  EXPECT_EQ(l.table.lookup(2, 0x200, Bytes{3}), nullptr);
+  EXPECT_EQ(l.table.sites(), 1u);
 }
 
 TEST(AscCacheUnit, EvictPidAndClear) {
-  AscCache cache;
-  cache.insert({1, 0x100, 0, 0}, entry_with({1}));
-  cache.insert({1, 0x200, 0, 0}, entry_with({2}));
-  cache.insert({2, 0x100, 0, 0}, entry_with({3}));
-  cache.evict_pid(1);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.size(2), 1u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().evictions, 3u);
+  Lattice l;
+  os::Process a = process(1);
+  os::Process b = process(2);
+  l.table.insert(a, 0x100, record_with({1}, {{kBase, 16}}));
+  l.table.insert(a, 0x200, record_with({2}, {{kBase + 0x20, 16}}));
+  l.table.insert(b, 0x100, record_with({3}, {{kBase, 16}}));
+  l.table.end_process(1);
+  EXPECT_EQ(l.table.sites(), 1u);
+  EXPECT_EQ(l.table.sites(2), 1u);
+  l.table.on_key_rotation();
+  EXPECT_EQ(l.table.sites(), 0u);
+  EXPECT_EQ(live_refs(a), 0u);
+  EXPECT_EQ(live_refs(b), 0u);
 }
 
-// Every path that drops an entry must return its watch ranges through the
-// per-pid unwatch hook; otherwise the process's Memory accumulates stale
-// ranges (and O(n) invalidation scans) for its whole lifetime.
+// Every path that drops a record must return its watch ranges to the
+// process's Memory; otherwise it accumulates stale ranges (and O(n)
+// invalidation scans) for its whole lifetime.
 TEST(AscCacheUnit, EveryEvictionPathUnwatchesItsRanges) {
-  AscCache cache;
-  std::multiset<std::pair<std::uint32_t, std::uint32_t>> watched;
-  cache.set_range_hooks(
-      1, [&](std::uint32_t a, std::uint32_t l) { watched.insert({a, l}); },
-      [&](std::uint32_t a, std::uint32_t l) {
-        const auto it = watched.find({a, l});
-        ASSERT_NE(it, watched.end()) << "unwatch of a range never watched";
-        watched.erase(it);
-      });
+  Lattice l;
+  os::Process p = process(1);
 
-  // insert registers; invalidate_write eviction unregisters.
-  cache.insert({1, 0x100, 0, 0}, entry_with({1}, {{0x1000, 16}, {0x1100, 32}}));
-  EXPECT_EQ(watched.size(), 2u);
-  cache.invalidate_write(1, 0x1000, 1);
-  EXPECT_EQ(watched.size(), 0u);
+  // insert registers each range once; a guest-write drop unregisters.
+  l.table.insert(p, 0x100, record_with({1}, {{kBase, 16}, {kBase + 0x100, 32}}));
+  EXPECT_EQ(live_refs(p), 2u);
+  p.mem.w8(kBase, 0);
+  EXPECT_EQ(live_refs(p), 0u);
 
-  // Replacement on insert unregisters the stale entry's ranges.
-  cache.insert({1, 0x100, 0, 0}, entry_with({1}, {{0x1000, 16}}));
-  cache.insert({1, 0x100, 0, 0}, entry_with({2}, {{0x2000, 16}}));
-  EXPECT_EQ(watched.size(), 1u);
-  EXPECT_EQ(watched.count({0x2000, 16}), 1u);
+  // Replacement on insert unregisters the stale record's ranges.
+  l.table.insert(p, 0x100, record_with({1}, {{kBase, 16}}));
+  l.table.insert(p, 0x100, record_with({2}, {{kBase + 0x200, 16}}));
+  EXPECT_EQ(live_refs(p), 1u);
+  p.mem.w8(kBase, 0);  // the stale range no longer guards anything
+  EXPECT_EQ(l.table.sites(), 1u);
 
-  // clear() unregisters everything.
-  cache.clear();
-  EXPECT_EQ(watched.size(), 0u);
+  // Key rotation unregisters everything.
+  l.table.on_key_rotation();
+  EXPECT_EQ(live_refs(p), 0u);
+
+  // Health eviction and the fast-path flush unregister the pid's ranges.
+  l.table.insert(p, 0x100, record_with({1}, {{kBase, 16}}));
+  l.table.evict_pid(1);
+  EXPECT_EQ(live_refs(p), 0u);
+  l.table.insert(p, 0x100, record_with({1}, {{kBase, 16}}));
+  l.table.flush_pid(1, os::DemotionCause::Disabled);
+  EXPECT_EQ(live_refs(p), 0u);
 
   // Capacity eviction unregisters the victim's ranges.
-  AscCache tiny(2);
-  std::size_t tiny_watched = 0;
-  tiny.set_range_hooks(
-      1, [&](std::uint32_t, std::uint32_t) { ++tiny_watched; },
-      [&](std::uint32_t, std::uint32_t) { --tiny_watched; });
-  tiny.insert({1, 0x100, 0, 0}, entry_with({1}, {{0x1000, 16}}));
-  tiny.insert({1, 0x200, 0, 0}, entry_with({2}, {{0x2000, 16}}));
-  tiny.insert({1, 0x300, 0, 0}, entry_with({3}, {{0x3000, 16}}));
-  EXPECT_EQ(tiny.size(), 2u);
-  EXPECT_EQ(tiny_watched, 2u);
+  Lattice tiny(2);
+  os::Process q = process(1);
+  tiny.table.insert(q, 0x100, record_with({1}, {{kBase, 16}}));
+  tiny.table.insert(q, 0x200, record_with({2}, {{kBase + 0x100, 16}}));
+  tiny.table.insert(q, 0x300, record_with({3}, {{kBase + 0x200, 16}}));
+  EXPECT_EQ(tiny.table.sites(), 2u);
+  EXPECT_EQ(live_refs(q), 2u);
 
-  // evict_pid unregisters, then drops the hooks entirely.
-  tiny.evict_pid(1);
-  EXPECT_EQ(tiny_watched, 0u);
+  // Teardown unregisters, then forgets the pid.
+  tiny.table.end_process(1);
+  EXPECT_EQ(live_refs(q), 0u);
+  EXPECT_EQ(tiny.table.pids(), 0u);
+  const vm::Memory::WatchStats w = q.mem.watch_stats();
+  EXPECT_EQ(w.registered, w.released);
 }
 
-// At capacity the victim is the least-hit entry (ties broken by a rotating
-// cursor), not blindly the lowest (pid, site) key -- a full cache must not
+// At capacity the victim is the least-hit record (ties broken by a rotating
+// cursor), not blindly the lowest (pid, site) key -- a full table must not
 // permanently zero out one process's low-address sites.
 TEST(AscCacheUnit, CapacityEvictionPrefersColdEntriesOverLowKeys) {
-  AscCache cache(4);
+  Lattice l(4);
+  os::Process a = process(1);
+  os::Process b = process(2);
   for (std::uint32_t site = 1; site <= 4; ++site) {
-    cache.insert({1, site, 0, 0}, entry_with({static_cast<std::uint8_t>(site)}));
+    l.table.insert(a, site, record_with({static_cast<std::uint8_t>(site)}));
   }
   // Heat up the three lowest keys; site 4 stays cold.
   for (int round = 0; round < 3; ++round) {
     for (std::uint32_t site = 1; site <= 3; ++site) {
-      EXPECT_NE(cache.lookup({1, site, 0, 0}, Bytes{static_cast<std::uint8_t>(site)}), nullptr);
+      EXPECT_NE(l.table.lookup(1, site, Bytes{static_cast<std::uint8_t>(site)}), nullptr);
     }
   }
-  cache.insert({2, 0x500, 0, 0}, entry_with({5}));
-  EXPECT_EQ(cache.size(), 4u);
-  // The cold entry went; the hot low-key entries survived.
-  EXPECT_EQ(cache.lookup({1, 4, 0, 0}, Bytes{4}), nullptr);
+  l.table.insert(b, 0x500, record_with({5}));
+  EXPECT_EQ(l.table.sites(), 4u);
+  // The cold record went; the hot low-key records survived.
+  EXPECT_EQ(l.table.lookup(1, 4, Bytes{4}), nullptr);
   for (std::uint32_t site = 1; site <= 3; ++site) {
-    EXPECT_NE(cache.lookup({1, site, 0, 0}, Bytes{static_cast<std::uint8_t>(site)}), nullptr)
-        << "hot site " << site << " was victimized while a cold entry existed";
+    EXPECT_NE(l.table.lookup(1, site, Bytes{static_cast<std::uint8_t>(site)}), nullptr)
+        << "hot site " << site << " was victimized while a cold record existed";
   }
 }
 
@@ -229,10 +256,9 @@ TEST(AscCacheRun, RepeatedSitesHitAndBehaviorIsIdentical) {
   System cached(kPers);
   const auto rc = run_cat(cached);
   ASSERT_TRUE(rc.completed) << rc.violation_detail;
-  const auto& st = cached.kernel().cache_stats();
-  EXPECT_GT(st.hits, 0u) << "cat's read/write loop repeats sites; they must hit";
-  EXPECT_GT(st.misses, 0u) << "first visit of each site is a miss";
-  EXPECT_GT(st.hit_rate(), 0.0);
+  const os::TierStats st = cached.kernel().tier_stats();
+  EXPECT_GT(st.cached, 0u) << "cat's read/write loop repeats sites; they must hit";
+  EXPECT_GT(st.cache_misses, 0u) << "first visit of each site is a miss";
 
   System uncached(kPers);
   uncached.kernel().set_verified_call_cache(false);
@@ -245,8 +271,8 @@ TEST(AscCacheRun, RepeatedSitesHitAndBehaviorIsIdentical) {
   EXPECT_EQ(rc.stderr_data, ru.stderr_data);
   EXPECT_EQ(rc.syscalls, ru.syscalls);
   EXPECT_LT(rc.cycles, ru.cycles) << "hits must charge strictly less than full verification";
-  EXPECT_EQ(uncached.kernel().cache_stats().hits, 0u);
-  EXPECT_EQ(uncached.kernel().cache_stats().misses, 0u);
+  EXPECT_EQ(uncached.kernel().tier_stats().cached, 0u);
+  EXPECT_EQ(uncached.kernel().tier_stats().cache_misses, 0u);
 }
 
 // A tight getpid loop (the paper's Table 4 microbenchmark shape): after the
@@ -304,36 +330,41 @@ TEST(AscCacheRun, GuestWriteIntoCachedRangeEvicts) {
   System sys(kPers);
   // At the 6th trap, rewrite one byte of the presented call MAC with its own
   // value. The bytes do not change, but the write watch must still fire and
-  // evict -- eviction is keyed on the write, not on the value -- and the
-  // subsequent full re-verification succeeds, so the run completes.
+  // drop the record -- eviction is keyed on the write, not on the value --
+  // and the subsequent full re-verification succeeds, so the run completes.
   int calls = 0;
   std::size_t watches_before = 0;
   std::size_t watches_after = 0;
+  std::size_t sites_before = 0;
+  std::size_t sites_after = 0;
   sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
     if (++calls != 6) return;
     const std::uint32_t mac_ptr = p.cpu.regs[isa::kRegCallMac];
     if (p.mem.in_range(mac_ptr, 16)) {
       watches_before = p.mem.watch_count();
+      sites_before = sys.kernel().tier_table().sites(p.pid);
       p.mem.w8(mac_ptr, p.mem.r8(mac_ptr));
       watches_after = p.mem.watch_count();
+      sites_after = sys.kernel().tier_table().sites(p.pid);
     }
   };
   const auto r = run_cat(sys);
   ASSERT_TRUE(r.completed) << r.violation_detail;
-  const auto& st = sys.kernel().cache_stats();
-  EXPECT_GE(st.invalidation_writes, 1u) << "watched write did not reach the cache";
-  EXPECT_GE(st.evictions, 1u);
-  // The evicted entry returned its ranges: the Memory watch set shrank
+  EXPECT_LT(sites_after, sites_before) << "watched write did not drop the record";
+  // The dropped record returned its ranges: the Memory watch set shrank
   // rather than accumulating stale ranges for the life of the process.
   EXPECT_LT(watches_after, watches_before);
 }
 
 TEST(AscCacheRun, KeyRotationClearsTheCache) {
   System sys(kPers);
-  sys.kernel().call_cache().insert({1, 0x100, 0xab, 7}, entry_with({42}));
-  ASSERT_EQ(sys.kernel().call_cache().size(), 1u);
+  os::Process p = process(1);
+  sys.kernel().tier_table().insert(p, 0x100, record_with({42}, {{kBase, 16}}));
+  ASSERT_EQ(sys.kernel().tier_table().sites(), 1u);
   sys.kernel().set_key(test_key());  // rotation: old verifications are void
-  EXPECT_EQ(sys.kernel().call_cache().size(), 0u);
+  EXPECT_EQ(sys.kernel().tier_table().sites(), 0u);
+  EXPECT_EQ(live_refs(p), 0u);
+  sys.kernel().tier_table().end_process(p.pid);
 }
 
 TEST(AscCacheRun, ProcessTeardownEvictsItsEntries) {
@@ -341,13 +372,13 @@ TEST(AscCacheRun, ProcessTeardownEvictsItsEntries) {
   std::size_t live_during_run = 0;
   int calls = 0;
   sys.machine().pre_syscall_hook = [&](os::Process&, std::uint32_t) {
-    if (++calls == 8) live_during_run = sys.kernel().call_cache().size();
+    if (++calls == 8) live_during_run = sys.kernel().tier_table().sites();
   };
   const auto r = run_cat(sys);
   ASSERT_TRUE(r.completed) << r.violation_detail;
-  EXPECT_GT(live_during_run, 0u) << "cache never populated while the process ran";
-  EXPECT_EQ(sys.kernel().call_cache().size(), 0u)
-      << "teardown must drop every entry of the dead pid";
+  EXPECT_GT(live_during_run, 0u) << "no record populated while the process ran";
+  EXPECT_EQ(sys.kernel().tier_table().sites(), 0u)
+      << "teardown must drop every record of the dead pid";
 }
 
 }  // namespace

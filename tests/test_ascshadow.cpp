@@ -1,11 +1,12 @@
-// The policy-state shadow (os/ascshadow.h): the control-flow fast path must
-// skip the per-call state MACs without weakening the §3.2 online memory
-// checker. Entries exist only after a full slow-path verification; any guest
-// write into the watched record writes the trusted bytes back FIRST and
-// drops the entry; key rotation, teardown, and runtime disabling all flush;
-// one process's shadow can never serve another.
+// The Shadowed tier of the lattice (os/tiertable.h): the control-flow fast
+// path must skip the per-call state MACs without weakening the §3.2 online
+// memory checker. A shadow exists only after a full slow-path verification;
+// any guest write into the watched record writes the trusted bytes back
+// FIRST and drops the shadow; key rotation, teardown, and runtime disabling
+// all flush; one process's shadow can never serve another.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -13,7 +14,7 @@
 #include "core/asc.h"
 #include "fault/campaign.h"
 #include "isa/isa.h"
-#include "os/ascshadow.h"
+#include "os/tiertable.h"
 #include "policy/policy.h"
 #include "tasm/assembler.h"
 #include "util/executor.h"
@@ -22,169 +23,193 @@
 namespace asc {
 namespace {
 
-using os::AscShadow;
+using os::TierTable;
 
 const auto kPers = os::Personality::LinuxSim;
 constexpr std::uint32_t kStateSize = policy::kPolicyStateSize;
+constexpr std::uint32_t kState = binary::kAddressSpaceBase + 0x1000;
 
-// Recording harness for the pure shadow semantics: logs every hook call in
-// order, so tests can assert not just *that* write-back happens but that it
-// happens after the range is unwatched (the re-entrancy guarantee).
-struct HookLog {
-  enum class Kind { Watch, Unwatch, WriteBack };
-  struct Event {
-    Kind kind;
-    std::uint32_t addr;  // state_ptr for WriteBack
-    std::uint32_t len;   // last_block for WriteBack
-  };
-  std::vector<Event> events;
+// A lattice bound to a real key and cost model; the processes whose address
+// spaces it watches are declared by each test.
+struct Lattice {
+  std::optional<crypto::MacKey> key{crypto::MacKey(test_key())};
+  os::CostModel cost;
+  TierTable table{key, cost};
 
-  void wire(AscShadow& shadow, int pid) {
-    shadow.set_hooks(
-        pid, [this](std::uint32_t a, std::uint32_t l) { events.push_back({Kind::Watch, a, l}); },
-        [this](std::uint32_t a, std::uint32_t l) { events.push_back({Kind::Unwatch, a, l}); },
-        [this](const AscShadow::Entry& e) {
-          events.push_back({Kind::WriteBack, e.state_ptr, e.last_block});
-        });
+  /// The record a write-back of {last_block, counter} leaves in memory.
+  std::vector<std::uint8_t> materialized(std::uint32_t last_block, std::uint64_t counter) const {
+    std::vector<std::uint8_t> out(4);
+    for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(last_block >> (8 * i));
+    const crypto::Mac mac = key.value().mac(policy::encode_policy_state(last_block, counter));
+    out.insert(out.end(), mac.begin(), mac.end());
+    return out;
   }
-  int count(Kind k) const {
-    int n = 0;
-    for (const auto& e : events) n += e.kind == k ? 1 : 0;
-    return n;
+  std::uint64_t write_back_cycles() const {
+    return cost.mac_cost(policy::encode_policy_state(0, 0).size());
   }
 };
+
+os::Process process(int pid) {
+  os::Process p;
+  p.pid = pid;
+  return p;
+}
+
+/// Advance `pid`'s shadow at kState exactly as a Shadowed-tier hit would.
+void hit(TierTable& t, int pid, std::uint32_t last_block, std::uint64_t counter) {
+  TierTable::Shadow* sh = t.find_shadow(pid, kState);
+  ASSERT_NE(sh, nullptr);
+  sh->last_block = last_block;
+  sh->counter = counter;
+  sh->dirty = true;
+}
 
 // ---- pure shadow semantics ----
 
 TEST(AscShadowUnit, FindRequiresTheExactStatePointer) {
-  AscShadow shadow;
-  EXPECT_EQ(shadow.find(1, 0x1000), nullptr);  // cold: miss
-  shadow.install(1, 0x1000, 7, 3);
-  AscShadow::Entry* e = shadow.find(1, 0x1000);
+  Lattice l;
+  os::Process p = process(1);
+  EXPECT_EQ(l.table.find_shadow(1, kState), nullptr);  // cold: miss
+  l.table.install_shadow(p, kState, 7, 3);
+  TierTable::Shadow* e = l.table.find_shadow(1, kState);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->last_block, 7u);
   EXPECT_EQ(e->counter, 3u);
   EXPECT_FALSE(e->dirty);
   // A repointed lbPtr must never be served by the old record.
-  EXPECT_EQ(shadow.find(1, 0x2000), nullptr);
-  EXPECT_EQ(shadow.stats().hits, 1u);
-  EXPECT_EQ(shadow.stats().misses, 2u);
-  EXPECT_EQ(shadow.stats().installs, 1u);
+  EXPECT_EQ(l.table.find_shadow(1, kState + 0x100), nullptr);
+  EXPECT_EQ(l.table.stats().shadowed, 1u);
+  EXPECT_EQ(l.table.stats().shadow_misses, 2u);
+  EXPECT_EQ(p.mem.watch_stats().live_refs, 1u);
 }
 
 TEST(AscShadowUnit, EntriesArePidIsolated) {
-  AscShadow shadow;
-  shadow.install(1, 0x1000, 7, 3);
+  Lattice l;
+  os::Process a = process(1);
+  os::Process b = process(2);
+  l.table.install_shadow(a, kState, 7, 3);
   // Identical state pointer, different process: serving pid 1's verified
   // control-flow state to pid 2 would let pid 2 ride on pid 1's history.
-  EXPECT_EQ(shadow.find(2, 0x1000), nullptr);
-  shadow.invalidate_write(2, 0x1000, kStateSize);  // pid 2's address space
-  EXPECT_NE(shadow.find(1, 0x1000), nullptr);
-  EXPECT_EQ(shadow.stats().invalidations, 0u);
+  EXPECT_EQ(l.table.find_shadow(2, kState), nullptr);
+  // A write at the same address in pid 2's address space drops pid 2's own
+  // shadow and leaves pid 1's alone.
+  l.table.install_shadow(b, kState, 9, 5);
+  b.mem.w32(kState, 0);
+  EXPECT_EQ(l.table.shadow(2), nullptr);
+  EXPECT_NE(l.table.find_shadow(1, kState), nullptr);
+  EXPECT_EQ(a.mem.watch_stats().live_refs, 1u);
 }
 
 TEST(AscShadowUnit, InvalidationUnwatchesBeforeWritingBackDirtyEntries) {
-  AscShadow shadow;
-  HookLog log;
-  log.wire(shadow, 1);
-  shadow.install(1, 0x1000, 7, 3);
-  ASSERT_EQ(log.count(HookLog::Kind::Watch), 1);
-  EXPECT_EQ(log.events.back().addr, 0x1000u);
-  EXPECT_EQ(log.events.back().len, kStateSize);
+  Lattice l;
+  os::Process p = process(1);
+  l.table.install_shadow(p, kState, 7, 3);
+  hit(l.table, 1, 9, 4);  // the guest record is now stale (dirty)
 
-  // Hits advance the shadow only; the guest record is now stale (dirty).
-  AscShadow::Entry* e = shadow.find(1, 0x1000);
-  ASSERT_NE(e, nullptr);
-  e->last_block = 9;
-  e->counter = 4;
-  e->dirty = true;
+  // The exec-watch channel fires on every store into the record before the
+  // bytes change, independent of the data watches: it shows how many data
+  // watches are live at each store.
+  std::vector<std::size_t> live_at_store;
+  p.mem.set_exec_watch(
+      [&](std::uint32_t, std::uint32_t) { live_at_store.push_back(p.mem.watch_count()); });
+  p.mem.expand_exec_envelope(kState, kState + kStateSize);
 
-  shadow.invalidate_write(1, 0x1000 + kStateSize - 1, 1);  // last byte overlaps
-  EXPECT_FALSE(shadow.has(1));
-  EXPECT_EQ(shadow.stats().invalidations, 1u);
-  EXPECT_EQ(shadow.stats().write_backs, 1u);
-  // Ordering: the range is unwatched BEFORE the write-back runs, so the
-  // write-back's own guest stores cannot re-enter the invalidation path.
-  ASSERT_EQ(log.events.size(), 3u);
-  EXPECT_EQ(log.events[1].kind, HookLog::Kind::Unwatch);
-  EXPECT_EQ(log.events[2].kind, HookLog::Kind::WriteBack);
-  EXPECT_EQ(log.events[2].addr, 0x1000u);
-  EXPECT_EQ(log.events[2].len, 9u);  // the ADVANCED last_block, not the installed one
+  p.mem.w8(kState + kStateSize - 1, 0xee);  // last byte overlaps
+  EXPECT_EQ(l.table.shadow(1), nullptr);
+  EXPECT_EQ(l.table.stats().write_backs, 1u);
+  // The guest store, then the write-back's two stores: the range is
+  // unwatched BEFORE the write-back runs, so its own stores cannot re-enter
+  // the invalidation path.
+  ASSERT_EQ(live_at_store.size(), 3u);
+  EXPECT_EQ(live_at_store[0], 1u);
+  EXPECT_EQ(live_at_store[1], 0u);
+  EXPECT_EQ(live_at_store[2], 0u);
+  // The ADVANCED record was materialized, and the guest byte landed on top.
+  std::vector<std::uint8_t> expect = l.materialized(9, 4);
+  expect.back() = 0xee;
+  EXPECT_EQ(p.mem.read_bytes(kState, kStateSize), expect);
+  EXPECT_EQ(p.cycles, l.write_back_cycles());
 }
 
 TEST(AscShadowUnit, CleanEntriesDropWithoutWriteBack) {
-  AscShadow shadow;
-  HookLog log;
-  log.wire(shadow, 1);
-  shadow.install(1, 0x1000, 7, 3);  // dirty = false: shadow and guest agree
-  shadow.invalidate_write(1, 0x1000, 4);
-  EXPECT_FALSE(shadow.has(1));
-  EXPECT_EQ(shadow.stats().write_backs, 0u) << "clean record owes no CMAC";
-  EXPECT_EQ(log.count(HookLog::Kind::Unwatch), 1);
+  Lattice l;
+  os::Process p = process(1);
+  l.table.install_shadow(p, kState, 7, 3);  // dirty = false: shadow and guest agree
+  p.mem.w32(kState, 0);
+  EXPECT_EQ(l.table.shadow(1), nullptr);
+  EXPECT_EQ(l.table.stats().write_backs, 0u) << "clean record owes no CMAC";
+  EXPECT_EQ(p.cycles, 0u);
+  EXPECT_EQ(p.mem.watch_stats().live_refs, 0u);
 }
 
 TEST(AscShadowUnit, NonOverlappingWritesAreIgnored) {
-  AscShadow shadow;
-  shadow.install(1, 0x1000, 7, 3);
-  shadow.invalidate_write(1, 0x1000 - 4, 4);          // ends exactly at the record
-  shadow.invalidate_write(1, 0x1000 + kStateSize, 8);  // starts exactly past it
-  EXPECT_TRUE(shadow.has(1));
-  EXPECT_EQ(shadow.stats().invalidations, 0u);
+  Lattice l;
+  os::Process p = process(1);
+  l.table.install_shadow(p, kState, 7, 3);
+  p.mem.w32(kState - 4, 0);  // ends exactly at the record
+  p.mem.write_bytes(kState + kStateSize, std::vector<std::uint8_t>(8));  // starts just past it
+  EXPECT_NE(l.table.shadow(1), nullptr);
+  EXPECT_EQ(p.mem.watch_stats().live_refs, 1u);
 }
 
 TEST(AscShadowUnit, InstallReplacesThePriorEntryThroughTheFullDropPath) {
-  AscShadow shadow;
-  HookLog log;
-  log.wire(shadow, 1);
-  shadow.install(1, 0x1000, 7, 3);
-  AscShadow::Entry* e = shadow.find(1, 0x1000);
-  ASSERT_NE(e, nullptr);
-  e->dirty = true;
+  Lattice l;
+  os::Process p = process(1);
+  const std::uint32_t moved = kState + 0x100;
+  l.table.install_shadow(p, kState, 7, 3);
+  hit(l.table, 1, 7, 3);
   // Repointed lbPtr: the old record must be unwatched and written back, or
   // the guest keeps a stale un-MACed record plus a leaked watch range.
-  shadow.install(1, 0x2000, 8, 4);
-  EXPECT_EQ(shadow.size(), 1u);
-  EXPECT_EQ(shadow.find(1, 0x1000), nullptr);
-  EXPECT_NE(shadow.find(1, 0x2000), nullptr);
-  EXPECT_EQ(log.count(HookLog::Kind::Unwatch), 1);
-  EXPECT_EQ(log.count(HookLog::Kind::WriteBack), 1);
-  EXPECT_EQ(log.count(HookLog::Kind::Watch), 2);
+  l.table.install_shadow(p, moved, 8, 4);
+  EXPECT_EQ(l.table.find_shadow(1, kState), nullptr);
+  EXPECT_NE(l.table.find_shadow(1, moved), nullptr);
+  EXPECT_EQ(l.table.stats().write_backs, 1u);
+  EXPECT_EQ(p.mem.read_bytes(kState, kStateSize), l.materialized(7, 3));
+  const vm::Memory::WatchStats w = p.mem.watch_stats();
+  EXPECT_EQ(w.live_refs, 1u);
+  EXPECT_EQ(w.registered, 2u);
+  EXPECT_EQ(w.released, 1u);
 }
 
 TEST(AscShadowUnit, FlushAllWritesBackAndKeepsHooks) {
-  AscShadow shadow;
-  HookLog log1, log2;
-  log1.wire(shadow, 1);
-  log2.wire(shadow, 2);
-  shadow.install(1, 0x1000, 7, 3);
-  shadow.install(2, 0x3000, 9, 5);
-  shadow.find(1, 0x1000)->dirty = true;
+  Lattice l;
+  os::Process a = process(1);
+  os::Process b = process(2);
+  l.table.install_shadow(a, kState, 7, 3);
+  l.table.install_shadow(b, kState + 0x100, 9, 5);
+  hit(l.table, 1, 7, 3);
 
-  shadow.flush_all();  // key rotation / runtime disable
-  EXPECT_EQ(shadow.size(), 0u);
-  EXPECT_EQ(log1.count(HookLog::Kind::WriteBack), 1);
-  EXPECT_EQ(log2.count(HookLog::Kind::WriteBack), 0);  // pid 2 was clean
-  EXPECT_EQ(log1.count(HookLog::Kind::Unwatch), 1);
-  EXPECT_EQ(log2.count(HookLog::Kind::Unwatch), 1);
-  // The processes are still alive: hooks survive so re-verification can
-  // re-install without re-wiring.
-  EXPECT_TRUE(shadow.has_hooks(1));
-  EXPECT_TRUE(shadow.has_hooks(2));
+  l.table.set_shadow_enabled(false);  // runtime disable (key rotation alike)
+  EXPECT_EQ(l.table.shadow(1), nullptr);
+  EXPECT_EQ(l.table.shadow(2), nullptr);
+  EXPECT_EQ(l.table.stats().write_backs, 1u) << "only pid 1 was dirty";
+  EXPECT_EQ(a.cycles, l.write_back_cycles());
+  EXPECT_EQ(b.cycles, 0u);
+  EXPECT_EQ(a.mem.watch_stats().live_refs, 0u);
+  EXPECT_EQ(b.mem.watch_stats().live_refs, 0u);
+  // The processes are still alive: their records (and memory handles)
+  // survive, so a re-install needs no re-wiring and guest writes still
+  // reach the spine.
+  EXPECT_EQ(l.table.pids(), 2u);
+  l.table.set_shadow_enabled(true);
+  l.table.install_shadow(a, kState, 7, 3);
+  a.mem.w8(kState, 7);
+  EXPECT_EQ(l.table.shadow(1), nullptr);
 }
 
 TEST(AscShadowUnit, FlushPidDropsEntryAndHooks) {
-  AscShadow shadow;
-  HookLog log;
-  log.wire(shadow, 1);
-  shadow.install(1, 0x1000, 7, 3);
-  shadow.find(1, 0x1000)->dirty = true;
-  shadow.flush_pid(1);  // teardown: the Memory reference dies with the pid
-  EXPECT_FALSE(shadow.has(1));
-  EXPECT_FALSE(shadow.has_hooks(1));
-  EXPECT_EQ(log.count(HookLog::Kind::WriteBack), 1);
-  EXPECT_EQ(log.count(HookLog::Kind::Unwatch), 1);
-  shadow.flush_pid(1);  // idempotent on an absent pid
-  EXPECT_EQ(shadow.stats().invalidations, 1u);
+  Lattice l;
+  os::Process p = process(1);
+  l.table.install_shadow(p, kState, 7, 3);
+  hit(l.table, 1, 8, 4);
+  l.table.end_process(1);  // teardown: the Memory reference dies with the pid
+  EXPECT_EQ(l.table.shadow(1), nullptr);
+  EXPECT_EQ(l.table.pids(), 0u);
+  EXPECT_EQ(l.table.stats().write_backs, 1u);
+  EXPECT_EQ(p.mem.read_bytes(kState, kStateSize), l.materialized(8, 4));
+  EXPECT_EQ(p.mem.watch_stats().live_refs, 0u);
+  l.table.end_process(1);  // idempotent on an absent pid
+  EXPECT_EQ(l.table.stats().write_backs, 1u);
 }
 
 // ---- end-to-end: the fast path on real guests ----
@@ -199,12 +224,11 @@ TEST(AscShadowRun, RepeatedCallsHitAndBehaviorIsIdentical) {
   System shadowed(kPers);
   const auto rs = run_cat(shadowed);
   ASSERT_TRUE(rs.completed) << rs.violation_detail;
-  const auto& st = shadowed.kernel().shadow_stats();
-  EXPECT_GT(st.hits, 0u) << "cat's loop repeats control-flow checks; they must hit";
-  EXPECT_GT(st.installs, 0u);
-  EXPECT_GT(st.hit_rate(), 0.0);
-  // Teardown flushed the pid: no entry survives the run.
-  EXPECT_EQ(shadowed.kernel().shadow().size(), 0u);
+  const os::TierStats st = shadowed.kernel().tier_stats();
+  EXPECT_GT(st.shadowed, 0u) << "cat's loop repeats control-flow checks; they must hit";
+  EXPECT_GT(st.shadow_misses, 0u) << "the first check misses and installs the shadow";
+  // Teardown flushed the pid: no shadow survives the run.
+  EXPECT_EQ(shadowed.kernel().tier_table().pids(), 0u);
   EXPECT_GE(st.write_backs, 1u) << "the dirty record owes a write-back at teardown";
 
   System eager(kPers);
@@ -218,8 +242,8 @@ TEST(AscShadowRun, RepeatedCallsHitAndBehaviorIsIdentical) {
   EXPECT_EQ(rs.stderr_data, re.stderr_data);
   EXPECT_EQ(rs.syscalls, re.syscalls);
   EXPECT_LT(rs.cycles, re.cycles) << "shadow hits must charge less than two CMACs";
-  EXPECT_EQ(eager.kernel().shadow_stats().hits, 0u);
-  EXPECT_EQ(eager.kernel().shadow_stats().misses, 0u);
+  EXPECT_EQ(eager.kernel().tier_stats().shadowed, 0u);
+  EXPECT_EQ(eager.kernel().tier_stats().shadow_misses, 0u);
 }
 
 TEST(AscShadowRun, GuestRecordLagsUntilAWriteForcesWriteBack) {
@@ -232,7 +256,7 @@ TEST(AscShadowRun, GuestRecordLagsUntilAWriteForcesWriteBack) {
     if (++calls != 8) return;
     const std::uint32_t lb = p.cpu.regs[isa::kRegStatePtr];
     if (!p.mem.in_range(lb, kStateSize)) return;
-    const auto* e = sys.kernel().shadow().peek(p.pid);
+    const TierTable::Shadow* e = sys.kernel().tier_table().shadow(p.pid);
     ASSERT_NE(e, nullptr) << "seven verified calls in, the pid must be shadowed";
     saw_dirty = e->dirty;
     const std::uint32_t trusted_block = e->last_block;
@@ -246,14 +270,13 @@ TEST(AscShadowRun, GuestRecordLagsUntilAWriteForcesWriteBack) {
     // record is now exactly what the eager protocol would have left, so the
     // slow path re-verifies it and the run completes.
     p.mem.w32(lb, trusted_block);
-    EXPECT_FALSE(sys.kernel().shadow().has(p.pid)) << "the write must drop the entry";
+    EXPECT_EQ(sys.kernel().tier_table().shadow(p.pid), nullptr) << "the write must drop it";
   };
   const auto r = run_cat(sys);
   ASSERT_TRUE(r.completed) << r.violation_detail;
   EXPECT_TRUE(saw_dirty) << "hits alone must leave the guest record stale";
   EXPECT_LT(watches_after, watches_before) << "the dropped entry must return its range";
-  EXPECT_GE(sys.kernel().shadow_stats().write_backs, 1u);
-  EXPECT_GE(sys.kernel().shadow_stats().invalidations, 1u);
+  EXPECT_GE(sys.kernel().tier_stats().write_backs, 1u);
 }
 
 TEST(AscShadowRun, KeyRotationFlushesTheShadowMidRun) {
@@ -261,36 +284,35 @@ TEST(AscShadowRun, KeyRotationFlushesTheShadowMidRun) {
   int calls = 0;
   bool rotated = false;
   sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
-    if (++calls != 8 || !sys.kernel().shadow().has(p.pid)) return;
+    if (++calls != 8 || sys.kernel().tier_table().shadow(p.pid) == nullptr) return;
     const std::size_t watches = p.mem.watch_count();
     // Rotation writes dirty records back under the OLD key before the new
     // key lands; rotating to the same key keeps the guest images valid, so
     // the run must continue -- through the slow path, record re-verified.
     sys.kernel().set_key(test_key());
     rotated = true;
-    EXPECT_EQ(sys.kernel().shadow().size(), 0u);
-    EXPECT_LT(p.mem.watch_count(), watches) << "flushed entries must unwatch";
-    EXPECT_EQ(sys.kernel().call_cache().size(), 0u) << "rotation clears the cache too";
+    EXPECT_EQ(sys.kernel().tier_table().shadow(p.pid), nullptr);
+    EXPECT_LT(p.mem.watch_count(), watches) << "flushed state must unwatch";
+    EXPECT_EQ(sys.kernel().tier_table().sites(), 0u) << "rotation drops the site records too";
   };
   const auto r = run_cat(sys);
   ASSERT_TRUE(r.completed) << r.violation_detail;
   EXPECT_TRUE(rotated);
-  EXPECT_GE(sys.kernel().shadow_stats().write_backs, 1u);
+  EXPECT_GE(sys.kernel().tier_stats().write_backs, 1u);
 }
 
 TEST(AscShadowRun, DisablingMidRunResumesTheEagerProtocolCoherently) {
   System sys(kPers);
   int calls = 0;
   sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
-    if (++calls != 8 || !sys.kernel().policy_shadow()) return;
-    (void)p;
+    if (++calls != 8 || !sys.kernel().tier_table().shadow_enabled()) return;
     sys.kernel().set_policy_shadow(false);
-    EXPECT_EQ(sys.kernel().shadow().size(), 0u);
+    EXPECT_EQ(sys.kernel().tier_table().shadow(p.pid), nullptr);
   };
   const auto r = run_cat(sys);
   ASSERT_TRUE(r.completed) << r.violation_detail;
-  const auto& st = sys.kernel().shadow_stats();
-  EXPECT_GT(st.hits, 0u) << "the fast path ran before the switch";
+  const os::TierStats st = sys.kernel().tier_stats();
+  EXPECT_GT(st.shadowed, 0u) << "the fast path ran before the switch";
   EXPECT_GE(st.write_backs, 1u) << "disabling must materialize the dirty record";
 }
 

@@ -72,10 +72,10 @@ struct HookedRun {
 TEST(ChaosEngineHealth, InternalFaultDegradesThenRecoveryIsEarned) {
   const vm::RunResult ref = clean_reference();
   HookedRun h;
-  h.sys.kernel().set_health_promote_threshold(2);
+  h.sys.kernel().tier_table().set_health_promote_threshold(2);
   std::map<int, HealthState> seen;
   const vm::RunResult r = h.run([&](os::Process& p, int call) {
-    seen[call] = h.sys.kernel().health(p.pid);
+    seen[call] = h.sys.kernel().tier_table().health(p.pid);
     if (call == 2) h.sys.kernel().report_internal_fault(p, "test fault");
   });
 
@@ -93,22 +93,22 @@ TEST(ChaosEngineHealth, InternalFaultDegradesThenRecoveryIsEarned) {
   EXPECT_EQ(count_kind(h.sys, os::AuditKind::Violation), 0);
   EXPECT_EQ(count_kind(h.sys, os::AuditKind::InternalFault), 1);
 
-  const auto& hs = h.sys.kernel().health_stats();
+  const auto& hs = h.sys.kernel().tier_table().health_stats();
   EXPECT_EQ(hs.internal_faults, 1u);
   EXPECT_EQ(hs.degradations, 1u);
   EXPECT_EQ(hs.quarantines, 0u);
   EXPECT_EQ(hs.recoveries, 1u);
   // end_process erased the pid's record.
-  EXPECT_EQ(h.sys.kernel().tracked_health(), 0u);
+  EXPECT_EQ(h.sys.kernel().tier_table().pids(), 0u);
 }
 
 TEST(ChaosEngineHealth, ShadowNonceDesyncCaughtBySelfCheck) {
   const vm::RunResult ref = clean_reference();
   HookedRun h;
-  h.sys.kernel().set_health_promote_threshold(100);  // stay Degraded
+  h.sys.kernel().tier_table().set_health_promote_threshold(100);  // stay Degraded
   bool injected = false;
   const vm::RunResult r = h.run([&](os::Process& p, int call) {
-    if (call >= 3 && !injected && h.sys.kernel().shadow().has(p.pid)) {
+    if (call >= 3 && !injected && h.sys.kernel().tier_table().shadow(p.pid) != nullptr) {
       ++p.asc_counter;  // desync the kernel's own nonce copy
       injected = true;
     }
@@ -121,15 +121,15 @@ TEST(ChaosEngineHealth, ShadowNonceDesyncCaughtBySelfCheck) {
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.stdout_data, ref.stdout_data);
   EXPECT_EQ(count_kind(h.sys, os::AuditKind::Violation), 0);
-  const auto& hs = h.sys.kernel().health_stats();
+  const auto& hs = h.sys.kernel().tier_table().health_stats();
   EXPECT_EQ(hs.internal_faults, 1u);
   EXPECT_EQ(hs.degradations, 1u);
 }
 
 TEST(ChaosEngineHealth, RepeatedFaultsQuarantineWithExponentialBackoff) {
   HookedRun h;
-  h.sys.kernel().set_health_promote_threshold(2);
-  h.sys.kernel().set_health_backoff_cap(4);
+  h.sys.kernel().tier_table().set_health_promote_threshold(2);
+  h.sys.kernel().tier_table().set_health_backoff_cap(4);
   struct Snap {
     HealthState state;
     std::uint32_t promote_after;
@@ -139,7 +139,7 @@ TEST(ChaosEngineHealth, RepeatedFaultsQuarantineWithExponentialBackoff) {
   const vm::RunResult r = h.run([&](os::Process& p, int call) {
     if (call >= 2 && call <= 5) {
       h.sys.kernel().report_internal_fault(p, "repeated fault");
-      const os::HealthRecord* rec = h.sys.kernel().health_record(p.pid);
+      const os::HealthRecord* rec = h.sys.kernel().tier_table().health_record(p.pid);
       ASSERT_NE(rec, nullptr);
       snaps[call] = {rec->state, rec->promote_after, rec->quarantines};
     }
@@ -158,25 +158,25 @@ TEST(ChaosEngineHealth, RepeatedFaultsQuarantineWithExponentialBackoff) {
   EXPECT_EQ(snaps[5].promote_after, 4u) << "backoff must cap";
   EXPECT_EQ(snaps[5].quarantines, 3u);
 
-  const auto& hs = h.sys.kernel().health_stats();
+  const auto& hs = h.sys.kernel().tier_table().health_stats();
   EXPECT_EQ(hs.internal_faults, 4u);
   EXPECT_EQ(hs.quarantines, 3u);
 }
 
 TEST(ChaosEngineHealth, QuarantineEvictsEveryFastPath) {
   HookedRun h;
-  h.sys.kernel().set_health_promote_threshold(100);  // no re-promotion
+  h.sys.kernel().tier_table().set_health_promote_threshold(100);  // no re-promotion
   bool checked = false;
   const vm::RunResult r = h.run([&](os::Process& p, int call) {
     if (call == 4 || call == 5) {
       h.sys.kernel().report_internal_fault(p, "fault");
     }
     if (call == 6) {
-      EXPECT_EQ(h.sys.kernel().health(p.pid), HealthState::Quarantined);
-      EXPECT_FALSE(h.sys.kernel().fast_path_cache_allowed(p.pid));
-      EXPECT_FALSE(h.sys.kernel().fast_path_shadow_allowed(p.pid));
-      EXPECT_FALSE(h.sys.kernel().shadow().has(p.pid));
-      EXPECT_EQ(h.sys.kernel().call_cache().size(p.pid), 0u);
+      EXPECT_EQ(h.sys.kernel().tier_table().health(p.pid), HealthState::Quarantined);
+      EXPECT_FALSE(h.sys.kernel().tier_table().serves_cache(p.pid));
+      EXPECT_FALSE(h.sys.kernel().tier_table().serves_shadow(p.pid));
+      EXPECT_EQ(h.sys.kernel().tier_table().shadow(p.pid), nullptr);
+      EXPECT_EQ(h.sys.kernel().tier_table().sites(p.pid), 0u);
       checked = true;
     }
   });
@@ -186,16 +186,16 @@ TEST(ChaosEngineHealth, QuarantineEvictsEveryFastPath) {
 
 TEST(ChaosEngineHealth, QuarantinedPidRepromotesAfterCleanEagerStreak) {
   HookedRun h;
-  h.sys.kernel().set_health_promote_threshold(1);
+  h.sys.kernel().tier_table().set_health_promote_threshold(1);
   std::map<int, HealthState> seen;
   const vm::RunResult r = h.run([&](os::Process& p, int call) {
-    seen[call] = h.sys.kernel().health(p.pid);
+    seen[call] = h.sys.kernel().tier_table().health(p.pid);
     if (call == 2) {
       // Back-to-back faults with no verification in between: straight
       // through Degraded into Quarantined.
       h.sys.kernel().report_internal_fault(p, "fault");
       h.sys.kernel().report_internal_fault(p, "fault");
-      EXPECT_EQ(h.sys.kernel().health(p.pid), HealthState::Quarantined);
+      EXPECT_EQ(h.sys.kernel().tier_table().health(p.pid), HealthState::Quarantined);
     }
   });
   ASSERT_TRUE(r.completed);
@@ -204,7 +204,7 @@ TEST(ChaosEngineHealth, QuarantinedPidRepromotesAfterCleanEagerStreak) {
   // re-promotes to Degraded; call 3's clean verification earns Healthy.
   EXPECT_EQ(seen[3], HealthState::Degraded);
   EXPECT_EQ(seen[4], HealthState::Healthy);
-  const auto& hs = h.sys.kernel().health_stats();
+  const auto& hs = h.sys.kernel().tier_table().health_stats();
   EXPECT_EQ(hs.repromotions, 1u);
   EXPECT_EQ(hs.recoveries, 1u);
 }
@@ -219,7 +219,7 @@ TEST(ChaosEngineHealth, BudgetedModeNeverChargesInternalFaults) {
   HookedRun h;
   h.sys.kernel().set_failure_mode(os::FailureMode::Budgeted);
   h.sys.kernel().set_violation_budget(1);
-  h.sys.kernel().set_health_promote_threshold(1);
+  h.sys.kernel().tier_table().set_health_promote_threshold(1);
   const vm::RunResult r = h.run([&](os::Process& p, int call) {
     if (call == 2) {
       h.sys.kernel().report_internal_fault(p, "fault");
@@ -237,7 +237,7 @@ TEST(ChaosEngineHealth, BudgetedModeNeverChargesInternalFaults) {
 TEST(ChaosEngineHealth, AuditOnlyModeStillRecordsTransitions) {
   HookedRun h;
   h.sys.kernel().set_failure_mode(os::FailureMode::AuditOnly);
-  h.sys.kernel().set_health_promote_threshold(100);
+  h.sys.kernel().tier_table().set_health_promote_threshold(100);
   const vm::RunResult r = h.run([&](os::Process& p, int call) {
     if (call == 2 || call == 3) h.sys.kernel().report_internal_fault(p, "fault");
   });

@@ -55,6 +55,11 @@ const CmacVector kVectors[] = {
      "51f0bebf7e3b9d92fc49741779363cfe"},
 };
 
+// Named by content, not by the raw bytes (pointers) gtest would print.
+void PrintTo(const CmacVector& v, std::ostream* os) {
+  *os << v.len << "-byte message -> " << v.mac_hex;
+}
+
 class CmacVectors : public ::testing::TestWithParam<CmacVector> {};
 
 TEST_P(CmacVectors, MatchesNist) {

@@ -179,7 +179,7 @@ TEST(FaultCampaign, PromoToctouMutationsFailStop) {
   // the shadow off, so its behavior snapshots see no promotion at all.
   cfg.configure_kernel = [](os::Kernel& k) {
     k.set_inline_tier(true);
-    k.set_inline_promote_threshold(2);
+    k.tier_table().set_inline_threshold(2);
   };
   const CampaignResult r = Campaign(cfg).run_all(
       {loop_guest("pidloop", "sys_getpid"), loop_guest("uidloop", "sys_getuid")});

@@ -130,6 +130,13 @@ struct PatternCase {
   bool matches;
 };
 
+// gtest prints a parameter into the case's listed name, which ctest uses as
+// the test name; without a printer that is the struct's raw bytes, i.e. the
+// literals' addresses, which move with every build and run.
+void PrintTo(const PatternCase& c, std::ostream* os) {
+  *os << '"' << c.pattern << "\" vs \"" << c.arg << "\" -> " << (c.matches ? "match" : "no match");
+}
+
 const PatternCase kPatternCases[] = {
     {"/tmp/*", "/tmp/foo123", true},
     {"/tmp/*", "/etc/passwd", false},

@@ -8,6 +8,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <vector>
 
 #include "apps/libtoy.h"
 #include "core/asc.h"
@@ -54,6 +56,7 @@ binary::Image build_pidloop() {
 struct LoopRun {
   vm::RunResult result;
   os::TierStats stats;
+  std::vector<os::TraceEntry> trace;
 };
 
 LoopRun run_pidloop(bool inline_on, std::uint32_t threshold = 4,
@@ -61,7 +64,7 @@ LoopRun run_pidloop(bool inline_on, std::uint32_t threshold = 4,
                     std::function<void(System&, os::Process&, std::uint32_t)> hook = {}) {
   System sys(kPers, test_key(), os::Enforcement::Asc);
   sys.kernel().set_inline_tier(inline_on);
-  sys.kernel().set_inline_promote_threshold(threshold);
+  sys.kernel().tier_table().set_inline_threshold(threshold);
   if (prep) prep(sys);
   if (hook) {
     sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t site) {
@@ -72,6 +75,7 @@ LoopRun run_pidloop(bool inline_on, std::uint32_t threshold = 4,
   LoopRun lr;
   lr.result = sys.machine().run(inst.image);
   lr.stats = sys.kernel().tier_stats();
+  lr.trace = sys.kernel().trace();
   return lr;
 }
 
@@ -97,7 +101,9 @@ TEST(TierTableUnit, NamesAndThresholdClamp) {
   EXPECT_EQ(os::tier_name(os::Tier::Eager), "eager");
   EXPECT_EQ(os::demotion_cause_name(DemotionCause::GuestWrite), "guest-write");
   EXPECT_EQ(os::demotion_cause_name(DemotionCause::ProbeMismatch), "probe-mismatch");
-  os::TierTable t;
+  const std::optional<crypto::MacKey> key;
+  const os::CostModel cost;
+  os::TierTable t(key, cost);
   t.set_inline_threshold(0);
   EXPECT_EQ(t.inline_threshold(), 1u);  // 0 would promote on no evidence
 }
@@ -124,9 +130,61 @@ TEST(TierTableRun, GetpidLoopPromotesAndBehaviorIsIdentical) {
       << "the probe must charge strictly less than the shadowed pipeline";
 }
 
+// One record per site: the trap that promotes it registers no watch of its
+// own, and at steady state every watched range holds exactly one reference
+// (call MAC and pred set from the site record, state record from the
+// shadow).
+TEST(TierTableRun, PromotionRegistersNoWatch) {
+  bool was_promoted = false;
+  std::uint64_t registered_at_last_trap = 0;
+  std::optional<std::uint64_t> promoting_delta;
+  vm::Memory::WatchStats steady{};
+  int calls = 0;
+  const LoopRun lr = run_pidloop(
+      true, /*threshold=*/4, {},
+      [&](System& sys, os::Process& p, std::uint32_t site) {
+        const vm::Memory::WatchStats w = p.mem.watch_stats();
+        const bool promoted = sys.kernel().tier_table().inline_site_promoted(p.pid, site);
+        if (promoted && !was_promoted && !promoting_delta) {
+          promoting_delta = w.registered - registered_at_last_trap;
+        }
+        was_promoted = promoted;
+        registered_at_last_trap = w.registered;
+        if (++calls == 1000) steady = w;
+      });
+  ASSERT_TRUE(lr.result.completed) << lr.result.violation_detail;
+  ASSERT_TRUE(promoting_delta.has_value()) << "the getpid site never promoted";
+  EXPECT_EQ(promoting_delta.value(), 0u) << "the promoting trap registered watches";
+  ASSERT_GT(calls, 1000);
+  EXPECT_GT(steady.live_ranges, 0u);
+  EXPECT_EQ(steady.live_refs, steady.live_ranges) << "a range is watched twice";
+}
+
+// Inline hits share the full pipeline's dispatch tail: the trace a promoted
+// site leaves is the one the full pipeline leaves, entry for entry.
+TEST(TierTableRun, InlineHitTracesLikeTheFullPipeline) {
+  auto traced = [](System& sys) { sys.kernel().set_tracing(true); };
+  const LoopRun off = run_pidloop(false, 4, traced);
+  const LoopRun on = run_pidloop(true, 4, traced);
+  ASSERT_TRUE(off.result.completed) << off.result.violation_detail;
+  ASSERT_TRUE(on.result.completed) << on.result.violation_detail;
+  ASSERT_GT(on.stats.inline_hits, kIters / 2u);
+  ASSERT_EQ(on.trace.size(), off.trace.size());
+  for (std::size_t i = 0; i < on.trace.size(); ++i) {
+    const os::TraceEntry& a = on.trace[i];
+    const os::TraceEntry& b = off.trace[i];
+    EXPECT_EQ(a.id, b.id) << "entry " << i;
+    EXPECT_EQ(a.sysno, b.sysno) << "entry " << i;
+    EXPECT_EQ(a.call_site, b.call_site) << "entry " << i;
+    EXPECT_EQ(a.args, b.args) << "entry " << i;
+    EXPECT_EQ(a.ret, b.ret) << "entry " << i;
+    EXPECT_EQ(a.path, b.path) << "entry " << i;
+  }
+}
+
 TEST(TierTableRun, InlineTierIsOffByDefault) {
   System sys(kPers, test_key(), os::Enforcement::Asc);
-  EXPECT_FALSE(sys.kernel().inline_tier());
+  EXPECT_FALSE(sys.kernel().tier_table().inline_enabled());
   const auto inst = sys.install(build_pidloop());
   const auto r = sys.machine().run(inst.image);
   ASSERT_TRUE(r.completed) << r.violation_detail;
@@ -157,19 +215,20 @@ TEST(TierTableRun, QuarantinedPidNeverHoldsAnInlineSiteAndRepromotionIsEarned) {
   HealthState state_after_faults = HealthState::Healthy;
   const LoopRun lr = run_pidloop(
       true, /*threshold=*/3,
-      [](System& sys) { sys.kernel().set_health_promote_threshold(3); },
+      [](System& sys) { sys.kernel().tier_table().set_health_promote_threshold(3); },
       [&](System& sys, os::Process& p, std::uint32_t) {
         ++calls;
         if (calls == 40) {
-          EXPECT_GT(sys.kernel().inline_sites(), 0u) << "site never promoted before the fault";
+          EXPECT_GT(sys.kernel().tier_table().inline_sites(), 0u)
+              << "site never promoted before the fault";
           // Two internal faults: Healthy -> Degraded -> Quarantined. The
           // demotion must revoke every promotion of the pid immediately.
           sys.kernel().report_internal_fault(p, "oracle: planted fault one");
           sys.kernel().report_internal_fault(p, "oracle: planted fault two");
-          sites_at_fault = sys.kernel().inline_sites();
-          state_after_faults = sys.kernel().health(p.pid);
+          sites_at_fault = sys.kernel().tier_table().inline_sites();
+          state_after_faults = sys.kernel().tier_table().health(p.pid);
         }
-        if (calls == 41) sites_in_quarantine = sys.kernel().inline_sites();
+        if (calls == 41) sites_in_quarantine = sys.kernel().tier_table().inline_sites();
       });
   ASSERT_TRUE(lr.result.completed) << lr.result.violation_detail;
   EXPECT_EQ(state_after_faults, HealthState::Quarantined);
@@ -194,12 +253,12 @@ TEST(TierTableRun, DemotionResyncsGuestStateUnderAuthoritativeCounter) {
   const LoopRun lr = run_pidloop(
       true, /*threshold=*/3, {},
       [&](System& sys, os::Process& p, std::uint32_t site) {
-        if (touched > 0 || !sys.kernel().inline_site_promoted(p.pid, site)) return;
+        if (touched > 0 || !sys.kernel().tier_table().inline_site_promoted(p.pid, site)) return;
         const std::uint32_t lb = p.cpu.regs[isa::kRegStatePtr];
         ASSERT_TRUE(p.mem.in_range(lb, policy::kPolicyStateSize));
         p.mem.w8(lb, p.mem.r8(lb));  // same value; the watch keys on the write
         ++touched;
-        EXPECT_FALSE(sys.kernel().inline_site_promoted(p.pid, site))
+        EXPECT_FALSE(sys.kernel().tier_table().inline_site_promoted(p.pid, site))
             << "write into the state record left the promotion alive";
       });
   ASSERT_TRUE(lr.result.completed)
@@ -218,7 +277,7 @@ TEST(TierTableRun, TamperAtPromotedSiteFailStops) {
   const LoopRun lr = run_pidloop(
       true, /*threshold=*/3, {},
       [&](System& sys, os::Process& p, std::uint32_t site) {
-        if (flipped > 0 || !sys.kernel().inline_site_promoted(p.pid, site)) return;
+        if (flipped > 0 || !sys.kernel().tier_table().inline_site_promoted(p.pid, site)) return;
         const std::uint32_t mac_ptr = p.cpu.regs[isa::kRegCallMac];
         ASSERT_TRUE(p.mem.in_range(mac_ptr, 16));
         p.mem.w8(mac_ptr, p.mem.r8(mac_ptr) ^ 0x01);
@@ -236,19 +295,20 @@ TEST(TierTableRun, KeyRotationAndMonitorSwapDemote) {
   const LoopRun lr = run_pidloop(
       true, /*threshold=*/3, {},
       [&](System& sys, os::Process& p, std::uint32_t site) {
-        if (rotated == 0 && sys.kernel().inline_site_promoted(p.pid, site)) {
+        if (rotated == 0 && sys.kernel().tier_table().inline_site_promoted(p.pid, site)) {
           // test_key() is deterministic, so this re-installs the same key:
           // verification keeps succeeding, but the rotation itself must
           // revoke every promotion (old-key verifications are void).
           sys.kernel().set_key(test_key());
           ++rotated;
-          EXPECT_EQ(sys.kernel().inline_sites(), 0u);
+          EXPECT_EQ(sys.kernel().tier_table().inline_sites(), 0u);
           return;
         }
-        if (rotated == 1 && swapped == 0 && sys.kernel().inline_site_promoted(p.pid, site)) {
+        if (rotated == 1 && swapped == 0 &&
+            sys.kernel().tier_table().inline_site_promoted(p.pid, site)) {
           sys.kernel().set_enforcement(os::Enforcement::Asc);  // monitor replaced
           ++swapped;
-          EXPECT_EQ(sys.kernel().inline_sites(), 0u);
+          EXPECT_EQ(sys.kernel().tier_table().inline_sites(), 0u);
         }
       });
   ASSERT_TRUE(lr.result.completed) << lr.result.violation_detail;
@@ -262,12 +322,12 @@ TEST(TierTableRun, KeyRotationAndMonitorSwapDemote) {
 TEST(TierTableRun, TeardownLeavesNoSitesAndBalancedWatchAccounting) {
   System sys(kPers, test_key(), os::Enforcement::Asc);
   sys.kernel().set_inline_tier(true);
-  sys.kernel().set_inline_promote_threshold(3);
+  sys.kernel().tier_table().set_inline_threshold(3);
   const auto inst = sys.install(build_pidloop());
   const auto r = sys.machine().run(inst.image);
   ASSERT_TRUE(r.completed) << r.violation_detail;
   EXPECT_GT(sys.kernel().tier_stats().inline_hits, 0u);
-  EXPECT_EQ(sys.kernel().inline_sites(), 0u) << "teardown must demote every site";
+  EXPECT_EQ(sys.kernel().tier_table().inline_sites(), 0u) << "teardown must demote every site";
   EXPECT_GE(sys.kernel().tier_stats()
                 .demotions[static_cast<std::size_t>(DemotionCause::Teardown)],
             1u);
@@ -283,13 +343,13 @@ TEST(TierTableRun, GatingOffAFastPathDemotesInsteadOfOrphaning) {
   const LoopRun lr = run_pidloop(
       true, /*threshold=*/3, {},
       [&](System& sys, os::Process& p, std::uint32_t site) {
-        if (gated > 0 || !sys.kernel().inline_site_promoted(p.pid, site)) return;
+        if (gated > 0 || !sys.kernel().tier_table().inline_site_promoted(p.pid, site)) return;
         // The probe depends on the shadow nonce; switching the shadow off
         // must revoke the promotion through the same table, not leave an
         // inline site probing a mechanism that no longer exists.
         sys.kernel().set_policy_shadow(false);
         ++gated;
-        EXPECT_EQ(sys.kernel().inline_sites(), 0u);
+        EXPECT_EQ(sys.kernel().tier_table().inline_sites(), 0u);
         sys.kernel().set_policy_shadow(true);  // and the tail re-earns it
       });
   ASSERT_TRUE(lr.result.completed) << lr.result.violation_detail;

@@ -2,6 +2,7 @@
 // and the filesystem fixtures they expect.
 #pragma once
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,14 @@ struct Workload {
   std::vector<std::string> argv;
   std::string stdin_data;
 };
+
+/// gtest prints a case's parameter into the test name ctest lists; print the
+/// command line rather than the struct's raw bytes, which hold heap pointers.
+inline void PrintTo(const Workload& w, std::ostream* os) {
+  *os << w.program;
+  for (const auto& a : w.argv) *os << ' ' << a;
+  if (!w.stdin_data.empty()) *os << " < " << w.stdin_data.size() << "-byte stdin";
+}
 
 /// Populate a fresh simulated FS with the files the standard workloads use.
 inline void prepare_fs(os::SimFs& fs) {
