@@ -4,9 +4,8 @@
 // in the environment -- the nightly soak's full-size row), each at
 // jobs = 1, 2, 8 on the work-stealing executor, with the default churn
 // cadences (staggered genuine key rotations, monitor swaps, respawn
-// storms). The fleet_1k_keys row reruns the 1k fleet with per-tenant keys:
-// every tenant rekeys the shared installed templates to its own key via the
-// differential installer::Rekeyer before its first run.
+// storms). Every tenant rekeys the shared installed templates to its own
+// key via the differential installer::Rekeyer before its first run.
 //
 // Two kinds of columns, deliberately separated (same discipline as the
 // Table 5 companion):
@@ -66,13 +65,12 @@ struct FleetRun {
   fleet::FleetResult result;
 };
 
-FleetRun run_fleet(int tenants, int jobs, bool per_tenant_keys) {
+FleetRun run_fleet(int tenants, int jobs) {
   util::Executor ex(jobs);
   fleet::FleetConfig cfg;
   cfg.seed = 1;
   cfg.tenants = tenants;
   cfg.executor = &ex;
-  cfg.per_tenant_keys = per_tenant_keys;
   FleetRun fr;
   fr.wall = now_seconds();
   fr.result = fleet::Driver(cfg).run();
@@ -91,13 +89,13 @@ struct Row {
   std::size_t per_tenant_bytes = 0;
 };
 
-Row run_row(const std::string& name, int tenants, bool per_tenant_keys = false) {
+Row run_row(const std::string& name, int tenants) {
   Row r;
   r.name = name;
   r.tenants = tenants;
   fleet::FleetResult ref;
   for (int j = 0; j < 3; ++j) {
-    FleetRun fr = run_fleet(tenants, kJobs[j], per_tenant_keys);
+    FleetRun fr = run_fleet(tenants, kJobs[j]);
     r.wall[j] = fr.wall;
     if (j == 0) {
       ref = std::move(fr.result);
@@ -128,9 +126,6 @@ void run_table() {
   std::printf("\n=== Table 7 companion: fleet-scale multi-tenant throughput ===\n");
   std::vector<Row> rows;
   rows.push_back(run_row("fleet_1k", 1000));
-  // Per-tenant keys: the same fleet, but every tenant rekeys the shared
-  // templates to its own key (one install, N differential Rekeyer passes).
-  rows.push_back(run_row("fleet_1k_keys", 1000, /*per_tenant_keys=*/true));
   rows.push_back(run_row("fleet_10k", 10000));
   const char* full = std::getenv("ASC_FLEET_FULL");
   if (full != nullptr && full[0] != '\0' && full[0] != '0') {
@@ -180,7 +175,7 @@ void BM_Fleet(benchmark::State& state) {
   const int tenants = static_cast<int>(state.range(0));
   const int jobs = static_cast<int>(state.range(1));
   for (auto _ : state) {
-    const FleetRun fr = run_fleet(tenants, jobs, false);
+    const FleetRun fr = run_fleet(tenants, jobs);
     benchmark::DoNotOptimize(fr.result.total_syscalls);
   }
   state.SetLabel("tenants=" + std::to_string(tenants) + " jobs=" + std::to_string(jobs));

@@ -56,6 +56,24 @@
 //                                oracle). Identical MACs either way.
 //                                ASC_AES=scratch flips the default.
 //
+// The lifecycle runner (src/fault/lifecycle.h) behind three subcommands.
+// Each exits nonzero if the fail-stop invariant breaks or an oracle trips;
+// results are identical at any --jobs count.
+//   asctool campaign [--seed N] [--runs N] [--class NAME]... [--spec R]...
+//                    [--mode fail-stop|budgeted|audit-only] [--budget N]
+//                                seeded fault-injection sweep over cat,
+//                                vuln_echo and the getpid loop; prints the
+//                                mutation class x Violation matrix. --spec
+//                                replays one "[repro ...]" line exactly.
+//   asctool chaos [--tenants N] [--seed N] [--trace]
+//                 [--stages s1,s2,...] [--classes c1,c2,...]
+//                                lifecycle storm: churn, stage-targeted
+//                                faults, injected internal faults
+//   asctool fleet [--tenants N] [--seed N] [--rotate N] [--swap N]
+//                 [--respawn N] [--tamper t1,t2,...] [--trace] [--audit]
+//                                multi-tenant fleet with churn cadences and
+//                                one merged audit stream
+//
 // Demo session:
 //   ./example_asctool build gzip /tmp/gzip.txe
 //   ./example_asctool install /tmp/gzip.txe /tmp/gzip.auth.txe
@@ -63,9 +81,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <optional>
 
 #include "core/asc.h"
+#include "fault/campaign.h"
+#include "fault/chaos.h"
+#include "fleet/fleet.h"
 #include "installer/rekeyer.h"
 #include "monitor/ktable.h"
 #include "os/tiertable.h"
@@ -271,20 +293,20 @@ int cmd_run(const std::string& path, const std::vector<std::string>& args,
   }
 
   // Live rotation demo: re-sign the image differentially up front, then
-  // rotate the kernel to the new key after the rekey_at-th syscall. The
-  // hook fires outside the trap (depth 0), so the rotation always applies
-  // immediately; counters land in --stats.
+  // rotate the kernel to the new key at the rekey_at-th syscall, before the
+  // kernel checks it. PreTrap fires at the caller's trap depth (0), so the
+  // rotation always applies immediately; counters land in --stats.
   std::optional<installer::RekeyResult> live;
   if (cfg.rekey_at > 0) {
     const installer::SignManifest man =
         installer::SignManifest::deserialize(read_file(path + ".manifest"));
     live = installer::Rekeyer::rekey(img, man, run_key, derived_key(cfg.rekey_seed));
-    sys.machine().pre_syscall_hook = [&, calls = std::uint64_t{0}](
-                                         os::Process& p, std::uint32_t) mutable {
-      if (++calls == cfg.rekey_at) {
+    sys.kernel().set_stage_hook([&, calls = std::uint64_t{0}](
+                                    os::Process& p, os::TrapContext&, os::TrapStage s) mutable {
+      if (s == os::TrapStage::PreTrap && ++calls == cfg.rekey_at) {
         sys.kernel().rekey(p, derived_key(cfg.rekey_seed), live->view);
       }
-    };
+    });
   }
 
   auto r = sys.machine().run(img, args);
@@ -303,7 +325,9 @@ int cmd_run(const std::string& path, const std::vector<std::string>& args,
   if (tolerated > 0) {
     std::printf("[%zu violation%s tolerated under %s]\n", tolerated, tolerated == 1 ? "" : "s",
                 os::failure_mode_name(sys.kernel().failure_mode()).c_str());
-    for (const auto& line : sys.kernel().event_log()) std::printf("  %s\n", line.c_str());
+    for (const auto& rec : sys.kernel().audit_log()) {
+      std::printf("  %s\n", rec.to_string().c_str());
+    }
   }
   std::printf("[exit %d, %llu syscalls, %llu cycles]\n", r.exit_code,
               static_cast<unsigned long long>(r.syscalls),
@@ -380,6 +404,229 @@ int cmd_run(const std::string& path, const std::vector<std::string>& args,
   return r.completed ? r.exit_code : 3;
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: asctool [--jobs N] build <name> <out.txe> | inspect <img.txe> |\n"
+               "       install <in.txe> <out.txe> |\n"
+               "       rekey <in.txe> <out.txe> --key-seed N [--old-key-seed M] |\n"
+               "       run [--stats] [--no-shadow] [--no-inline] [--key-seed N]\n"
+               "           [--rekey-at M] [--rekey-seed S]\n"
+               "           [--monitor off|asc|daemon|ktable]\n"
+               "           [--failure-mode fail-stop|budgeted:N|audit-only]\n"
+               "           [--dispatch switch|threaded] [--aes scratch|auto]\n"
+               "           <img.txe> [args...] |\n"
+               "       campaign [--seed N] [--runs N] [--class NAME]...\n"
+               "           [--spec C:T:0xS[:STAGE]]...\n"
+               "           [--mode fail-stop|budgeted|audit-only] [--budget N] |\n"
+               "       chaos [--tenants N] [--seed N] [--trace] [--stages s,...]\n"
+               "           [--classes c,...] |\n"
+               "       fleet [--tenants N] [--seed N] [--rotate N] [--swap N] [--respawn N]\n"
+               "           [--tamper t,...] [--trace] [--audit]\n"
+               "       --jobs N: worker threads for the installer's parallel phases and the\n"
+               "                 lifecycle fan-out (default: ASC_JOBS, else hardware\n"
+               "                 concurrency); output is identical at any job count\n"
+               "       rekey re-signs an installed image differentially (no re-analysis)\n"
+               "       using <in.txe>.manifest, written by install alongside its output\n"
+               "       stages: trap enforce dispatch audit\n"
+               "       classes:");
+  for (const auto c : fault::all_mutation_classes()) {
+    std::fprintf(stderr, " %s", fault::mutation_class_name(c).c_str());
+  }
+  std::fprintf(stderr, "\n");
+  return 1;
+}
+
+std::vector<std::string> split_csv(const std::string& s) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (start <= s.size()) {
+    const std::size_t comma = s.find(',', start);
+    const std::size_t end = comma == std::string::npos ? s.size() : comma;
+    if (end > start) out.push_back(s.substr(start, end - start));
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return out;
+}
+
+/// Walk the `--flag [value]` arguments after a lifecycle subcommand.
+/// `on(flag, value)` handles one (value is empty for `switches`) and
+/// returns false on an unknown flag or a bad value.
+bool each_flag(const std::vector<std::string>& av, const std::vector<std::string>& switches,
+               const std::function<bool(const std::string&, const std::string&)>& on) {
+  for (std::size_t i = 1; i < av.size(); ++i) {
+    const std::string& flag = av[i];
+    const bool sw = std::find(switches.begin(), switches.end(), flag) != switches.end();
+    if (!sw && i + 1 == av.size()) return false;
+    if (!on(flag, sw ? std::string() : av[++i])) return false;
+  }
+  return true;
+}
+
+bool parse_int_flag(const std::string& s, int* out, int min) {
+  std::uint64_t v = 0;
+  if (!parse_u64_flag(s, &v) || v > 1'000'000'000 || static_cast<int>(v) < min) return false;
+  *out = static_cast<int>(v);
+  return true;
+}
+
+int cmd_campaign(const std::vector<std::string>& av) {
+  fault::CampaignConfig cfg;
+  const bool ok = each_flag(av, {}, [&](const std::string& f, const std::string& a) {
+    if (f == "--seed") return parse_u64_flag(a, &cfg.seed);
+    if (f == "--runs") return parse_int_flag(a, &cfg.runs_per_class, 0);
+    if (f == "--budget") {
+      int b = 0;
+      if (!parse_int_flag(a, &b, 0)) return false;
+      cfg.violation_budget = static_cast<std::uint32_t>(b);
+      return true;
+    }
+    if (f == "--mode") {
+      if (a == "fail-stop") cfg.mode = os::FailureMode::FailStop;
+      else if (a == "budgeted") cfg.mode = os::FailureMode::Budgeted;
+      else if (a == "audit-only") cfg.mode = os::FailureMode::AuditOnly;
+      else return false;
+      return true;
+    }
+    if (f == "--class") {
+      const auto c = fault::mutation_class_from_name(a);
+      if (c) cfg.classes.push_back(*c);
+      return c.has_value();
+    }
+    if (f == "--spec") {
+      const auto spec = fault::parse_spec(a);
+      if (spec) cfg.explicit_specs.push_back(*spec);
+      return spec.has_value();
+    }
+    return false;
+  });
+  if (!ok) return usage();
+
+  const auto pers = fault::kPersonality;
+  const auto fs = fault::fixture({{"/lines.txt", "pear\napple\nmango\ncherry\nbanana\n"}});
+  const std::vector<fault::GuestProgram> guests{
+      {"cat", apps::build_tool_cat(pers), {"/lines.txt"}, "", {}, fs},
+      {"vuln_echo", apps::build_vuln_echo(pers), {}, "/lines.txt\n",
+       {{"/bin/ls", apps::build_tool_cat(pers)}}, fs},
+      fault::getpid_loop_guest(pers)};
+  fault::CampaignResult total;
+  for (const auto& guest : guests) {
+    std::printf("== %s (seed=%llu, %d runs/class, mode=%s) ==\n", guest.name.c_str(),
+                static_cast<unsigned long long>(cfg.seed), cfg.runs_per_class,
+                os::failure_mode_name(cfg.mode).c_str());
+    const fault::CampaignResult r = fault::Campaign(cfg).run(guest);
+    if (!cfg.explicit_specs.empty()) {
+      for (const auto& v : r.verdicts) {
+        std::printf("  [%s] %s %s: %s (%s)\n", fault::outcome_name(v.outcome).c_str(),
+                    v.program.c_str(), v.repro.c_str(), v.detail.c_str(),
+                    os::violation_name(v.violation).c_str());
+      }
+    }
+    std::printf("%s\n", r.summary().c_str());
+    total.merge(r);
+  }
+  std::printf("== combined ==\n%s", total.summary().c_str());
+  if (!total.invariant_holds()) {
+    std::printf("\nINVARIANT VIOLATIONS:\n");
+    for (const auto& v : total.verdicts) {
+      if (v.outcome == fault::Outcome::WrongVerdict || v.outcome == fault::Outcome::SilentBypass ||
+          v.outcome == fault::Outcome::HostCrash || !v.trips.empty()) {
+        std::printf("  [%s] %s: %s (%s)\n    replay: asctool campaign --spec %s\n",
+                    fault::outcome_name(v.outcome).c_str(), v.program.c_str(),
+                    v.detail.c_str(), os::violation_name(v.violation).c_str(),
+                    v.repro.c_str());
+      }
+    }
+    std::printf("FAIL: fail-stop invariant broken\n");
+    return 1;
+  }
+  std::printf("OK: %d applied mutations, invariant holds\n", total.total_applied());
+  return 0;
+}
+
+int cmd_chaos(const std::vector<std::string>& av) {
+  fault::ChaosConfig cfg;
+  bool trace = false;
+  const bool ok = each_flag(av, {"--trace"}, [&](const std::string& f, const std::string& a) {
+    if (f == "--trace") return trace = true;
+    if (f == "--tenants") return parse_int_flag(a, &cfg.tenants, 1);
+    if (f == "--seed") return parse_u64_flag(a, &cfg.seed);
+    if (f == "--stages") {
+      for (const auto& name : split_csv(a)) {
+        const auto st = fault::trap_stage_from_name(name);
+        if (!st) return false;
+        cfg.stages.push_back(*st);
+      }
+      return !cfg.stages.empty();
+    }
+    if (f == "--classes") {
+      for (const auto& name : split_csv(a)) {
+        const auto c = fault::mutation_class_from_name(name);
+        if (!c) return false;
+        cfg.classes.push_back(*c);
+      }
+      return !cfg.classes.empty();
+    }
+    return false;
+  });
+  if (!ok) return usage();
+  std::printf("== chaos soak: %d tenants, seed %llu ==\n", cfg.tenants,
+              static_cast<unsigned long long>(cfg.seed));
+  const fault::ChaosResult r = fault::ChaosEngine(cfg).run();
+  if (trace) {
+    for (const auto& line : r.verdict_trace) std::printf("%s\n", line.c_str());
+  }
+  std::printf("%s", r.summary().c_str());
+  if (!r.ok()) {
+    std::printf("FAIL: kernel lifecycle bookkeeping oracle tripped\n");
+    return 1;
+  }
+  std::printf("OK: %zu lifecycles, all oracles held\n", r.lifecycles.size());
+  return 0;
+}
+
+int cmd_fleet(const std::vector<std::string>& av) {
+  fleet::FleetConfig cfg;
+  bool trace = false;
+  bool audit = false;
+  const bool ok =
+      each_flag(av, {"--trace", "--audit"}, [&](const std::string& f, const std::string& a) {
+        if (f == "--trace") return trace = true;
+        if (f == "--audit") return audit = true;
+        if (f == "--tenants") return parse_int_flag(a, &cfg.tenants, 1);
+        if (f == "--seed") return parse_u64_flag(a, &cfg.seed);
+        if (f == "--rotate") return parse_int_flag(a, &cfg.rotate_every, 0);
+        if (f == "--swap") return parse_int_flag(a, &cfg.swap_every, 0);
+        if (f == "--respawn") return parse_int_flag(a, &cfg.respawn_every, 0);
+        if (f == "--tamper") {
+          for (const auto& t : split_csv(a)) {
+            int tenant = 0;
+            if (!parse_int_flag(t, &tenant, 0)) return false;
+            cfg.tamper_tenants.push_back(tenant);
+          }
+          return !cfg.tamper_tenants.empty();
+        }
+        return false;
+      });
+  if (!ok) return usage();
+  std::printf("== fleet: %d tenants, seed %llu ==\n", cfg.tenants,
+              static_cast<unsigned long long>(cfg.seed));
+  const fleet::FleetResult r = fleet::Driver(cfg).run();
+  if (trace) {
+    for (const auto& line : r.verdict_trace) std::printf("%s\n", line.c_str());
+  }
+  if (audit) {
+    for (const auto& line : r.audit.lines) std::printf("%s\n", line.c_str());
+  }
+  std::printf("%s", r.summary().c_str());
+  if (!r.ok()) {
+    std::printf("FAIL: fleet invariant oracle tripped\n");
+    return 1;
+  }
+  std::printf("OK: %zu tenant lifecycles, all oracles held\n", r.tenants.size());
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -407,6 +654,9 @@ int main(int argc, char** argv) {
     if (cmd == "build" && ac == 3) return cmd_build(av[1], av[2]);
     if (cmd == "inspect" && ac == 2) return cmd_inspect(av[1]);
     if (cmd == "install" && ac == 3) return cmd_install(av[1], av[2]);
+    if (cmd == "campaign") return cmd_campaign(av);
+    if (cmd == "chaos") return cmd_chaos(av);
+    if (cmd == "fleet") return cmd_fleet(av);
     if (cmd == "rekey" && ac >= 3) {
       std::uint64_t key_seed = 1;
       std::optional<std::uint64_t> old_key_seed;
@@ -500,18 +750,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "asctool: %s\n", e.what());
     return 1;
   }
-  std::fprintf(stderr,
-               "usage: asctool [--jobs N] build <name> <out.txe> | inspect <img.txe> |\n"
-               "       install <in.txe> <out.txe> |\n"
-               "       rekey <in.txe> <out.txe> --key-seed N [--old-key-seed M] |\n"
-               "       run [--stats] [--no-shadow] [--no-inline] [--key-seed N]\n"
-               "           [--rekey-at M] [--rekey-seed S]\n"
-               "           [--monitor off|asc|daemon|ktable]\n"
-               "           [--failure-mode fail-stop|budgeted:N|audit-only]\n"
-               "           [--dispatch switch|threaded] [--aes scratch|auto] <img.txe> [args...]\n"
-               "       --jobs N: worker threads for the installer's parallel phases\n"
-               "                 (default: ASC_JOBS, else hardware concurrency)\n"
-               "       rekey re-signs an installed image differentially (no re-analysis)\n"
-               "       using <in.txe>.manifest, written by install alongside its output\n");
-  return 1;
+  return usage();
 }

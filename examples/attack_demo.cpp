@@ -63,11 +63,12 @@ int main() {
   // Recon: capture the vulnerable buffer's address (execution is
   // deterministic, so it is stable across runs).
   std::uint32_t buf = 0;
-  sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
-    if (p.cpu.regs[0] == 3 && p.cpu.regs[1] == 0 && buf == 0) buf = p.cpu.regs[2];
-  };
+  sys.kernel().set_stage_hook([&](os::Process& p, os::TrapContext&, os::TrapStage s) {
+    const auto& r = p.cpu.regs;
+    if (s == os::TrapStage::PreTrap && r[0] == 3 && r[1] == 0 && buf == 0) buf = r[2];
+  });
   report("benign run (/notes.txt)", sys.machine().run(inst.image, {}, "/notes.txt\n"));
-  sys.machine().pre_syscall_hook = nullptr;
+  sys.kernel().set_stage_hook({});
   const std::uint32_t code_addr = buf + 68;
 
   // ---- attack 1: injected shellcode spawning /bin/sh ----
@@ -129,8 +130,8 @@ int main() {
   }
 
   std::printf("\nkernel audit log:\n");
-  for (const auto& e : sys.kernel().event_log()) {
-    if (e.rfind("ALERT", 0) == 0) std::printf("  %s\n", e.c_str());
+  for (const auto& rec : sys.kernel().audit_log()) {
+    if (rec.kind == os::AuditKind::Violation) std::printf("  %s\n", rec.to_string().c_str());
   }
   return 0;
 }

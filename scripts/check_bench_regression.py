@@ -37,9 +37,8 @@ Checks, per row matched by "name":
     cmac_blocks_per_sec / cmac_blocks_per_sec_scratch / aes_backend trio.
     They are printed as trend notes so a wall-clock regression is visible in
     the CI log without making the gate host-dependent;
-  * table7 rows (fleet-scale multi-tenant throughput, including the
-    per-tenant-key fleet_1k_keys row: one install, N differential Rekeyer
-    passes) must stay
+  * table7 rows (fleet-scale multi-tenant throughput; every tenant runs
+    under its own key: one install, N differential Rekeyer passes) must stay
     deterministic across job counts, report zero invariant-oracle trips,
     keep modeled_vsps_j8 (verified syscalls per modeled second) from falling
     more than the tolerance below the baseline, and keep per_tenant_bytes

@@ -3,28 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/asc.h"
-#include "installer/rekeyer.h"
-#include "isa/isa.h"
-#include "policy/descriptor.h"
-#include "policy/policy.h"
-#include "util/error.h"
-#include "util/executor.h"
 #include "util/rng.h"
 
 namespace asc::fault {
-
-std::string outcome_name(Outcome o) {
-  switch (o) {
-    case Outcome::Benign: return "benign";
-    case Outcome::Detected: return "detected";
-    case Outcome::WrongVerdict: return "wrong-verdict";
-    case Outcome::SilentBypass: return "silent-bypass";
-    case Outcome::HostCrash: return "host-crash";
-    case Outcome::NotApplied: return "not-applied";
-  }
-  return "?";
-}
 
 void CampaignResult::merge(const CampaignResult& other) {
   verdicts.insert(verdicts.end(), other.verdicts.begin(), other.verdicts.end());
@@ -37,6 +18,7 @@ void CampaignResult::merge(const CampaignResult& other) {
   for (const auto& [cls, row] : other.matrix) {
     for (const auto& [v, n] : row) matrix[cls][v] += n;
   }
+  trips.insert(trips.end(), other.trips.begin(), other.trips.end());
 }
 
 std::string CampaignResult::summary() const {
@@ -73,16 +55,12 @@ std::string CampaignResult::summary() const {
                 total_applied(), detected, benign, wrong_verdict, silent_bypass, host_crash,
                 not_applied);
   out += buf;
+  if (!trips.empty()) out += "oracle trips: " + std::to_string(trips.size()) + "\n";
+  for (const auto& t : trips) out += "  " + t + "\n";
   return out;
 }
 
 namespace {
-
-crypto::Key128 mismatched_key() {
-  crypto::Key128 k = test_key();
-  for (auto& b : k) b = static_cast<std::uint8_t>(b ^ 0x5a);
-  return k;
-}
 
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -93,114 +71,13 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-/// The clean run's observable behavior, the equivalence baseline.
-struct CleanRun {
-  bool completed = false;
-  int exit_code = 0;
-  std::string out;
-  std::string err;
-  int n_calls = 0;
-};
-
 }  // namespace
 
 CampaignResult Campaign::run(const GuestProgram& prog) {
-  CampaignResult result;
-
-  // Install the program (and spawn helpers) once. The images embed MACs
-  // under the shared test key; every run below gets a fresh kernel.
-  System inst_sys(cfg_.personality);
-  const installer::InstallResult inst = inst_sys.install(prog.image);
-  std::vector<std::pair<std::string, binary::Image>> helpers;
-  std::vector<installer::SignManifest> helper_manifests;
-  for (const auto& [path, img] : prog.helpers) {
-    installer::InstallResult hi = inst_sys.install(img);
-    helpers.emplace_back(path, std::move(hi.image));
-    helper_manifests.push_back(std::move(hi.manifest));
-  }
-
-  auto fresh = [&](const crypto::Key128& kernel_key) {
-    auto sys = std::make_unique<System>(cfg_.personality, test_key(), os::Enforcement::Asc);
-    sys->kernel().set_key(kernel_key);
-    sys->kernel().set_failure_mode(cfg_.mode);
-    sys->kernel().set_violation_budget(cfg_.violation_budget);
-    if (prog.prepare_fs) prog.prepare_fs(sys->kernel().fs());
-    for (const auto& [path, img] : helpers) sys->machine().register_program(path, img);
-    if (cfg_.cycle_limit != 0) sys->machine().set_cycle_limit(cfg_.cycle_limit);
-    if (cfg_.configure_kernel) cfg_.configure_kernel(sys->kernel());
-    return sys;
-  };
-
-  // ---- clean reference run ----
-  // Also harvests per-call policy-state snapshots: the CrossReplay donor
-  // bytes come from this run's process, i.e. a different address space than
-  // the mutated runs they are injected into.
-  CleanRun clean;
-  std::map<int, std::vector<std::uint8_t>> state_snapshots;
-  {
-    auto sys = fresh(test_key());
-    // Harvest with the policy-state shadow off: under lazy write-back the
-    // guest record lags the kernel's shadow, so every snapshot would hold
-    // the same stale bytes -- useless as distinct-nonce replay donors. The
-    // eager protocol materializes {lastBlock, MAC(lastBlock, counter)} at
-    // every call, which is what a real attacker scraping a victim address
-    // space would capture. Mutated runs keep the shadow at its default.
-    sys->kernel().set_policy_shadow(false);
-    int calls = 0;
-    sys->machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
-      ++calls;
-      const auto& regs = p.cpu.regs;
-      const std::uint32_t lb = regs[isa::kRegStatePtr];
-      if (policy::Descriptor(regs[isa::kRegPolicyDescriptor]).control_flow_constrained() &&
-          p.mem.in_range(lb, policy::kPolicyStateSize)) {
-        state_snapshots[calls] = p.mem.read_bytes(lb, policy::kPolicyStateSize);
-      }
-    };
-    const vm::RunResult r = sys->machine().run(inst.image, prog.argv, prog.stdin_data);
-    if (!r.completed || r.violation != os::Violation::None) {
-      throw Error("fault campaign: clean run of " + prog.name +
-                  " failed: " + r.violation_detail);
-    }
-    clean = {r.completed, r.exit_code, r.stdout_data, r.stderr_data, calls};
-  }
-  if (clean.n_calls == 0) {
-    throw Error("fault campaign: " + prog.name + " makes no system calls");
-  }
-
-  // ---- RekeyToctou payload ----
-  // One coherent {new key, re-signed view, re-signed helpers} triple serves
-  // every run of the class: the manifests are key-independent, so a single
-  // Rekeyer pass per image yields everything the strike swaps in.
-  // Computed only when the campaign actually draws the class (it is opt-in).
-  struct RekeyPayload {
-    crypto::Key128 key{};
-    os::RekeyView view;
-    std::vector<std::pair<std::string, binary::Image>> programs;
-  };
-  std::optional<RekeyPayload> rekey_payload;
-  {
-    const bool wants_rekey =
-        std::any_of(cfg_.classes.begin(), cfg_.classes.end(),
-                    [](MutationClass c) { return c == MutationClass::RekeyToctou; }) ||
-        std::any_of(cfg_.explicit_specs.begin(), cfg_.explicit_specs.end(),
-                    [](const FaultSpec& s) { return s.cls == MutationClass::RekeyToctou; });
-    if (wants_rekey) {
-      crypto::Key128 nk = test_key();
-      for (auto& b : nk) b = static_cast<std::uint8_t>(b ^ 0xa5);
-      installer::RekeyResult rr =
-          installer::Rekeyer::rekey(inst.image, inst.manifest, test_key(), nk);
-      RekeyPayload pay;
-      pay.key = nk;
-      pay.view = std::move(rr.view);
-      for (std::size_t h = 0; h < helpers.size(); ++h) {
-        pay.programs.emplace_back(
-            helpers[h].first,
-            installer::Rekeyer::rekey(helpers[h].second, helper_manifests[h], test_key(), nk)
-                .image);
-      }
-      rekey_payload = std::move(pay);
-    }
-  }
+  // Install the program (and spawn helpers) once and take the clean
+  // reference; every mutated run below gets a fresh tenant.
+  const std::vector<InstalledGuest> pool = install_pool({prog});
+  const InstalledGuest& guest = pool.front();
 
   // ---- one mutated execution ----
   auto execute = [&](const FaultSpec& spec) -> RunVerdict {
@@ -208,74 +85,35 @@ CampaignResult Campaign::run(const GuestProgram& prog) {
     v.program = prog.name;
     v.spec = spec;
     v.repro = spec_repr(spec);
-    auto sys =
-        fresh(spec.cls == MutationClass::KeyMismatch ? mismatched_key() : test_key());
+    Tenant tenant(guest, cfg_.mode, cfg_.violation_budget);
     FaultInjector inj(spec);
-    if (spec.cls == MutationClass::RotationDuringTrap) {
-      // Rotate to a genuinely different key: every MAC the guest carries
-      // goes stale at the strike point.
-      inj.set_rotation_key(mismatched_key());
-    }
-    if (spec.cls == MutationClass::RekeyToctou && rekey_payload.has_value()) {
-      inj.set_rekey(rekey_payload->key, rekey_payload->view, rekey_payload->programs);
-    }
-    if (spec.cls == MutationClass::CrossReplay) {
-      // Donor from a different call index: its counter nonce (or foreign
-      // lastBlock) cannot match what the kernel expects at the trigger.
-      std::vector<int> keys;
-      for (const auto& [call, bytes] : state_snapshots) {
-        if (call != spec.trigger_call) keys.push_back(call);
-      }
-      if (!keys.empty()) {
-        inj.set_replay_state(state_snapshots.at(keys[spec.seed % keys.size()]));
-      }
-    }
-    inj.arm(sys->machine());
-    vm::RunResult r;
-    try {
-      r = sys->machine().run(inst.image, prog.argv, prog.stdin_data);
-    } catch (const std::exception& e) {
-      v.outcome = Outcome::HostCrash;
-      v.detail = std::string(e.what()) + " [repro " + prog.name + " " + v.repro + "]";
-      return v;
-    } catch (...) {
-      v.outcome = Outcome::HostCrash;
-      v.detail = "non-standard exception escaped the simulator [repro " + prog.name + " " +
-                 v.repro + "]";
-      return v;
-    }
+    tenant.arm(inj, spec.seed);
+    const auto r = tenant.run("mutated run");
     v.mutation = inj.description();
-    v.cycles = r.cycles;
-    const os::VerdictRecord* first = nullptr;
-    for (const auto& rec : sys->kernel().audit_log()) {
-      if (rec.kind != os::AuditKind::Violation) continue;
-      if (first == nullptr) first = &rec;
-      ++v.violations_audited;
-      if (rec.killed) v.guest_killed = true;
+    v.outcome = r ? tenant.classify(inj, *r) : Outcome::HostCrash;
+    v.cycles = r ? r->cycles : 0;
+    const auto viols = tenant.violations();
+    for (const os::VerdictRecord* rec : viols) v.guest_killed |= rec->killed;
+    v.violations_audited = static_cast<int>(viols.size());
+    if (!viols.empty()) {
+      v.violation = viols.front()->violation;
+      v.detail = viols.front()->detail;
     }
-    if (first != nullptr) {
-      v.violation = first->violation;
-      v.detail = first->detail;
-      const auto& exp = expected_violations(spec.cls);
-      v.outcome = std::find(exp.begin(), exp.end(), first->violation) != exp.end()
-                      ? Outcome::Detected
-                      : Outcome::WrongVerdict;
-    } else if (!inj.applied()) {
-      v.outcome = Outcome::NotApplied;
-    } else {
-      const bool same = r.completed == clean.completed && r.exit_code == clean.exit_code &&
-                        r.stdout_data == clean.out && r.stderr_data == clean.err;
-      v.outcome = same ? Outcome::Benign : Outcome::SilentBypass;
-      if (!same) v.detail = "behavior diverged without an audited verdict: " + v.mutation;
+    v.trips = tenant.finish(prog.name + " " + v.repro + ": ");
+    if (v.outcome == Outcome::HostCrash) v.detail = v.trips.front();
+    if (v.outcome == Outcome::SilentBypass) {
+      v.detail = "behavior diverged without an audited verdict: " + v.mutation;
     }
-    // Fault-campaign DX: any unexpected verdict carries its own single-line
-    // reproducer, so one failing run out of thousands can be replayed alone.
-    if (v.outcome == Outcome::WrongVerdict || v.outcome == Outcome::SilentBypass) {
+    // Any unexpected verdict carries its own single-line reproducer, so one
+    // failing run out of thousands can be replayed alone.
+    if (v.outcome == Outcome::WrongVerdict || v.outcome == Outcome::SilentBypass ||
+        v.outcome == Outcome::HostCrash) {
       v.detail += " [repro " + prog.name + " " + v.repro + "]";
     }
     return v;
   };
 
+  CampaignResult result;
   auto record = [&](RunVerdict v) {
     switch (v.outcome) {
       case Outcome::Benign:
@@ -300,14 +138,13 @@ CampaignResult Campaign::run(const GuestProgram& prog) {
         ++result.not_applied;
         break;
     }
+    result.trips.insert(result.trips.end(), v.trips.begin(), v.trips.end());
     result.verdicts.push_back(std::move(v));
   };
 
   // ---- the seeded mutation sweep ----
   // The spec list is drawn serially (the seeded RNG sequence IS the
-  // campaign's identity); the mutated executions fan out over the pool,
-  // each on its own System. Verdicts land in spec order, so the tallies,
-  // the coverage matrix, and the verdict list match the serial sweep.
+  // campaign's identity); the mutated executions fan out over the pool.
   const auto classes = cfg_.classes.empty() ? all_mutation_classes() : cfg_.classes;
   const auto stage_pool = cfg_.stages.empty() ? all_trap_stages() : cfg_.stages;
   const util::Rng root(cfg_.seed);
@@ -319,9 +156,8 @@ CampaignResult Campaign::run(const GuestProgram& prog) {
   } else {
     specs.reserve(classes.size() * static_cast<std::size_t>(cfg_.runs_per_class));
     for (const auto cls : classes) {
+      // Per-class substreams: adding a class never shifts another's specs.
       util::Rng rng = root.derive(tag ^ (static_cast<std::uint64_t>(cls) << 32));
-      // The stage comes from a SEPARATE substream: trigger/seed sequences of
-      // every pre-existing class stay byte-identical to older campaigns.
       util::Rng stage_rng =
           root.derive(tag ^ (static_cast<std::uint64_t>(cls) << 32) ^ 0x57a6e5u);
       // Per-class pool: only the boundaries this class may strike at (e.g.
@@ -335,7 +171,7 @@ CampaignResult Campaign::run(const GuestProgram& prog) {
         FaultSpec spec;
         spec.cls = cls;
         spec.trigger_call =
-            1 + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(clean.n_calls)));
+            1 + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(guest.clean_traps)));
         spec.seed = rng.next_u64();
         if (stage_targetable(cls)) {
           spec.stage = pool[stage_rng.next_below(pool.size())];
@@ -346,20 +182,19 @@ CampaignResult Campaign::run(const GuestProgram& prog) {
   }
 
   std::vector<RunVerdict> verdicts =
-      util::resolve_executor(cfg_.executor)
-          .parallel_map<RunVerdict>(specs.size(), [&](std::size_t k) {
-            FaultSpec spec = specs[k];
-            RunVerdict v = execute(spec);
-            if (!replaying && v.outcome == Outcome::NotApplied && spec.trigger_call > 1) {
-              // The class had no target at or after the trigger (e.g. the
-              // last AS argument already went by); retry from the first call.
-              // Replayed explicit specs are exempt: a reproducer must run
-              // exactly the spec it names.
-              spec.trigger_call = 1;
-              v = execute(spec);
-            }
-            return v;
-          });
+      fan_out<RunVerdict>(cfg_.executor, specs.size(), [&](std::size_t k) {
+        FaultSpec spec = specs[k];
+        RunVerdict v = execute(spec);
+        if (!replaying && v.outcome == Outcome::NotApplied && spec.trigger_call > 1) {
+          // The class had no target at or after the trigger (e.g. the last
+          // AS argument already went by); retry from the first call.
+          // Replayed explicit specs are exempt: a reproducer must run
+          // exactly the spec it names.
+          spec.trigger_call = 1;
+          v = execute(spec);
+        }
+        return v;
+      });
   for (RunVerdict& v : verdicts) record(std::move(v));
   return result;
 }

@@ -1,15 +1,17 @@
 // Systematic fault-injection campaigns over guest programs.
 //
-// A Campaign runs a guest program once cleanly (recording its behavior and
-// syscall count), then replays it many times under seeded FaultInjector
-// mutations, and classifies every mutated run against the enforcement
+// A Campaign installs a guest program once, takes its clean reference run
+// (behavior and trap count), then replays it many times under seeded
+// FaultInjector mutations -- each on a fresh lifecycle tenant
+// (lifecycle.h) -- and classifies every mutated run against the enforcement
 // invariant:
 //
 //   every mutated run either behaves identically to the clean run (the
 //   mutation was never consumed by the checker) or yields a verdict whose
 //   Violation class is expected for the mutation class -- with zero host
-//   crashes and zero silent bypasses (accepted runs whose behavior
-//   diverges from the clean run without any audited verdict).
+//   crashes, zero silent bypasses (accepted runs whose behavior diverges
+//   from the clean run without any audited verdict), and zero trips of the
+//   lifecycle oracle.
 //
 // Campaigns honor the kernel failure mode, so the same seeded mutation set
 // can be replayed under fail-stop, budgeted, and audit-only enforcement and
@@ -23,36 +25,16 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "binary/image.h"
 #include "fault/fault.h"
+#include "fault/lifecycle.h"
 #include "os/auditlog.h"
-#include "os/fs.h"
-#include "os/kernel.h"
-
-namespace asc::util {
-class Executor;
-}
 
 namespace asc::fault {
-
-/// A guest program plus everything a run of it needs.
-struct GuestProgram {
-  std::string name;
-  binary::Image image;  // pre-installation image
-  std::vector<std::string> argv;
-  std::string stdin_data;
-  /// Programs registered (installed) for spawn, as {path, image}.
-  std::vector<std::pair<std::string, binary::Image>> helpers;
-  /// Per-run filesystem fixture.
-  std::function<void(os::SimFs&)> prepare_fs;
-};
 
 struct CampaignConfig {
   std::uint64_t seed = 1;
@@ -65,32 +47,14 @@ struct CampaignConfig {
   /// (the reproducer path: paste a RunVerdict::repro through parse_spec).
   /// No NotApplied retry -- a reproduced run must match the original.
   std::vector<FaultSpec> explicit_specs;
-  os::Personality personality = os::Personality::LinuxSim;
   os::FailureMode mode = os::FailureMode::FailStop;
   std::uint32_t violation_budget = 0;
-  std::uint64_t cycle_limit = 0;  // 0 = machine default
   /// Pool the mutated executions fan out over, each on its own System
   /// (nullptr = the process-global pool). The fault-spec list is drawn
   /// serially from the seeded RNG and verdicts are recorded in spec order,
   /// so tallies, matrix, and verdict order are identical at any job count.
   util::Executor* executor = nullptr;
-  /// Applied to every freshly built kernel (clean AND mutated runs) before
-  /// any execution -- e.g. enabling the inline tier with a low promotion
-  /// threshold for the promo-toctou class. Null leaves every run on the
-  /// stock configuration, so legacy campaigns stay byte-identical.
-  std::function<void(os::Kernel&)> configure_kernel;
 };
-
-enum class Outcome : std::uint8_t {
-  Benign,        // behaved identically to the clean run
-  Detected,      // audited verdict with an expected Violation class
-  WrongVerdict,  // audited verdict, but an unexpected Violation class
-  SilentBypass,  // accepted, yet behavior diverged with no verdict at all
-  HostCrash,     // an exception escaped the simulator
-  NotApplied,    // the mutation never found an applicable target
-};
-
-std::string outcome_name(Outcome o);
 
 /// Classification of one mutated execution.
 struct RunVerdict {
@@ -108,8 +72,10 @@ struct RunVerdict {
   std::string detail;
   /// Single-line reproducer (spec_repr of the spec as executed, after any
   /// NotApplied retry). On an unexpected verdict, feed it back through
-  /// CampaignConfig::explicit_specs or `asc-faultsim --spec` to replay.
+  /// CampaignConfig::explicit_specs or `asctool campaign --spec` to replay.
   std::string repro;
+  /// Lifecycle-oracle trips of this run (empty = sound).
+  std::vector<std::string> trips;
 };
 
 struct CampaignResult {
@@ -123,12 +89,15 @@ struct CampaignResult {
   /// Coverage matrix: mutation class -> Violation observed -> count
   /// (Benign runs are counted under Violation::None).
   std::map<MutationClass, std::map<os::Violation, int>> matrix;
+  /// Flattened oracle trips from every run.
+  std::vector<std::string> trips;
 
   /// Mutated executions whose fault actually landed.
   int total_applied() const { return benign + detected + wrong_verdict + silent_bypass; }
-  /// The enforcement invariant: no crash, no bypass, no wrong verdict.
+  /// The enforcement invariant: no crash, no bypass, no wrong verdict, no
+  /// oracle trip.
   bool invariant_holds() const {
-    return wrong_verdict == 0 && silent_bypass == 0 && host_crash == 0;
+    return wrong_verdict == 0 && silent_bypass == 0 && host_crash == 0 && trips.empty();
   }
   void merge(const CampaignResult& other);
   /// Printable coverage matrix plus outcome counts.

@@ -1,7 +1,8 @@
 // Lifecycle chaos engine: seeded churn over many concurrent guest Systems.
 //
 // The fault Campaign (campaign.h) proves the §3.4 invariant one mutated
-// execution at a time. The chaos engine stresses the part a per-run campaign
+// execution at a time. The chaos engine -- a random-plan builder over the
+// lifecycle runner (lifecycle.h) -- stresses the part a per-run campaign
 // cannot: the KERNEL'S OWN lifecycle bookkeeping under churn -- spawn/exec/
 // teardown storms, staggered key rotations, monitor swaps, and fast-path
 // invalidation -- with faults landing not just before the trap but at every
@@ -12,7 +13,7 @@
 //
 // Every tenant is one guest lifecycle on its own System: a fault run under a
 // seeded plan, then a recovery run that must behave byte-identically to the
-// clean reference. After every run, invariant oracles audit the kernel's
+// clean reference. After every run, the runner's oracles audit the kernel's
 // bookkeeping:
 //
 //   * watch-range accounting balances (zero live ranges/refs at teardown,
@@ -35,13 +36,9 @@
 #include <string>
 #include <vector>
 
-#include "fault/campaign.h"
 #include "fault/fault.h"
+#include "fault/lifecycle.h"
 #include "os/health.h"
-
-namespace asc::util {
-class Executor;
-}
 
 namespace asc::fault {
 
@@ -63,23 +60,8 @@ struct ChaosConfig {
   std::vector<MutationClass> classes;
   /// TrapStage pool for stage-targetable classes (empty = all boundaries).
   std::vector<os::TrapStage> stages;
-  os::Personality personality = os::Personality::LinuxSim;
-  std::uint64_t cycle_limit = 200'000'000;
-  /// Health-machine knobs for every tenant kernel: a small threshold keeps
-  /// the full Quarantined -> Degraded -> Healthy recovery visible within one
-  /// guest run of a few dozen syscalls.
-  std::uint32_t promote_threshold = 2;
-  std::uint32_t backoff_cap = 64;
-  /// Guest pool (empty = default_chaos_guests()).
-  std::vector<GuestProgram> guests;
   /// Executor the lifecycles fan out over (nullptr = process-global pool).
   util::Executor* executor = nullptr;
-  /// Enable the trap-less Inline tier (os/tiertable.h) on every tenant
-  /// kernel, with a low promotion threshold so sites promote within a run.
-  /// Widens the default Tamper class pool with promo-toctou and adds a
-  /// getpid-loop guest to the default pool (the workload that actually
-  /// promotes). Off by default: legacy chaos streams stay byte-identical.
-  bool inline_tier = false;
 };
 
 /// One tenant lifecycle, classified.
@@ -124,11 +106,6 @@ struct ChaosResult {
   std::string summary() const;
 };
 
-/// Mixed default guest pool: file tools, a compression kernel, a calculator,
-/// and a spawning guest (vuln_echo + helper) so teardown storms include
-/// nested child processes. Self-contained filesystem fixture per run.
-std::vector<GuestProgram> default_chaos_guests(os::Personality p);
-
 class ChaosEngine {
  public:
   explicit ChaosEngine(ChaosConfig cfg) : cfg_(std::move(cfg)) {}
@@ -136,7 +113,7 @@ class ChaosEngine {
   const ChaosConfig& config() const { return cfg_; }
 
   /// Drive all tenant lifecycles and aggregate. Deterministic for a fixed
-  /// (seed, tenants, classes, stages, guests) at any executor width.
+  /// (seed, tenants, classes, stages) at any executor width.
   ChaosResult run();
 
  private:

@@ -35,22 +35,13 @@ std::string mutation_class_name(MutationClass c) {
 std::vector<MutationClass> all_mutation_classes() {
   std::vector<MutationClass> out;
   for (std::size_t i = 0; i < kNumMutationClasses; ++i) {
-    const auto c = static_cast<MutationClass>(i);
-    if (c != MutationClass::PromoToctou && c != MutationClass::RekeyToctou) out.push_back(c);
-  }
-  return out;
-}
-
-std::vector<MutationClass> extended_mutation_classes() {
-  std::vector<MutationClass> out;
-  for (std::size_t i = 0; i < kNumMutationClasses; ++i) {
     out.push_back(static_cast<MutationClass>(i));
   }
   return out;
 }
 
 std::optional<MutationClass> mutation_class_from_name(const std::string& name) {
-  for (const auto c : extended_mutation_classes()) {
+  for (const auto c : all_mutation_classes()) {
     if (mutation_class_name(c) == name) return c;
   }
   return std::nullopt;
@@ -215,56 +206,38 @@ std::uint32_t nonzero32(std::uint64_t seed) {
 
 }  // namespace
 
-bool FaultInjector::needs_stage_hook() const {
-  return lifecycle_class(spec_.cls) || spec_.stage != os::TrapStage::Trap;
+void FaultInjector::arm(os::Kernel& kernel) {
+  kernel.set_stage_hook(
+      [this, &kernel](os::Process& p, os::TrapContext& ctx, os::TrapStage stage) {
+        on_stage(kernel, p, ctx, stage);
+      });
 }
 
-void FaultInjector::arm(vm::Machine& machine) {
-  machine_ = &machine;
-  personality_ = machine.kernel().personality();
-  const bool staged = needs_stage_hook();
-  machine.pre_syscall_hook = [this, staged](os::Process& p, std::uint32_t call_site) {
-    if (rekey_swap_pending_ && machine_->kernel().trap_depth() == 0) {
-      // The deferred rekey lands inside the upcoming trap; swap the helper
-      // registrations now so any spawn after the key swap hands the kernel
-      // a child signed under the new key.
-      for (const auto& [path, img] : rekey_programs_) machine_->register_program(path, img);
-      rekey_swap_pending_ = false;
-    }
-    ++calls_seen_;
-    // Trap-stage byte/register mutations keep striking from this hook (the
-    // pre-trap strike point every legacy campaign stream was drawn for);
-    // staged specs strike from the kernel's stage hook below instead.
-    if (!staged && !applied_ && calls_seen_ >= spec_.trigger_call &&
-        try_apply(p, call_site, static_cast<std::uint16_t>(p.cpu.regs[0]))) {
+void FaultInjector::on_stage(os::Kernel& kernel, os::Process& p, os::TrapContext& ctx,
+                             os::TrapStage stage) {
+  // A Trap-stage guest tamper strikes at PreTrap, before the kernel has
+  // captured anything; lifecycle classes and later stages strike at their
+  // boundary inside the trap.
+  const bool at_entry = !lifecycle_class(spec_.cls) && spec_.stage == os::TrapStage::Trap;
+  const os::TrapStage strike = at_entry ? os::TrapStage::PreTrap : spec_.stage;
+  // Traps are counted at PreTrap, which fires on every trap (inline hits
+  // included).
+  if (stage == os::TrapStage::PreTrap) ++calls_seen_;
+  if (stage == strike && !applied_ && calls_seen_ >= spec_.trigger_call) {
+    // regs[0] holds the syscall's return value from Dispatch on; the
+    // trapping identity comes from the context.
+    if (lifecycle_class(spec_.cls) ? apply_lifecycle(kernel, p, ctx.call_site)
+                                   : try_apply(kernel, p, ctx.call_site, ctx.sysno)) {
       applied_ = true;
       applied_at_ = calls_seen_;
     }
-    // Count after try_apply so "visited" means a strictly earlier trap.
-    ++site_visits_[call_site];
-  };
-  if (staged) {
-    machine.kernel().set_stage_hook(
-        [this](os::Process& p, os::TrapContext& ctx, os::TrapStage stage) {
-          if (stage != spec_.stage || applied_ || calls_seen_ < spec_.trigger_call) return;
-          // regs[0] holds the syscall's return value from Dispatch on; the
-          // trapping identity must come from the captured context.
-          const bool ok = lifecycle_class(spec_.cls)
-                              ? apply_lifecycle(p, ctx.call_site)
-                              : try_apply(p, ctx.call_site, ctx.sysno);
-          if (ok) {
-            applied_ = true;
-            applied_at_ = calls_seen_;
-          }
-        });
-  } else {
-    machine.kernel().set_stage_hook({});
   }
+  // Count after try_apply so "visited" means a strictly earlier trap.
+  if (stage == os::TrapStage::PreTrap) ++site_visits_[ctx.call_site];
 }
 
-bool FaultInjector::apply_lifecycle(os::Process& p, std::uint32_t call_site) {
-  if (machine_ == nullptr) return false;
-  os::Kernel& kernel = machine_->kernel();
+bool FaultInjector::apply_lifecycle(os::Kernel& kernel, os::Process& p,
+                                    std::uint32_t call_site) {
   char buf[160];
   const std::string stage = os::trap_stage_name(spec_.stage);
   switch (spec_.cls) {
@@ -301,20 +274,13 @@ bool FaultInjector::apply_lifecycle(os::Process& p, std::uint32_t call_site) {
       return true;
     }
     case MutationClass::RekeyToctou: {
-      if (!rekey_key_.has_value() || !rekey_view_.has_value()) return false;
+      if (!rekey_) return false;
       // Coherent live rekey mid-trap: the kernel must defer the swap to the
       // next trap boundary (the in-flight trap completes wholly under the
       // old material), then every later trap verifies wholly under the new
       // key. Any verdict -- or any divergence from the clean run -- means
       // the quiesce protocol leaked mixed material.
-      const bool now = kernel.rekey(p, *rekey_key_, *rekey_view_);
-      if (now) {
-        for (const auto& [path, img] : rekey_programs_) {
-          machine_->register_program(path, img);
-        }
-      } else {
-        rekey_swap_pending_ = !rekey_programs_.empty();
-      }
+      const bool now = rekey_(p);
       std::snprintf(buf, sizeof buf,
                     "rekey-toctou: live rekey %s at %s of call %d (site 0x%x)",
                     now ? "applied" : "deferred", stage.c_str(), calls_seen_, call_site);
@@ -326,10 +292,11 @@ bool FaultInjector::apply_lifecycle(os::Process& p, std::uint32_t call_site) {
   }
 }
 
-bool FaultInjector::try_apply(os::Process& p, std::uint32_t call_site, std::uint16_t sysno) {
+bool FaultInjector::try_apply(os::Kernel& kernel, os::Process& p, std::uint32_t call_site,
+                              std::uint16_t sysno) {
   auto& regs = p.cpu.regs;
   const policy::Descriptor des(regs[isa::kRegPolicyDescriptor]);
-  const auto maybe_id = os::syscall_from_number(personality_, sysno);
+  const auto maybe_id = os::syscall_from_number(kernel.personality(), sysno);
   const int arity = maybe_id.has_value() ? os::signature(*maybe_id).arity : 0;
   const std::uint64_t seed = spec_.seed;
   char buf[160];
@@ -537,10 +504,7 @@ bool FaultInjector::try_apply(os::Process& p, std::uint32_t call_site, std::uint
       // skip verification outright. The site's own write watch must demote
       // it BEFORE the tamper lands, so the very next call at the site
       // re-enters the full pipeline and fail-stops there.
-      if (machine_ == nullptr ||
-          !machine_->kernel().tier_table().inline_site_promoted(p.pid, call_site)) {
-        return false;
-      }
+      if (!kernel.tier_table().inline_site_promoted(p.pid, call_site)) return false;
       if (seed % 2 == 0) {
         const std::uint32_t mac_ptr = regs[isa::kRegCallMac];
         if (!p.mem.in_range(mac_ptr, 16)) return false;

@@ -5,30 +5,29 @@
 // the lastBlock/lbMAC memory-checker state -- must be detected by the
 // kernel, never silently accepted and never able to crash the monitor. A
 // FaultInjector turns that claim into something testable: armed on a
-// vm::Machine, it waits for the n-th system call trap and applies one
-// seeded mutation from a fixed class to the trap state, exactly where a
+// kernel's stage hook, it waits for the n-th system call trap and applies
+// one seeded mutation from a fixed class to the trap state, exactly where a
 // real attacker (or a corrupted .asdata page) would strike.
 //
-// Every class maps to an expected set of Violation verdicts; the Campaign
-// (campaign.h) runs mutations at scale and checks the invariant that each
-// mutated run either behaves identically to a clean run or fail-stops with
-// a verdict from that set.
+// Every class maps to an expected set of Violation verdicts; the lifecycle
+// runner (lifecycle.h) runs mutations at scale and checks the invariant
+// that each mutated run either behaves identically to a clean run or
+// fail-stops with a verdict from that set.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "binary/image.h"
 #include "crypto/aes.h"
+#include "os/kernel.h"
 #include "os/process.h"
-#include "os/rekey.h"
 #include "os/syscalls.h"
 #include "os/trapcontext.h"
-#include "vm/machine.h"
 
 namespace asc::fault {
 
@@ -78,14 +77,8 @@ inline constexpr std::size_t kNumMutationClasses =
     static_cast<std::size_t>(MutationClass::kCount);
 
 std::string mutation_class_name(MutationClass c);
-/// The default campaign/chaos pool: every class that applies to a stock
-/// kernel. PromoToctou is excluded -- it needs the inline tier enabled and a
-/// promoted site -- and RekeyToctou too (it needs a Rekeyer-produced
-/// new-key + view payload), so campaigns opt in via `classes` -- which also
-/// keeps the per-class RNG substreams of every legacy campaign byte-stable.
+/// Every class, in enum order: the default campaign and chaos pool.
 std::vector<MutationClass> all_mutation_classes();
-/// Every class including the opt-in ones (CLI listings, name parsing).
-std::vector<MutationClass> extended_mutation_classes();
 /// Inverse of mutation_class_name (nullopt for an unknown name).
 std::optional<MutationClass> mutation_class_from_name(const std::string& name);
 
@@ -107,6 +100,8 @@ bool stage_targetable(MutationClass c);
 /// outside the ASC threat model (the real kernel dispatches on the bytes it
 /// verified) -- it would diverge behavior with no verdict by construction.
 bool stage_allowed(MutationClass c, os::TrapStage s);
+/// The strike points a FaultSpec may name: Trap..Audit. PreTrap is not
+/// among them -- a Trap-stage spec already strikes there (see FaultSpec).
 std::vector<os::TrapStage> all_trap_stages();
 /// Inverse of os::trap_stage_name (nullopt for an unknown name).
 std::optional<os::TrapStage> trap_stage_from_name(const std::string& name);
@@ -114,8 +109,10 @@ std::optional<os::TrapStage> trap_stage_from_name(const std::string& name);
 /// One fully determined mutation: the class, the first syscall trap at which
 /// it becomes eligible (1-based, counted across all processes of a run), a
 /// seed selecting the byte/bit/register within the class, and the trap-stage
-/// boundary at which the strike lands (Trap = the classic pre-enforcement
-/// injection; later stages strike between the pipeline's layers).
+/// boundary at which the strike lands. Trap means the pre-trap strike: guest
+/// tamper lands at the PreTrap stage, before the kernel captures anything,
+/// and lifecycle classes at the Trap boundary; later stages strike between
+/// the pipeline's layers.
 struct FaultSpec {
   MutationClass cls = MutationClass::CallMacFlip;
   int trigger_call = 1;
@@ -124,20 +121,23 @@ struct FaultSpec {
 };
 
 /// Single-line reproducer: "<class>:<trigger>:0x<seed>:<stage>". Paste it
-/// back through parse_spec (or `asc-faultsim --spec`) to replay one run.
+/// back through parse_spec (or `asctool campaign --spec`) to replay one run.
 std::string spec_repr(const FaultSpec& spec);
 std::optional<FaultSpec> parse_spec(const std::string& repr);
 
-/// Applies one FaultSpec to a machine run. Arm() installs a pre-syscall
-/// hook; from trigger_call on, the first trap where the class is applicable
-/// (e.g. AsBodyCorrupt needs an authenticated-string argument) is mutated,
-/// once. The injector must outlive every run of the armed machine.
+/// Applies one FaultSpec to the runs of one kernel. From trigger_call on,
+/// the first trap where the class is applicable (e.g. AsBodyCorrupt needs an
+/// authenticated-string argument) is mutated, once. The injector must
+/// outlive every run of the armed kernel.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultSpec spec) : spec_(spec) {}
 
-  /// Install on `machine` (replaces its pre_syscall_hook).
-  void arm(vm::Machine& machine);
+  /// Install on_stage() as `kernel`'s stage hook (replacing any other).
+  void arm(os::Kernel& kernel);
+  /// The stage hook body, for callers that compose it with their own.
+  /// `kernel` is the kernel whose trap is in flight.
+  void on_stage(os::Kernel& kernel, os::Process& p, os::TrapContext& ctx, os::TrapStage stage);
 
   /// CrossReplay payload: a policy-state blob (kPolicyStateSize bytes)
   /// captured from another process's address space.
@@ -147,23 +147,10 @@ class FaultInjector {
   /// The class is NotApplied until one is provided.
   void set_rotation_key(const crypto::Key128& key) { rotation_key_ = key; }
 
-  /// RekeyToctou payload: a coherent {new key, re-signed view} pair from
-  /// Rekeyer::rekey over the image under test. The class is NotApplied
-  /// until both are provided. `programs` are re-signed spawn helpers,
-  /// re-registered on the machine the moment the rekey APPLIES (not when it
-  /// is requested): a child spawned after the key swap must carry MACs
-  /// under the key the kernel holds by then.
-  void set_rekey(const crypto::Key128& key, os::RekeyView view,
-                 std::vector<std::pair<std::string, binary::Image>> programs = {}) {
-    rekey_key_ = key;
-    rekey_view_ = std::move(view);
-    rekey_programs_ = std::move(programs);
-  }
-
-  /// True when this spec strikes from the kernel's stage hook (a lifecycle
-  /// class, or any class at a non-Trap stage). arm() then claims the
-  /// machine's kernel stage hook in addition to the pre-syscall hook.
-  bool needs_stage_hook() const;
+  /// RekeyToctou payload: a coherent live rekey of the process (new key and
+  /// Rekeyer-re-signed view, spawn helpers swapped when it lands), returning
+  /// whether it applied at once. The class is NotApplied until provided.
+  void set_rekey(std::function<bool(os::Process&)> rekey) { rekey_ = std::move(rekey); }
 
   const FaultSpec& spec() const { return spec_; }
   bool applied() const { return applied_; }
@@ -173,22 +160,16 @@ class FaultInjector {
   const std::string& description() const { return description_; }
 
  private:
-  bool try_apply(os::Process& p, std::uint32_t call_site, std::uint16_t sysno);
-  /// The lifecycle strikes (rotation / teardown / double invalidation);
-  /// they act on machine_->kernel() rather than guest memory.
-  bool apply_lifecycle(os::Process& p, std::uint32_t call_site);
+  bool try_apply(os::Kernel& kernel, os::Process& p, std::uint32_t call_site,
+                 std::uint16_t sysno);
+  /// The lifecycle strikes (rotation / teardown / double invalidation /
+  /// rekey); they act on the kernel rather than guest memory.
+  bool apply_lifecycle(os::Kernel& kernel, os::Process& p, std::uint32_t call_site);
 
   FaultSpec spec_;
-  vm::Machine* machine_ = nullptr;
-  os::Personality personality_ = os::Personality::LinuxSim;
   std::vector<std::uint8_t> replay_state_;
   std::optional<crypto::Key128> rotation_key_;
-  std::optional<crypto::Key128> rekey_key_;
-  std::optional<os::RekeyView> rekey_view_;
-  std::vector<std::pair<std::string, binary::Image>> rekey_programs_;
-  /// A deferred rekey left helper registrations un-swapped; swap them at
-  /// the next quiesced (depth-0) trap, right before the pending rekey lands.
-  bool rekey_swap_pending_ = false;
+  std::function<bool(os::Process&)> rekey_;
   bool applied_ = false;
   int applied_at_ = 0;
   int calls_seen_ = 0;

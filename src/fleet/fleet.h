@@ -1,4 +1,5 @@
 // Fleet driver: thousands of tenant kernels, one aggregated audit stream.
+// A cadence-plan builder over the lifecycle runner (fault/lifecycle.h).
 //
 // The tenant-sharding refactor (os/tenant.h) makes every Kernel's
 // enforcement state a self-contained TenantState shard: MAC key, verified-
@@ -6,11 +7,11 @@
 // shard, and the CMAC key-schedule memo -- the only process-global piece --
 // is sharded internally (crypto/cmac.h). The fleet driver is the proof of
 // that design at scale: it runs 1k-100k simulated guest lifecycles, each on
-// its own System (= its own kernel = its own shard), fanned out over the
-// work-stealing util::Executor, with mixed workloads and churn --
-// spawn/exec/teardown storms, staggered mid-run key rotations, monitor
-// swaps -- and streams every tenant's VerdictRecords into one aggregated
-// audit pipeline.
+// its own System (= its own kernel = its own shard, under its own MAC key),
+// fanned out over the work-stealing util::Executor, with mixed workloads
+// and churn -- spawn/exec/teardown storms, staggered mid-run key rotations,
+// monitor swaps -- and streams every tenant's VerdictRecords into one
+// aggregated audit pipeline.
 //
 // The pipeline is lock-light by construction: each tenant's records land in
 // a slot indexed by tenant id, written only by the worker that owns that
@@ -21,8 +22,8 @@
 // jobs=1 is the executor's exact serial reference, and tests assert
 // jobs 1/2/8 agree.
 //
-// Invariant oracles audit every tenant kernel after every run, exactly as
-// the chaos engine does (fault/chaos.h): watch-range accounting balances,
+// The runner's oracles audit every tenant kernel after every run, exactly
+// as for the chaos engine (fault/chaos.h): watch-range accounting balances,
 // the cache/shadow/health maps reference only live pids, clean lifecycles
 // reproduce the installed guest's clean reference byte-for-byte, and a
 // tampered tenant fail-stops with an expected Violation class while
@@ -33,22 +34,19 @@
 #include <string>
 #include <vector>
 
-#include "fault/campaign.h"
+#include "fault/lifecycle.h"
 #include "os/auditlog.h"
-
-namespace asc::util {
-class Executor;
-}
 
 namespace asc::fleet {
 
 struct FleetConfig {
   std::uint64_t seed = 1;
-  /// Tenant lifecycles to drive. Each is one System: install-verified guest,
-  /// one or two runs (respawn churn), teardown, oracle audit.
+  /// Tenant lifecycles to drive. Each is one System: install-verified guest
+  /// rekeyed to the tenant's own key (derived from its substream; one
+  /// Rekeyer pass, no re-analysis, so no tenant's kernel accepts another
+  /// tenant's images), one or two runs (respawn churn), teardown, oracle
+  /// audit.
   int tenants = 1000;
-  os::Personality personality = os::Personality::LinuxSim;
-  std::uint64_t cycle_limit = 200'000'000;
   /// Churn cadences (0 disables). Tenant t rotates its key mid-run when
   /// t % rotate_every == rotate_every - 1; the strike call is drawn from the
   /// tenant's substream, so rotations are staggered across the fleet. A
@@ -71,22 +69,6 @@ struct FleetConfig {
   std::vector<fault::GuestProgram> guests;
   /// Executor the lifecycles fan out over (nullptr = process-global pool).
   util::Executor* executor = nullptr;
-  /// Enable the trap-less Inline tier (os/tiertable.h) on every tenant
-  /// kernel, with a low promotion threshold so sites promote within a run,
-  /// and add a getpid-loop guest to the default pool (the workload that
-  /// actually promotes). The post-run oracles then also assert every
-  /// tenant's tier table holds zero inline sites between runs -- respawn
-  /// churn must tear tier state all the way down. Off by default: legacy
-  /// fleet streams stay byte-identical.
-  bool inline_tier = false;
-  /// Give every tenant its OWN MAC key: the shared guest templates are
-  /// installed once under test_key(), then each tenant rekeys them to a key
-  /// derived from its substream (installer::Rekeyer -- O(MAC surface), no
-  /// re-analysis) before its first run. Tenant isolation becomes
-  /// cryptographic, not just structural: no tenant's kernel accepts another
-  /// tenant's images. Off by default: legacy fleet streams stay
-  /// byte-identical.
-  bool per_tenant_keys = false;
 };
 
 /// One tenant lifecycle, classified. The per-tenant row of the fleet.

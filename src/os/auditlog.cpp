@@ -37,20 +37,9 @@ std::string VerdictRecord::to_string() const {
   return "?";
 }
 
-void AuditLog::append(VerdictRecord rec) {
-  formatted_.push_back(rec.to_string());
-  records_.push_back(std::move(rec));
-}
-
-void AuditLog::reset() {
-  records_.clear();
-  formatted_.clear();
-}
-
 std::size_t AuditLog::approx_bytes() const {
   std::size_t n = 0;
   for (const auto& r : records_) n += sizeof(r) + r.prog.size() + r.detail.size();
-  for (const auto& f : formatted_) n += sizeof(f) + f.size();
   return n;
 }
 

@@ -1,19 +1,19 @@
-// The audit layer of the trap pipeline: the structured security/audit log,
-// its legacy formatted view, and the failure-mode decision (graceful
-// degradation) applied once the enforcement layer has established a
-// violation.
+// The audit layer of the trap pipeline: the structured security/audit log
+// and the failure-mode decision (graceful degradation) applied once the
+// enforcement layer has established a violation.
 //
-// The two views (structured records and formatted lines) are appended and
-// cleared together -- reset() is the only way to clear either, so they can
-// never diverge. The kernel's instruction-level trace (Kernel::trace()) is
-// deliberately NOT part of this component: training-based policy generation
-// (monitor/training.cpp) clears the trace between sample runs while audit
-// events must survive, and the Table 1/2 benches rely on that partial
-// clearing (a training pass must not erase the security log).
+// reset() is the only way to clear the log; VerdictRecord::to_string() is
+// its one text rendering. The kernel's instruction-level trace
+// (Kernel::trace()) is deliberately NOT part of this component:
+// training-based policy generation (monitor/training.cpp) clears the trace
+// between sample runs while audit events must survive, and the Table 1/2
+// benches rely on that partial clearing (a training pass must not erase the
+// security log).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "os/process.h"
@@ -58,7 +58,7 @@ struct VerdictRecord {
   std::string detail;
   std::uint64_t vtime_ns = 0;
 
-  /// Legacy one-line view ("ALERT pid=... prog=... ...", "SPAWN ...").
+  /// One-line text view ("ALERT pid=... prog=... ...", "SPAWN ...").
   std::string to_string() const;
 };
 
@@ -72,15 +72,13 @@ class AuditLog {
   void set_violation_budget(std::uint32_t n) { violation_budget_ = n; }
   std::uint32_t violation_budget() const { return violation_budget_; }
 
-  // ---- the two views ----
+  // ---- the log ----
   const std::vector<VerdictRecord>& records() const { return records_; }
-  const std::vector<std::string>& formatted() const { return formatted_; }
-  /// Approximate retained bytes of both views (fleet capacity planning).
+  /// Approximate retained bytes (fleet capacity planning).
   std::size_t approx_bytes() const;
-  /// Append a record to both views.
-  void append(VerdictRecord rec);
-  /// Clear both views. The single clearing operation of the audit layer.
-  void reset();
+  void append(VerdictRecord rec) { records_.push_back(std::move(rec)); }
+  /// The single clearing operation of the audit layer.
+  void reset() { records_.clear(); }
 
   /// Record a violation verdict and apply the failure mode: increments the
   /// process's violation count, decides life or death (kill on FailStop, on
@@ -100,7 +98,6 @@ class AuditLog {
   FailureMode failure_mode_ = FailureMode::FailStop;
   std::uint32_t violation_budget_ = 0;
   std::vector<VerdictRecord> records_;
-  std::vector<std::string> formatted_;
 };
 
 }  // namespace asc::os

@@ -169,6 +169,18 @@ bool Kernel::apply_rekey(Process& p, const crypto::Key128& new_key, const RekeyV
 }
 
 void Kernel::on_syscall(Process& p, std::uint32_t call_site) {
+  // ---- (-2) PreTrap: the hook sees the call before anything else does ----
+  // At the caller's trap depth, before the parked rekey and the inline
+  // probe, so a depth-0 hook may still rotate the key immediately and any
+  // register or memory tamper it applies is what the rest of the trap sees.
+  if (stage_hook_) {
+    TrapContext pre;
+    pre.pid = p.pid;
+    pre.call_site = call_site;
+    pre.sysno = static_cast<std::uint16_t>(p.cpu.regs[0]);
+    stage_hook_(p, pre, TrapStage::PreTrap);
+  }
+
   // ---- (-1) parked rekey: land it at the trap boundary ----
   // A rotation requested mid-trap waits here so the requesting trap
   // completed wholly under the old material; this trap (and every later
@@ -188,7 +200,7 @@ void Kernel::on_syscall(Process& p, std::uint32_t call_site) {
   // stages: just the trap cost, the pre-authorized probe, and the handler.
   // Any mismatch demoted the site inside try_inline and the trap takes the
   // full pipeline, which re-verifies every MAC -- tamper fail-stops there,
-  // never here. An inline hit fires no stage hook.
+  // never here. An inline hit fires no stage hook after PreTrap.
   const bool inline_hit = asc_monitor_ && tenant_.tiers.try_inline(p, call_site);
 
   // ---- (1) trap layer: capture this call's context ----

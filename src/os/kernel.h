@@ -163,14 +163,17 @@ class Kernel {
   const RekeyCounters& rekey_counters() const { return rekey_counters_; }
   /// Depth of in-flight traps (0 = quiesced). A rekey requested at depth 0
   /// applies immediately; deeper requests defer to the next trap boundary.
-  /// Pre-syscall hooks run OUTSIDE the trap, so a hook observing depth 0 is
-  /// at exactly the point where a pending rekey will land next.
+  /// The PreTrap stage runs at the caller's depth, before the trap is
+  /// entered, so a PreTrap hook observing depth 0 is at exactly the point
+  /// where a pending rekey will land next.
   int trap_depth() const { return trap_depth_; }
 
   /// Stage hook: fires at every TrapStage boundary of on_syscall with the
-  /// in-flight context (chaos/fault injection surface; pass {} to clear).
-  /// The monitor is never on the stack when the hook runs, so hooks may
-  /// rotate keys, tear down the process, or invalidate fast-path entries.
+  /// in-flight context -- the one trap hook for tests, tracers and fault
+  /// injection (pass {} to clear). PreTrap fires first on every trap; see
+  /// os/trapcontext.h. The monitor is never on the stack when the hook runs,
+  /// so hooks may rotate keys, tear down the process, or invalidate
+  /// fast-path entries. A hook leaves the threaded engine on.
   using StageHook = std::function<void(Process&, TrapContext&, TrapStage)>;
   void set_stage_hook(StageHook h) { stage_hook_ = std::move(h); }
 
@@ -189,14 +192,11 @@ class Kernel {
   /// Structured security/audit log: violation verdicts ("alert the
   /// administrator"), spawn events, network sends, signals.
   const std::vector<VerdictRecord>& audit_log() const { return tenant_.audit.records(); }
-  /// Append a record to the audit log (and its formatted view).
+  /// Append a record to the audit log. VerdictRecord::to_string() renders
+  /// one as its one-line text ("ALERT ...", "SPAWN ...").
   void audit(VerdictRecord rec) { tenant_.audit.append(std::move(rec)); }
-  /// Legacy formatted view of the audit log, one line per record.
-  const std::vector<std::string>& event_log() const { return tenant_.audit.formatted(); }
-  /// Clear the audit layer -- both the structured log and the formatted
-  /// view, which can never diverge. The trace (below) is a separate,
-  /// training-oriented surface and is deliberately not touched: see
-  /// os/auditlog.h.
+  /// Clear the audit log. The trace (below) is a separate, training-oriented
+  /// surface and is deliberately not touched: see os/auditlog.h.
   void clear_events() { tenant_.audit.reset(); }
 
   // ---- tracing (training telemetry; not part of the audit layer) ----
@@ -219,8 +219,9 @@ class Kernel {
   /// The software trap handler. Entered by the VM on a SYSCALL instruction;
   /// `call_site` is the address of the trapping instruction (derived from
   /// the interrupt return address in the real system). Runs the pipeline:
-  /// capture, enforce, dispatch, audit. An Inline-tier hit replaces the
-  /// enforce stage with the lattice's probe and fires no stage hook.
+  /// pre-trap hook, capture, enforce, dispatch, audit. An Inline-tier hit
+  /// replaces the enforce stage with the lattice's probe and fires no stage
+  /// hook after PreTrap.
   void on_syscall(Process& p, std::uint32_t call_site);
 
  private:

@@ -17,16 +17,26 @@
 
 namespace asc::os {
 
-/// The four stage boundaries of the trap pipeline, in execution order. The
-/// kernel's stage hook (Kernel::set_stage_hook) fires at each boundary with
-/// the in-flight context -- the seams where lifecycle chaos (key rotation,
-/// teardown, double invalidation) can be injected mid-trap. A killed trap
-/// ends at Enforce; Dispatch and Audit fire only for calls that proceed.
+/// The stage boundaries of the trap pipeline. The kernel's stage hook
+/// (Kernel::set_stage_hook) fires at each boundary with the in-flight
+/// context -- the seams where tests observe a trap and where lifecycle chaos
+/// (key rotation, teardown, double invalidation) is injected mid-trap. A
+/// killed trap ends at Enforce; Dispatch and Audit fire only for calls that
+/// proceed, and an Inline-tier hit fires none of Trap..Audit.
+///
+/// PreTrap fires FIRST on every trap, inline hits included, but is numbered
+/// LAST, so that tracers indexing spans by stage number (perfbench) keep
+/// Trap..Audit at 0..3 and ignore a stage they do not know. It runs at the
+/// caller's trap depth, before a parked rekey lands and before the inline
+/// probe, with only pid, call_site and sysno captured -- the registers and
+/// guest memory are still the guest's, so a hook may tamper with them
+/// exactly where an attacker would strike.
 enum class TrapStage : std::uint8_t {
   Trap,      // context captured, before the monitor inspects
   Enforce,   // monitor verdict in hand, before the failure mode applies
   Dispatch,  // syscall handler returned, result in r0
   Audit,     // trap complete (trace recorded), about to return to the guest
+  PreTrap,   // SYSCALL executed, nothing captured or charged yet (fires first)
 };
 
 inline std::string trap_stage_name(TrapStage s) {
@@ -35,6 +45,7 @@ inline std::string trap_stage_name(TrapStage s) {
     case TrapStage::Enforce: return "enforce";
     case TrapStage::Dispatch: return "dispatch";
     case TrapStage::Audit: return "audit";
+    case TrapStage::PreTrap: return "pre-trap";
   }
   return "?";
 }

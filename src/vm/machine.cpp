@@ -116,11 +116,10 @@ RunResult Machine::run_internal(const binary::Image& image, const std::vector<st
   setup_initial_stack(p, argv);
 
   RunResult res;
-  // The hooks' contract is per-instruction observation, which the threaded
-  // engine deliberately does not provide -- hooked runs (attack tests) take
-  // the reference interpreter regardless of the dispatch setting.
-  const bool threaded = dispatch_ == DispatchMode::Threaded && !pre_instr_hook &&
-                        !pre_syscall_hook;
+  // pre_instr_hook's contract is per-instruction observation, which the
+  // threaded engine deliberately does not provide -- such runs take the
+  // reference interpreter regardless of the dispatch setting.
+  const bool threaded = dispatch_ == DispatchMode::Threaded && !pre_instr_hook;
   try {
     if (threaded) {
       p.predecode.set_fusion(superinstructions_);
@@ -134,10 +133,6 @@ RunResult Machine::run_internal(const binary::Image& image, const std::vector<st
           break;
         }
         if (pre_instr_hook) pre_instr_hook(p);
-        if (pre_syscall_hook && p.mem.in_range(p.cpu.pc) &&
-            p.mem.r8(p.cpu.pc) == static_cast<std::uint8_t>(isa::Op::Syscall)) {
-          pre_syscall_hook(p, p.cpu.pc);
-        }
         Cpu::step(p, kernel_);
       }
     }

@@ -76,10 +76,11 @@ class Machine {
   void set_cycle_limit(std::uint64_t limit) { cycle_limit_ = limit; }
 
   /// Select the execution engine. Defaults to Threaded (override with
-  /// ASC_DISPATCH=switch in the environment). Runs with pre_instr_hook or
-  /// pre_syscall_hook installed always take the switch interpreter: the
-  /// hooks' contract is per-instruction observation, which the threaded
-  /// engine deliberately does not provide.
+  /// ASC_DISPATCH=switch in the environment). Only a run with pre_instr_hook
+  /// installed takes the switch interpreter: that hook's contract is
+  /// per-instruction observation, which the threaded engine deliberately
+  /// does not provide. Trap hooks (Kernel::set_stage_hook, PreTrap included)
+  /// fire inside the kernel and leave the threaded engine on.
   void set_dispatch(DispatchMode mode) { dispatch_ = mode; }
   DispatchMode dispatch() const { return dispatch_; }
   /// Superinstruction fusion toggle for the threaded engine (differential
@@ -87,12 +88,10 @@ class Machine {
   void set_superinstructions(bool on) { superinstructions_ = on; }
   bool superinstructions() const { return superinstructions_; }
 
-  /// Test hooks. `pre_syscall_hook` fires just before the kernel sees each
-  /// SYSCALL (after the trap, before checking) -- attack tests use it to
-  /// tamper with registers/memory at precise moments. `pre_instr_hook`
-  /// fires before every instruction.
+  /// Test hook fired before every instruction (forces the switch
+  /// interpreter). To act just before the kernel sees a SYSCALL, use the
+  /// kernel's PreTrap stage hook instead.
   std::function<void(os::Process&)> pre_instr_hook;
-  std::function<void(os::Process&, std::uint32_t call_site)> pre_syscall_hook;
 
  private:
   RunResult run_internal(const binary::Image& image, const std::vector<std::string>& argv,

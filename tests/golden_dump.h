@@ -106,7 +106,7 @@ inline std::string golden_trap_dump() {
     golden_detail::dump_run(out, "vuln_echo", r2);
 
     out += "audit:\n";
-    for (const auto& e : sys.kernel().event_log()) out += e + "\n";
+    for (const auto& rec : sys.kernel().audit_log()) out += rec.to_string() + "\n";
   }
   return out;
 }

@@ -337,7 +337,7 @@ TEST(AscCacheRun, GuestWriteIntoCachedRangeEvicts) {
   std::size_t watches_after = 0;
   std::size_t sites_before = 0;
   std::size_t sites_after = 0;
-  sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
+  testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t) {
     if (++calls != 6) return;
     const std::uint32_t mac_ptr = p.cpu.regs[isa::kRegCallMac];
     if (p.mem.in_range(mac_ptr, 16)) {
@@ -347,7 +347,7 @@ TEST(AscCacheRun, GuestWriteIntoCachedRangeEvicts) {
       watches_after = p.mem.watch_count();
       sites_after = sys.kernel().tier_table().sites(p.pid);
     }
-  };
+  });
   const auto r = run_cat(sys);
   ASSERT_TRUE(r.completed) << r.violation_detail;
   EXPECT_LT(sites_after, sites_before) << "watched write did not drop the record";
@@ -371,9 +371,9 @@ TEST(AscCacheRun, ProcessTeardownEvictsItsEntries) {
   System sys(kPers);
   std::size_t live_during_run = 0;
   int calls = 0;
-  sys.machine().pre_syscall_hook = [&](os::Process&, std::uint32_t) {
+  testing::on_pre_trap(sys.kernel(), [&](os::Process&, std::uint32_t) {
     if (++calls == 8) live_during_run = sys.kernel().tier_table().sites();
-  };
+  });
   const auto r = run_cat(sys);
   ASSERT_TRUE(r.completed) << r.violation_detail;
   EXPECT_GT(live_during_run, 0u) << "no record populated while the process ran";

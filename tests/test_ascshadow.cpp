@@ -252,7 +252,7 @@ TEST(AscShadowRun, GuestRecordLagsUntilAWriteForcesWriteBack) {
   bool saw_dirty = false;
   std::size_t watches_before = 0;
   std::size_t watches_after = 0;
-  sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
+  testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t) {
     if (++calls != 8) return;
     const std::uint32_t lb = p.cpu.regs[isa::kRegStatePtr];
     if (!p.mem.in_range(lb, kStateSize)) return;
@@ -271,7 +271,7 @@ TEST(AscShadowRun, GuestRecordLagsUntilAWriteForcesWriteBack) {
     // slow path re-verifies it and the run completes.
     p.mem.w32(lb, trusted_block);
     EXPECT_EQ(sys.kernel().tier_table().shadow(p.pid), nullptr) << "the write must drop it";
-  };
+  });
   const auto r = run_cat(sys);
   ASSERT_TRUE(r.completed) << r.violation_detail;
   EXPECT_TRUE(saw_dirty) << "hits alone must leave the guest record stale";
@@ -283,7 +283,7 @@ TEST(AscShadowRun, KeyRotationFlushesTheShadowMidRun) {
   System sys(kPers);
   int calls = 0;
   bool rotated = false;
-  sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
+  testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t) {
     if (++calls != 8 || sys.kernel().tier_table().shadow(p.pid) == nullptr) return;
     const std::size_t watches = p.mem.watch_count();
     // Rotation writes dirty records back under the OLD key before the new
@@ -294,7 +294,7 @@ TEST(AscShadowRun, KeyRotationFlushesTheShadowMidRun) {
     EXPECT_EQ(sys.kernel().tier_table().shadow(p.pid), nullptr);
     EXPECT_LT(p.mem.watch_count(), watches) << "flushed state must unwatch";
     EXPECT_EQ(sys.kernel().tier_table().sites(), 0u) << "rotation drops the site records too";
-  };
+  });
   const auto r = run_cat(sys);
   ASSERT_TRUE(r.completed) << r.violation_detail;
   EXPECT_TRUE(rotated);
@@ -304,11 +304,11 @@ TEST(AscShadowRun, KeyRotationFlushesTheShadowMidRun) {
 TEST(AscShadowRun, DisablingMidRunResumesTheEagerProtocolCoherently) {
   System sys(kPers);
   int calls = 0;
-  sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
+  testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t) {
     if (++calls != 8 || !sys.kernel().tier_table().shadow_enabled()) return;
     sys.kernel().set_policy_shadow(false);
     EXPECT_EQ(sys.kernel().tier_table().shadow(p.pid), nullptr);
-  };
+  });
   const auto r = run_cat(sys);
   ASSERT_TRUE(r.completed) << r.violation_detail;
   const os::TierStats st = sys.kernel().tier_stats();
@@ -385,7 +385,6 @@ TEST(AscShadowRun, CampaignVerdictsAreIdenticalAcrossJobCounts) {
     cfg.runs_per_class = 4;
     cfg.classes = {fault::MutationClass::PolicyStateCorrupt, fault::MutationClass::CrossReplay,
                    fault::MutationClass::ShadowToctou};
-    cfg.cycle_limit = 200'000'000;
     cfg.executor = &ex;
     return fault::Campaign(cfg).run(g);
   };

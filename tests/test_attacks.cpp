@@ -76,13 +76,13 @@ struct VulnSetup {
     // Recon run: capture the buffer address at the stdin read. Execution is
     // deterministic, so the address is identical in the attack run.
     const std::uint16_t read_no = *os::syscall_number(os::Personality::LinuxSim, os::SysId::Read);
-    sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
+    testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t) {
       if (p.cpu.regs[0] == read_no && p.cpu.regs[1] == 0 && buf_addr == 0) {
         buf_addr = p.cpu.regs[2];
       }
-    };
+    });
     auto r = sys.machine().run(inst.image, {}, "legit.txt\n");
-    sys.machine().pre_syscall_hook = nullptr;
+    sys.kernel().set_stage_hook({});
     EXPECT_TRUE(r.completed);
     EXPECT_NE(buf_addr, 0u);
   }
@@ -97,8 +97,8 @@ struct VulnSetup {
   }
 
   bool spawned_shell() {
-    for (const auto& e : sys.kernel().event_log()) {
-      if (e.find("SPAWN /bin/sh") != std::string::npos) return true;
+    for (const auto& rec : sys.kernel().audit_log()) {
+      if (rec.to_string().find("SPAWN /bin/sh") != std::string::npos) return true;
     }
     return false;
   }
@@ -248,7 +248,7 @@ TEST(Attacks, ReplayOfPolicyStateIsDetectedByCounter) {
   std::vector<std::uint8_t> snapshot;
   std::uint32_t lb_ptr = 0;
   int count = 0;
-  sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
+  testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t) {
     ++count;
     if (count == 2) {
       // After call #1 the state holds {block1, MAC(block1, 1)}.
@@ -257,7 +257,7 @@ TEST(Attacks, ReplayOfPolicyStateIsDetectedByCounter) {
     } else if (count == 5 && !snapshot.empty()) {
       p.mem.write_bytes(lb_ptr, snapshot);  // replay stale state
     }
-  };
+  });
   auto r = sys.machine().run(inst.image, {"/lines.txt"});
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.violation, os::Violation::BadPolicyState) << r.violation_detail;
@@ -268,12 +268,12 @@ TEST(Attacks, TamperedPolicyDescriptorIsDetected) {
   testing::prepare_fs(sys.kernel().fs());
   auto inst = sys.install(apps::build_tool_cat(os::Personality::LinuxSim));
   int count = 0;
-  sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
+  testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t) {
     if (++count == 3) {
       // Clear the argument-constraint bits, pretending nothing is checked.
       p.cpu.regs[isa::kRegPolicyDescriptor] &= 3u;
     }
-  };
+  });
   auto r = sys.machine().run(inst.image, {"/lines.txt"});
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.violation, os::Violation::BadCallMac);
@@ -331,7 +331,7 @@ vm::RunResult run_frankenstein(bool unique_ids, os::Violation* violation_out) {
   int syscalls_seen = 0;
   auto& machine = sys.machine();
   machine.kernel().set_tracing(true);
-  machine.pre_syscall_hook = [&](os::Process&, std::uint32_t) { ++syscalls_seen; };
+  testing::on_pre_trap(machine.kernel(), [&](os::Process&, std::uint32_t) { ++syscalls_seen; });
   machine.pre_instr_hook = [&](os::Process& p) {
     // Splice and redirect only AFTER A's own authenticated getpid retired
     // (the splice must not clobber live code/blobs A still needs).

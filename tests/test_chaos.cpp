@@ -45,9 +45,9 @@ int count_kind(System& sys, os::AuditKind kind) {
   return n;
 }
 
-// Driver: run cat once with a per-call hook; the hook sees the kernel
-// BEFORE each trap is verified, giving a deterministic cycle model of the
-// health machine (call index = time).
+// Driver: run cat once with a per-call PreTrap hook; the hook sees the
+// kernel BEFORE each trap is verified, giving a deterministic cycle model
+// of the health machine (call index = time).
 struct HookedRun {
   System sys{kPers};
   GuestProgram guest = cat_guest();
@@ -60,9 +60,9 @@ struct HookedRun {
   }
 
   vm::RunResult run(const std::function<void(os::Process&, int)>& at_call) {
-    sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
+    testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t) {
       at_call(p, ++calls);
-    };
+    });
     return sys.machine().run(installed, guest.argv, guest.stdin_data);
   }
 };
@@ -310,7 +310,6 @@ TEST(ChaosEngineLifecycle, LifecycleClassesMeetExpectations) {
   cfg.runs_per_class = 6;
   cfg.classes = {MutationClass::RotationDuringTrap, MutationClass::TeardownMidVerify,
                  MutationClass::DoubleInvalidation};
-  cfg.cycle_limit = 200'000'000;
   fault::Campaign campaign(cfg);
   const fault::CampaignResult r = campaign.run(cat_guest());
 
@@ -342,7 +341,6 @@ TEST(ChaosEngineLifecycle, ExplicitSpecsReplayVerdictsExactly) {
   cfg.seed = 99;
   cfg.runs_per_class = 4;
   cfg.classes = {MutationClass::CallMacFlip, MutationClass::PolicyStateCorrupt};
-  cfg.cycle_limit = 200'000'000;
   const fault::CampaignResult first = fault::Campaign(cfg).run(cat_guest());
   ASSERT_FALSE(first.verdicts.empty());
 
@@ -384,32 +382,19 @@ TEST(ChaosEngineRun, SmallStormIsSoundAndDeterministic) {
 }
 
 TEST(ChaosEngineRun, InlineTierStormIsSoundAndStreamsStayLegacyCompatible) {
-  // With the Inline tier on, every tenant kernel promotes eligible sites,
-  // the Tamper pool includes promo-toctou, and the pool gains the pidloop
-  // guest -- and the run must still be sound: the post-run oracles assert
-  // zero inline sites survive between runs, so teardown demotion works
-  // under churn.
+  // Every tenant kernel runs the Inline tier and promotes eligible sites,
+  // the Tamper pool includes promo-toctou, and the pool includes the
+  // pidloop guest -- and the run must still be sound: the post-run oracles
+  // assert zero inline sites survive between runs, so teardown demotion
+  // works under churn.
   fault::ChaosConfig cfg;
   cfg.seed = 424242;
   cfg.tenants = 16;
-  cfg.inline_tier = true;
   const fault::ChaosResult a = fault::ChaosEngine(cfg).run();
   const fault::ChaosResult b = fault::ChaosEngine(cfg).run();
   EXPECT_TRUE(a.ok()) << a.summary();
   ASSERT_EQ(a.lifecycles.size(), 16u);
   EXPECT_EQ(a.verdict_trace, b.verdict_trace) << "inline chaos run is not deterministic";
-
-  // The flag is additive: the legacy config's verdict trace is bit-for-bit
-  // what it was before the tier existed (same seed, inline off).
-  fault::ChaosConfig legacy;
-  legacy.seed = 424242;
-  legacy.tenants = 10;
-  const fault::ChaosResult off = fault::ChaosEngine(legacy).run();
-  EXPECT_TRUE(off.ok()) << off.summary();
-  for (const auto& lc : off.lifecycles) {
-    EXPECT_EQ(lc.plan_repr.find("promo-toctou"), std::string::npos)
-        << "legacy stream drew promo-toctou: " << lc.plan_repr;
-  }
 }
 
 TEST(ChaosEngineRun, WatchStatsBalanceAcrossLifecycles) {

@@ -25,9 +25,9 @@ struct Harness {
   /// Run with a one-shot register/memory mutation at syscall `n`.
   vm::RunResult run_with(int n, std::function<void(os::Process&)> mutate) {
     int count = 0;
-    sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
+    testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t) {
       if (++count == n) mutate(p);
-    };
+    });
     return sys.machine().run(inst.image, {"/lines.txt"});
   }
 };
@@ -103,9 +103,9 @@ TEST(CheckerEdge, SwappingTwoAuthenticStringsIsCaught) {
   ASSERT_NE(conf, 0u);
   const std::uint16_t spawn_no =
       *os::syscall_number(os::Personality::LinuxSim, os::SysId::Spawn);
-  sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
+  testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t) {
     if (p.cpu.regs[0] == spawn_no) p.cpu.regs[1] = conf;  // authentic, wrong string
-  };
+  });
   auto r = sys.machine().run(inst.image, {}, "x\n");
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.violation, os::Violation::BadCallMac);
@@ -215,12 +215,12 @@ TEST(CheckerEdge, PolicyStateReplayedFromAnotherProcessIsCaught) {
     // stale record, making the graft a no-op instead of a replay.
     a.sys.kernel().set_policy_shadow(false);
     int count = 0;
-    a.sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
+    testing::on_pre_trap(a.sys.kernel(), [&](os::Process& p, std::uint32_t) {
       if (++count == 3 && p.mem.in_range(p.cpu.regs[isa::kRegStatePtr],
                                          policy::kPolicyStateSize)) {
         donor = p.mem.read_bytes(p.cpu.regs[isa::kRegStatePtr], policy::kPolicyStateSize);
       }
-    };
+    });
     auto r = a.sys.machine().run(a.inst.image, {"/lines.txt"});
     ASSERT_TRUE(r.completed);
     ASSERT_EQ(donor.size(), policy::kPolicyStateSize);

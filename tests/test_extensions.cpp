@@ -101,12 +101,12 @@ TEST(Patterns, LyingHintIsKilledEvenForMatchingPath) {
   // Corrupt the hint right before the open (simulating a compromised app
   // presenting a bogus proof for a matching argument).
   const auto open_no = *os::syscall_number(os::Personality::LinuxSim, os::SysId::Open);
-  sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
+  testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t) {
     if (p.cpu.regs[0] == open_no) {
       const std::uint32_t hint_ptr = p.cpu.regs[isa::kRegHintPtr];
       p.mem.w32(hint_ptr + 4, p.mem.r32(hint_ptr + 4) + 1);
     }
-  };
+  });
   auto r = sys.machine().run(inst.image);
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.violation, os::Violation::BadPattern);
@@ -198,11 +198,11 @@ TEST(Capability, FdProvenanceEnforced) {
 
   // Compromised run: swap in the OTHER open's fd at the read.
   const auto read_no = *os::syscall_number(os::Personality::LinuxSim, os::SysId::Read);
-  sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
+  testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t) {
     if (p.cpu.regs[0] == read_no && p.cpu.regs[1] != 0) {
       p.cpu.regs[1] += 1;  // fd B was allocated right after fd A
     }
-  };
+  });
   auto r2 = sys.machine().run(inst.image);
   EXPECT_FALSE(r2.completed);
   EXPECT_EQ(r2.violation, os::Violation::BadCapability) << r2.violation_detail;

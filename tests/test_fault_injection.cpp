@@ -53,7 +53,6 @@ TEST(FaultCampaign, InvariantHoldsAcrossFiveHundredMutations) {
   CampaignConfig cfg;
   cfg.seed = 20260806;
   cfg.runs_per_class = 28;  // 2 programs x 11 classes x 28 = 616 executions
-  cfg.cycle_limit = 200'000'000;
   Campaign campaign(cfg);
   const CampaignResult r = campaign.run_all({cat_guest(), vuln_echo_guest()});
 
@@ -93,7 +92,6 @@ TEST(FaultCampaign, CacheToctouMutationsFailStop) {
   cfg.seed = 987654;
   cfg.runs_per_class = 40;
   cfg.classes = {MutationClass::CacheToctou};
-  cfg.cycle_limit = 200'000'000;
   const CampaignResult r = Campaign(cfg).run_all({cat_guest(), vuln_echo_guest()});
 
   EXPECT_TRUE(r.invariant_holds()) << r.summary();
@@ -119,7 +117,6 @@ TEST(FaultCampaign, ShadowToctouMutationsFailStop) {
   cfg.seed = 424242;
   cfg.runs_per_class = 60;
   cfg.classes = {MutationClass::ShadowToctou};
-  cfg.cycle_limit = 200'000'000;
   const CampaignResult r = Campaign(cfg).run_all({cat_guest(), vuln_echo_guest()});
 
   EXPECT_TRUE(r.invariant_holds()) << r.summary();
@@ -173,14 +170,10 @@ TEST(FaultCampaign, PromoToctouMutationsFailStop) {
   cfg.seed = 80808;
   cfg.runs_per_class = 60;
   cfg.classes = {MutationClass::PromoToctou};
-  cfg.cycle_limit = 200'000'000;
-  // Inline tier on with a low promotion threshold, so sites promote early
-  // and most triggers land inside the trap-less window. The clean run pins
-  // the shadow off, so its behavior snapshots see no promotion at all.
-  cfg.configure_kernel = [](os::Kernel& k) {
-    k.set_inline_tier(true);
-    k.tier_table().set_inline_threshold(2);
-  };
+  // Every lifecycle kernel runs the inline tier at a low promotion
+  // threshold, so sites promote early and most triggers land inside the
+  // trap-less window. The clean run pins the shadow off, so its behavior
+  // snapshots see no promotion at all.
   const CampaignResult r = Campaign(cfg).run_all(
       {loop_guest("pidloop", "sys_getpid"), loop_guest("uidloop", "sys_getuid")});
 
@@ -200,11 +193,42 @@ TEST(FaultCampaign, PromoToctouMutationsFailStop) {
   EXPECT_GT(row.count(os::Violation::BadPolicyState), 0u) << r.summary();
 }
 
+// ---- hooked runs stay on the threaded engine ----
+// The injector strikes from the kernel's stage hook (PreTrap for a
+// trap-stage tamper), so an armed run predecodes and fuses like any other,
+// and its verdict and modeled cycles match the reference interpreter's.
+TEST(FaultCampaign, ArmedInjectorRunsThreadedAndMatchesTheInterpreter) {
+  const GuestProgram g = cat_guest();
+  for (const char* repr : {"call-mac-flip:5:0x2a:trap", "policy-state-corrupt:4:0x99:dispatch",
+                           "rotation-during-trap:3:0x7:enforce"}) {
+    auto run = [&](vm::DispatchMode mode) {
+      System sys(kPers);
+      g.prepare_fs(sys.kernel().fs());
+      const auto inst = sys.install(g.image);
+      sys.machine().set_dispatch(mode);
+      fault::FaultInjector inj(*fault::parse_spec(repr));
+      inj.set_rotation_key(wrong_key());
+      inj.arm(sys.kernel());
+      const vm::RunResult r = sys.machine().run(inst.image, g.argv, g.stdin_data);
+      EXPECT_TRUE(inj.applied()) << repr;
+      return r;
+    };
+    const vm::RunResult threaded = run(vm::DispatchMode::Threaded);
+    const vm::RunResult reference = run(vm::DispatchMode::Switch);
+    EXPECT_GT(threaded.predecode.blocks, 0u) << repr << ": the hooked run left the engine";
+    EXPECT_EQ(reference.predecode.blocks, 0u) << repr;
+    EXPECT_NE(threaded.violation, os::Violation::None) << repr;
+    EXPECT_EQ(threaded.violation, reference.violation) << repr;
+    EXPECT_EQ(threaded.completed, reference.completed) << repr;
+    EXPECT_EQ(threaded.cycles, reference.cycles) << repr;
+    EXPECT_EQ(threaded.stdout_data, reference.stdout_data) << repr;
+  }
+}
+
 TEST(FaultCampaign, IsDeterministicUnderASeed) {
   CampaignConfig cfg;
   cfg.seed = 77;
   cfg.runs_per_class = 3;
-  cfg.cycle_limit = 200'000'000;
   const CampaignResult a = Campaign(cfg).run(cat_guest());
   const CampaignResult b = Campaign(cfg).run(cat_guest());
   ASSERT_EQ(a.verdicts.size(), b.verdicts.size());
@@ -225,7 +249,6 @@ TEST(FaultCampaign, AuditOnlyYieldsSameVerdictsWithoutKilling) {
   CampaignConfig strict;
   strict.seed = 42;
   strict.runs_per_class = 4;
-  strict.cycle_limit = 200'000'000;
   CampaignConfig permissive = strict;
   permissive.mode = os::FailureMode::AuditOnly;
 
@@ -344,12 +367,8 @@ TEST(AuditLog, RecordsCarryFullTrapContext) {
   EXPECT_GT(spawn->vtime_ns, 0u);
   EXPECT_NE(spawn->detail.find("/bin/ls"), std::string::npos);
 
-  // The legacy formatted view still carries the historical prefixes.
-  bool legacy = false;
-  for (const auto& e : sys.kernel().event_log()) {
-    if (e.find("SPAWN /bin/ls") != std::string::npos) legacy = true;
-  }
-  EXPECT_TRUE(legacy);
+  // The one-line rendering still carries the historical prefixes.
+  EXPECT_NE(spawn->to_string().find("SPAWN /bin/ls"), std::string::npos);
 }
 
 TEST(AuditLog, ViolationRecordMatchesProcessVerdict) {

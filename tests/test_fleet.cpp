@@ -105,7 +105,6 @@ TEST(FleetDriver, PerTenantKeysAreByteDeterministicAtJobs128) {
   cfg.seed = 42;
   cfg.tenants = 48;
   cfg.tamper_tenants = {5, 23};
-  cfg.per_tenant_keys = true;
 
   std::vector<fleet::FleetResult> results;
   for (const int jobs : {1, 2, 8}) {
@@ -193,14 +192,16 @@ TEST(FleetDriver, HeavyChurnKeepsShardBookkeepingBalanced) {
 }
 
 // ---- the Inline tier at fleet scale: respawn churn must tear tier state
-// all the way down (the fleet.cpp oracle trips on any surviving site) ----
+// all the way down (the lifecycle oracle trips on any surviving site) ----
 
 TEST(FleetDriver, InlineTierStateIsTornDownBetweenTenantRespawns) {
   fleet::FleetConfig cfg;
   cfg.seed = 13;
   cfg.tenants = 24;
   cfg.respawn_every = 1;  // EVERY tenant runs twice on the same kernel
-  cfg.inline_tier = true;
+  // The default pool plus the getpid loop: the guest whose site promotes.
+  cfg.guests = fleet::default_fleet_guests(fault::kPersonality);
+  cfg.guests.push_back(fault::getpid_loop_guest(fault::kPersonality));
 
   const fleet::FleetResult r = run_fleet(cfg, 4);
   // Zero trips = after every run (including the first of each respawn pair)
@@ -211,8 +212,8 @@ TEST(FleetDriver, InlineTierStateIsTornDownBetweenTenantRespawns) {
   for (const auto& tv : r.tenants) {
     EXPECT_EQ(tv.runs, 2) << "tenant " << tv.tenant;
   }
-  // The pidloop guest joined the pool and at least one tenant drew it (24
-  // tenants over a 5-guest pool): the run exercised actual promotion.
+  // At least one tenant drew the pidloop guest (24 tenants over a 5-guest
+  // pool): the run exercised actual promotion.
   const bool saw_pidloop =
       std::any_of(r.tenants.begin(), r.tenants.end(),
                   [](const fleet::TenantVerdict& tv) { return tv.guest == "pidloop"; });

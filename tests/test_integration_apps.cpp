@@ -120,8 +120,8 @@ TEST(AppIntegration, SpawnedChildrenAreCheckedToo) {
   EXPECT_TRUE(r.completed) << r.violation_detail;
   EXPECT_NE(r.stdout_data.find("apple"), std::string::npos);  // child output
   bool spawned = false;
-  for (const auto& e : sys.kernel().event_log()) {
-    if (e.find("SPAWN /bin/ls") != std::string::npos) spawned = true;
+  for (const auto& rec : sys.kernel().audit_log()) {
+    if (rec.to_string().find("SPAWN /bin/ls") != std::string::npos) spawned = true;
   }
   EXPECT_TRUE(spawned);
 }

@@ -142,7 +142,7 @@ TEST_P(RandomTampering, AlwaysDetected) {
   const int action = static_cast<int>(rng.next_below(6));
   int count = 0;
   bool tampered = false;
-  sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
+  testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t) {
     if (++count != target) return;
     tampered = true;
     auto& regs = p.cpu.regs;
@@ -177,7 +177,7 @@ TEST_P(RandomTampering, AlwaysDetected) {
         break;
       }
     }
-  };
+  });
   auto r = sys.machine().run(inst.image, {"/lines.txt"});
   ASSERT_TRUE(tampered) << "cat must make at least " << target << " syscalls";
   EXPECT_FALSE(r.completed) << "tampering action " << action << " went undetected";

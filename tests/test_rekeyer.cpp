@@ -175,9 +175,9 @@ TEST(Rekeyer, LiveRekeyMidRunIsTransparent) {
   System sys(kPers);
   testing::prepare_fs(sys.kernel().fs());
   int calls = 0;
-  sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t) {
+  testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t) {
     if (++calls == 3) sys.kernel().rekey(p, k2, rk.view);
-  };
+  });
   const vm::RunResult r = sys.machine().run(inst.image, {"/lines.txt", "/in.c"});
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.violation, os::Violation::None) << r.violation_detail;
@@ -217,7 +217,6 @@ TEST(Rekeyer, ToctouCampaignNeverEscapes) {
   cfg.seed = 20260808;
   cfg.runs_per_class = 60;  // 2 guests x 60 = 120 executions
   cfg.classes = {MutationClass::RekeyToctou};
-  cfg.cycle_limit = 200'000'000;
   const CampaignResult r = Campaign(cfg).run_all({cat_guest(), vuln_echo_guest()});
 
   EXPECT_EQ(static_cast<int>(r.verdicts.size()), 120);

@@ -6,6 +6,7 @@
 // still fail-stops through the full pipeline.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -17,6 +18,7 @@
 #include "os/tiertable.h"
 #include "policy/policy.h"
 #include "tasm/assembler.h"
+#include "workloads.h"
 
 namespace asc {
 namespace {
@@ -67,9 +69,9 @@ LoopRun run_pidloop(bool inline_on, std::uint32_t threshold = 4,
   sys.kernel().tier_table().set_inline_threshold(threshold);
   if (prep) prep(sys);
   if (hook) {
-    sys.machine().pre_syscall_hook = [&](os::Process& p, std::uint32_t site) {
+    testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t site) {
       hook(sys, p, site);
-    };
+    });
   }
   const auto inst = sys.install(build_pidloop());
   LoopRun lr;
@@ -180,6 +182,24 @@ TEST(TierTableRun, InlineHitTracesLikeTheFullPipeline) {
     EXPECT_EQ(a.ret, b.ret) << "entry " << i;
     EXPECT_EQ(a.path, b.path) << "entry " << i;
   }
+}
+
+// PreTrap fires on every trap, inline hits included; an inline hit fires no
+// Trap..Audit stage, which is how a stage tracer tells the two apart.
+TEST(TierTableRun, PreTrapFiresOnEveryTrapAndInlineHitsFireNoOtherStage) {
+  std::array<std::uint64_t, 5> fired{};
+  const LoopRun on = run_pidloop(true, 4, [&](System& sys) {
+    sys.kernel().set_stage_hook([&](os::Process&, os::TrapContext&, os::TrapStage s) {
+      ++fired[static_cast<std::size_t>(s)];
+    });
+  });
+  ASSERT_TRUE(on.result.completed) << on.result.violation_detail;
+  ASSERT_GT(on.stats.inline_hits, kIters / 2u);
+  auto count = [&](os::TrapStage s) { return fired[static_cast<std::size_t>(s)]; };
+  EXPECT_EQ(count(os::TrapStage::PreTrap), on.result.syscalls);
+  EXPECT_EQ(count(os::TrapStage::Trap), on.result.syscalls - on.stats.inline_hits);
+  EXPECT_EQ(count(os::TrapStage::Enforce), count(os::TrapStage::Trap));
+  EXPECT_EQ(count(os::TrapStage::Audit), count(os::TrapStage::Trap));
 }
 
 TEST(TierTableRun, InlineTierIsOffByDefault) {

@@ -278,16 +278,13 @@ TEST(TrapPipelineAudit, ResetClearsBothViewsAndLeavesTheTraceAlone) {
 
   auto& k = sys.kernel();
   ASSERT_FALSE(k.audit_log().empty());
-  // The two views can never diverge in length.
-  EXPECT_EQ(k.audit_log().size(), k.event_log().size());
   const std::size_t traced = k.trace().size();
   ASSERT_GT(traced, 0u);
 
-  // clear_events() == AuditLog::reset(): both audit views go, the trace
+  // clear_events() == AuditLog::reset(): the audit log goes, the trace
   // stays (training clears the trace separately between sample runs).
   k.clear_events();
   EXPECT_TRUE(k.audit_log().empty());
-  EXPECT_TRUE(k.event_log().empty());
   EXPECT_EQ(k.trace().size(), traced);
 
   k.clear_trace();
@@ -302,11 +299,9 @@ TEST(TrapPipelineAudit, AuditLogUnitAppendAndReset) {
   rec.detail = "send 1 bytes";
   log.append(rec);
   ASSERT_EQ(log.records().size(), 1u);
-  ASSERT_EQ(log.formatted().size(), 1u);
-  EXPECT_EQ(log.formatted()[0], log.records()[0].to_string());
+  EXPECT_EQ(log.records()[0].to_string(), "NET send 1 bytes (pid=7 sysno=0 site=0x0)");
   log.reset();
   EXPECT_TRUE(log.records().empty());
-  EXPECT_TRUE(log.formatted().empty());
 }
 
 }  // namespace

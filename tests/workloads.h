@@ -2,8 +2,10 @@
 // and the filesystem fixtures they expect.
 #pragma once
 
+#include <functional>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/asc.h"
@@ -22,6 +24,16 @@ inline void PrintTo(const Workload& w, std::ostream* os) {
   *os << w.program;
   for (const auto& a : w.argv) *os << ' ' << a;
   if (!w.stdin_data.empty()) *os << " < " << w.stdin_data.size() << "-byte stdin";
+}
+
+/// Run `hook(p, call_site)` at the PreTrap stage of every trap `k` takes:
+/// the SYSCALL has executed (p.cpu.pc already points past it), and the
+/// kernel has not yet captured or checked anything. Replaces any stage hook.
+inline void on_pre_trap(os::Kernel& k, std::function<void(os::Process&, std::uint32_t)> hook) {
+  k.set_stage_hook(
+      [hook = std::move(hook)](os::Process& p, os::TrapContext& ctx, os::TrapStage s) {
+        if (s == os::TrapStage::PreTrap) hook(p, ctx.call_site);
+      });
 }
 
 /// Populate a fresh simulated FS with the files the standard workloads use.
