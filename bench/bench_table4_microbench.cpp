@@ -9,14 +9,11 @@
 // installed; the per-call delta is exactly the enforcement layer's charge.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
-#include <span>
 #include <vector>
 
 #include "apps/libtoy.h"
 #include "core/asc.h"
-#include "crypto/cmac.h"
 #include "tasm/assembler.h"
 #include "util/stats.h"
 
@@ -126,16 +123,10 @@ enum class Mode { Off, Auth, AuthCached, AuthShadow, AuthInline };
 /// Cycles per syscall for one configuration. Subtracts a calibration run
 /// (same loop with no syscall other than exit) so only the per-call cost
 /// remains, mirroring the paper's subtraction of rdtsc/loop overhead.
-/// When `wall_ns_per_instr` is non-null it receives host wall-clock per
-/// retired guest instruction across all reps -- an INFORMATIONAL engine
-/// throughput number (host-dependent, never gated; modeled cycles above
-/// are the deterministic contract).
-double measure(Call call, Mode mode, double* wall_ns_per_instr = nullptr) {
+double measure(Call call, Mode mode) {
   const auto pers = os::Personality::LinuxSim;
   const bool authenticated = mode != Mode::Off;
   std::vector<double> samples;
-  double total_wall_ns = 0;
-  double total_instr = 0;
   for (int rep = 0; rep < kReps; ++rep) {
     System sys(pers, test_key(),
                authenticated ? os::Enforcement::Asc : os::Enforcement::Off);
@@ -154,51 +145,18 @@ double measure(Call call, Mode mode, double* wall_ns_per_instr = nullptr) {
     binary::Image img = build_loop_guest(pers, call, kIters);
     binary::Image run_img = img;
     if (authenticated) run_img = sys.install(img).image;
-    const auto t0 = std::chrono::steady_clock::now();
     auto r = sys.machine().run(run_img);
-    const auto t1 = std::chrono::steady_clock::now();
     if (!r.completed) {
       std::fprintf(stderr, "microbench run failed: %s\n", r.violation_detail.c_str());
       return 0;
     }
-    total_wall_ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
-    total_instr += static_cast<double>(r.instructions);
     // Loop-body overhead per iteration (load/cmp/sub/store/jmp + arg
     // setup): measured in instructions, negligible vs the trap; we report
     // total cycles / iterations minus nothing, exactly like the paper's
     // table which includes the (tiny) loop cost as separate rows.
     samples.push_back(static_cast<double>(r.cycles) / kIters);
   }
-  if (wall_ns_per_instr != nullptr && total_instr > 0) {
-    *wall_ns_per_instr = total_wall_ns / total_instr;
-  }
   return util::summarize_trimmed(samples).mean;
-}
-
-/// CMAC throughput (AES blocks/second) through the batched path, with the
-/// backend the process-wide policy selects. Informational: host-dependent,
-/// printed and recorded in the JSON but never gated.
-double cmac_blocks_per_sec() {
-  const crypto::Cmac cmac(test_key());
-  constexpr std::size_t kMsgBytes = 256;  // 16 blocks + the final transform
-  constexpr std::size_t kBatch = 64;
-  std::vector<std::uint8_t> msg(kMsgBytes);
-  for (std::size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<std::uint8_t>(i * 31 + 7);
-  std::vector<std::span<const std::uint8_t>> batch(kBatch, std::span<const std::uint8_t>(msg));
-  // Warm up, then time enough batches for a stable reading.
-  volatile std::uint8_t sink = cmac.compute_batch(batch)[0][0];
-  const auto t0 = std::chrono::steady_clock::now();
-  std::size_t blocks = 0;
-  constexpr int kRounds = 200;
-  for (int i = 0; i < kRounds; ++i) {
-    const auto macs = cmac.compute_batch(batch);
-    sink = sink ^ macs[static_cast<std::size_t>(i) % kBatch][0];
-    blocks += kBatch * (kMsgBytes / 16);
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  (void)sink;
-  const double secs = std::chrono::duration<double>(t1 - t0).count();
-  return secs > 0 ? static_cast<double>(blocks) / secs : 0;
 }
 
 void run_table() {
@@ -213,8 +171,7 @@ void run_table() {
   }
   bool first = true;
   for (const Row& row : kRows) {
-    double wall_ns_per_instr = 0;
-    const double orig = measure(row.call, Mode::Off, &wall_ns_per_instr);
+    const double orig = measure(row.call, Mode::Off);
     const double auth = measure(row.call, Mode::Auth);
     const double cached = measure(row.call, Mode::AuthCached);
     const double shadowed = measure(row.call, Mode::AuthShadow);
@@ -238,30 +195,14 @@ void run_table() {
                    "\"overhead_pct\": %.2f, "
                    "\"overhead_cached_pct\": %.2f, \"overhead_shadow_pct\": %.2f, "
                    "\"overhead_inline_pct\": %.2f, "
-                   "\"overhead_reduction_pct\": %.2f, \"wall_ns_per_instr\": %.3f}",
+                   "\"overhead_reduction_pct\": %.2f}",
                    first ? "" : ",\n", row.name, orig, auth, cached, shadowed, inl, ovh, ovh_c,
-                   ovh_s, ovh_i, redu, wall_ns_per_instr);
+                   ovh_s, ovh_i, redu);
       first = false;
     }
   }
-  // CMAC engine throughput: the selected backend (AES-NI when the host has
-  // it) vs the scratch reference oracle. Host wall-clock, informational.
-  const auto saved_policy = crypto::Aes128::backend_policy();
-  const double cmac_bps = cmac_blocks_per_sec();
-  crypto::Aes128::set_backend_policy(crypto::Aes128::BackendPolicy::ForceScratch);
-  const double cmac_bps_scratch = cmac_blocks_per_sec();
-  crypto::Aes128::set_backend_policy(saved_policy);
-  const bool aesni = saved_policy == crypto::Aes128::BackendPolicy::Auto &&
-                     crypto::Aes128::aesni_supported();
-  std::printf("CMAC throughput: %.1f Mblocks/s (%s), %.1f Mblocks/s (scratch), %.1fx\n",
-              cmac_bps / 1e6, aesni ? "aesni" : "scratch", cmac_bps_scratch / 1e6,
-              cmac_bps_scratch > 0 ? cmac_bps / cmac_bps_scratch : 0);
   if (json != nullptr) {
-    std::fprintf(json,
-                 "\n  ],\n  \"aes_backend\": \"%s\",\n"
-                 "  \"cmac_blocks_per_sec\": %.0f,\n"
-                 "  \"cmac_blocks_per_sec_scratch\": %.0f\n}\n",
-                 aesni ? "aesni" : "scratch", cmac_bps, cmac_bps_scratch);
+    std::fprintf(json, "\n  ]\n}\n");
     std::fclose(json);
   }
   std::printf("(each row: %u calls/loop, %d reps, hi/lo dropped, mean of the rest;\n"

@@ -15,27 +15,21 @@
 //   fault_campaign  -- the seeded mutation sweep of fault::Campaign (each
 //                      mutated replay is an independent System).
 //
-// Two kinds of columns, deliberately separated:
-//   wall_j*           measured wall seconds. Honest but host-dependent --
-//                     a single-core CI runner shows no speedup. These are
-//                     INFORMATIONAL; the regression gate ignores them.
-//   modeled_speedup_* deterministic: sum(task weights) / LPT makespan over
-//                     the per-task weights (install: input .text bytes;
-//                     campaign: modeled cycles per mutated run). Captures
-//                     the parallelism the task DAG exposes, independent of
-//                     the host. GATED, along with `deterministic`: the
-//                     jobs=2/8 outputs must be byte-identical to jobs=1.
+// modeled_speedup_* is deterministic: sum(task weights) / LPT makespan over
+// the per-task weights (install: input .text bytes; campaign: modeled cycles
+// per mutated run). It captures the parallelism the task DAG exposes,
+// independent of the host, and is GATED, along with `deterministic`: the
+// jobs=2/8 outputs must be byte-identical to jobs=1. Host time is
+// perfbench's to measure (perfbench/README.md).
 //
 // Machine-readable copy in BENCH_table5.json
 // (scripts/check_bench_regression.py knows the schema).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/asc.h"
@@ -50,12 +44,6 @@ using namespace asc;
 
 const auto kPers = os::Personality::LinuxSim;
 const int kJobs[] = {1, 2, 8};
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// sum(weights) / LPT-makespan(weights, jobs): the speedup an ideal
 /// work-stealing schedule of these tasks reaches on `jobs` workers.
@@ -79,27 +67,22 @@ void prepare_fs(os::SimFs& fs) {
            std::vector<std::uint8_t>(body.begin(), body.end()), false);
 }
 
-struct FleetRun {
-  double wall = 0;
-  std::vector<std::vector<std::uint8_t>> images;  // serialized, app order
-};
+using Images = std::vector<std::vector<std::uint8_t>>;  // serialized, app order
 
 /// Install every bundled app on a `jobs`-wide pool. Program ids are
 /// explicit (index-derived) so the output cannot depend on install order.
-FleetRun install_fleet(int jobs) {
+Images install_fleet(int jobs) {
   const auto apps = apps::build_all(kPers);
   util::Executor ex(jobs);
-  FleetRun fr;
-  fr.wall = now_seconds();
   installer::Installer inst(test_key(), kPers);
+  Images images;
   for (std::size_t i = 0; i < apps.size(); ++i) {
     installer::InstallOptions opt;
     opt.program_id = static_cast<std::uint16_t>(i + 1);
     opt.executor = &ex;
-    fr.images.push_back(inst.install(apps[i].second, opt).image.serialize());
+    images.push_back(inst.install(apps[i].second, opt).image.serialize());
   }
-  fr.wall = now_seconds() - fr.wall;
-  return fr;
+  return images;
 }
 
 /// Install every app once, keeping images AND manifests (the rekey inputs).
@@ -116,9 +99,8 @@ std::vector<installer::InstallResult> install_all_keep_manifests() {
 }
 
 struct RekeyRun {
-  double wall = 0;
-  std::vector<std::vector<std::uint8_t>> images;  // serialized, app order
-  std::size_t surface_bytes = 0;                  // MAC surface actually re-signed
+  Images images;
+  std::size_t surface_bytes = 0;  // MAC surface actually re-signed
 };
 
 /// Re-sign every installed app under a new key on a `jobs`-wide pool.
@@ -126,46 +108,34 @@ RekeyRun rekey_fleet(const std::vector<installer::InstallResult>& installed, int
   util::Executor ex(jobs);
   const crypto::Key128 nk = derived_key(5);
   RekeyRun rr;
-  rr.wall = now_seconds();
   for (const auto& inst : installed) {
     installer::RekeyResult r =
         installer::Rekeyer::rekey(inst.image, inst.manifest, test_key(), nk, &ex);
     rr.surface_bytes += r.stats.surface_bytes;
     rr.images.push_back(r.image.serialize());
   }
-  rr.wall = now_seconds() - rr.wall;
   return rr;
 }
 
-struct CampaignRun {
-  double wall = 0;
-  fault::CampaignResult result;
-};
-
-CampaignRun run_campaign(int jobs) {
+fault::CampaignResult run_campaign(int jobs) {
   util::Executor ex(jobs);
   fault::CampaignConfig cfg;
   cfg.seed = 1;
-  cfg.runs_per_class = 4;
+  cfg.runs_per_point = 4;
   cfg.executor = &ex;
   fault::GuestProgram cat;
   cat.name = "cat";
   cat.image = apps::build_tool_cat(kPers);
   cat.argv = {"/lines.txt"};
   cat.prepare_fs = prepare_fs;
-  CampaignRun cr;
-  cr.wall = now_seconds();
-  cr.result = fault::Campaign(cfg).run(cat);
-  cr.wall = now_seconds() - cr.wall;
-  return cr;
+  return fault::Campaign(cfg).run(cat);
 }
 
 struct Row {
   std::string name;
   std::size_t tasks = 0;
   bool deterministic = true;
-  double wall[3] = {0, 0, 0};      // indexed like kJobs
-  double modeled[3] = {1, 1, 1};
+  double modeled[3] = {1, 1, 1};  // indexed like kJobs
   /// Differential-rekey advantage over a full reinstall: modeled reinstall
   /// cycles / modeled rekey cycles (see the rekey_fleet block for pricing).
   /// 0 = not a rekey row (column omitted from the JSON).
@@ -179,17 +149,9 @@ void run_table() {
   {
     Row r;
     r.name = "install_fleet";
-    FleetRun ref;
-    for (int j = 0; j < 3; ++j) {
-      FleetRun fr = install_fleet(kJobs[j]);
-      r.wall[j] = fr.wall;
-      if (j == 0) {
-        ref = std::move(fr);
-      } else if (fr.images != ref.images) {
-        r.deterministic = false;
-      }
-    }
-    r.tasks = ref.images.size();
+    const Images ref = install_fleet(kJobs[0]);
+    for (int j = 1; j < 3; ++j) r.deterministic &= install_fleet(kJobs[j]) == ref;
+    r.tasks = ref.size();
     // Weights: the input .text bytes of each app -- the analysis pipeline's
     // cost scales with code size, and the weight must not depend on jobs.
     std::vector<double> weights;
@@ -206,15 +168,9 @@ void run_table() {
     Row r;
     r.name = "rekey_fleet";
     const std::vector<installer::InstallResult> installed = install_all_keep_manifests();
-    RekeyRun ref;
-    for (int j = 0; j < 3; ++j) {
-      RekeyRun rr = rekey_fleet(installed, kJobs[j]);
-      r.wall[j] = rr.wall;
-      if (j == 0) {
-        ref = std::move(rr);
-      } else if (rr.images != ref.images) {
-        r.deterministic = false;
-      }
+    const RekeyRun ref = rekey_fleet(installed, kJobs[0]);
+    for (int j = 1; j < 3; ++j) {
+      r.deterministic &= rekey_fleet(installed, kJobs[j]).images == ref.images;
     }
     // The differential oracle, checked in the bench too: the rekeyed fleet
     // must be byte-identical to a fresh install of every app under the new
@@ -248,8 +204,8 @@ void run_table() {
     // primitive (CostModel::mac_per_block over a 16-byte block -- the
     // paper's software CMAC). kAnalysisCyclesPerByte prices the installer's
     // decode + CFG + supergraph + policy-derivation + layout passes per
-    // .text byte: back-solving this bench's measured walls (install_fleet
-    // j1 runs ~50x rekey_fleet j1 on an AES-NI dev host, where real CMAC
+    // .text byte: back-solving measured wall times (install_fleet j1 ran
+    // ~50x rekey_fleet j1 on an AES-NI dev host, where real CMAC
     // is ~2.6x faster than the modeled software rate) gives ~1300
     // cycles/byte; rounded DOWN to 1024 so the modeled ratio understates
     // the measured one.
@@ -267,56 +223,44 @@ void run_table() {
   {
     Row r;
     r.name = "fault_campaign";
-    CampaignRun ref;
-    for (int j = 0; j < 3; ++j) {
-      CampaignRun cr = run_campaign(kJobs[j]);
-      r.wall[j] = cr.wall;
-      if (j == 0) {
-        ref = std::move(cr);
-      } else if (cr.result.summary() != ref.result.summary() ||
-                 cr.result.verdicts.size() != ref.result.verdicts.size()) {
-        r.deterministic = false;
-      }
+    const fault::CampaignResult ref = run_campaign(kJobs[0]);
+    for (int j = 1; j < 3; ++j) {
+      const fault::CampaignResult cr = run_campaign(kJobs[j]);
+      r.deterministic &=
+          cr.summary() == ref.summary() && cr.verdicts.size() == ref.verdicts.size();
     }
-    r.tasks = ref.result.verdicts.size();
+    r.tasks = ref.verdicts.size();
     // Weights: modeled cycles of each mutated replay (deterministic).
     std::vector<double> weights;
-    for (const auto& v : ref.result.verdicts) {
+    for (const auto& v : ref.verdicts) {
       weights.push_back(static_cast<double>(v.cycles > 0 ? v.cycles : 1));
     }
     for (int j = 0; j < 3; ++j) r.modeled[j] = modeled_speedup(weights, kJobs[j]);
     rows.push_back(std::move(r));
   }
 
-  std::printf("%-16s %6s %6s %9s %9s %9s %9s %9s %9s\n", "Workload", "tasks", "det",
-              "wall_j1", "wall_j2", "wall_j8", "model_j2", "model_j8", "rekey_x");
+  std::printf("%-16s %6s %6s %9s %9s %9s\n", "Workload", "tasks", "det", "model_j2",
+              "model_j8", "rekey_x");
   FILE* json = std::fopen("BENCH_table5.json", "w");
   if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n  \"table\": \"table5\",\n"
-                 "  \"unit\": \"wall_seconds + modeled_speedup\",\n"
-                 "  \"host_cpus\": %u,\n  \"rows\": [\n",
-                 std::thread::hardware_concurrency());
+    std::fprintf(json, "{\n  \"table\": \"table5\",\n"
+                       "  \"unit\": \"modeled_speedup\",\n  \"rows\": [\n");
   }
   bool first = true;
   for (const Row& r : rows) {
+    std::printf("%-16s %6zu %6s %8.2fx %8.2fx", r.name.c_str(), r.tasks,
+                r.deterministic ? "yes" : "NO", r.modeled[1], r.modeled[2]);
     if (r.rekey_speedup > 0) {
-      std::printf("%-16s %6zu %6s %8.3fs %8.3fs %8.3fs %8.2fx %8.2fx %8.1fx\n",
-                  r.name.c_str(), r.tasks, r.deterministic ? "yes" : "NO", r.wall[0],
-                  r.wall[1], r.wall[2], r.modeled[1], r.modeled[2], r.rekey_speedup);
+      std::printf(" %8.1fx\n", r.rekey_speedup);
     } else {
-      std::printf("%-16s %6zu %6s %8.3fs %8.3fs %8.3fs %8.2fx %8.2fx %9s\n",
-                  r.name.c_str(), r.tasks, r.deterministic ? "yes" : "NO", r.wall[0],
-                  r.wall[1], r.wall[2], r.modeled[1], r.modeled[2], "-");
+      std::printf(" %9s\n", "-");
     }
     if (json != nullptr) {
       std::fprintf(json,
                    "%s    {\"name\": \"%s\", \"tasks\": %zu, \"deterministic\": %s, "
-                   "\"wall_j1\": %.4f, \"wall_j2\": %.4f, \"wall_j8\": %.4f, "
                    "\"modeled_speedup_j2\": %.3f, \"modeled_speedup_j8\": %.3f",
                    first ? "" : ",\n", r.name.c_str(), r.tasks,
-                   r.deterministic ? "true" : "false", r.wall[0], r.wall[1], r.wall[2],
-                   r.modeled[1], r.modeled[2]);
+                   r.deterministic ? "true" : "false", r.modeled[1], r.modeled[2]);
       if (r.rekey_speedup > 0) {
         std::fprintf(json, ", \"modeled_rekey_speedup\": %.3f", r.rekey_speedup);
       }
@@ -328,15 +272,14 @@ void run_table() {
     std::fprintf(json, "\n  ]\n}\n");
     std::fclose(json);
   }
-  std::printf("(wall columns are host-dependent and informational; the determinism and\n"
-              " modeled-speedup columns are gated -- BENCH_table5.json)\n");
+  std::printf("(the determinism and modeled-speedup columns are gated -- BENCH_table5.json)\n");
 }
 
 void BM_InstallFleet(benchmark::State& state) {
   const int jobs = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    const FleetRun fr = install_fleet(jobs);
-    benchmark::DoNotOptimize(fr.images.size());
+    const Images images = install_fleet(jobs);
+    benchmark::DoNotOptimize(images.size());
   }
   state.SetLabel("jobs=" + std::to_string(jobs));
 }
@@ -356,8 +299,8 @@ BENCHMARK(BM_RekeyFleet)->Arg(1)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond)-
 void BM_FaultCampaign(benchmark::State& state) {
   const int jobs = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    const CampaignRun cr = run_campaign(jobs);
-    benchmark::DoNotOptimize(cr.result.verdicts.size());
+    const fault::CampaignResult cr = run_campaign(jobs);
+    benchmark::DoNotOptimize(cr.verdicts.size());
   }
   state.SetLabel("jobs=" + std::to_string(jobs));
 }

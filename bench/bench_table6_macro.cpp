@@ -11,7 +11,6 @@
 // layer; the baseline column with the NullMonitor.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 
 #include "core/asc.h"
@@ -28,10 +27,8 @@ struct Bench {
   double paper_overhead_pct;
 };
 
-// Workload sizes chosen so each program retires enough guest instructions
-// for the threaded engine's wall-clock advantage (and any regression in it)
-// to dominate setup noise -- tens of millions of modeled cycles per run,
-// a realistic-scale stand-in for the paper's full SPEC inputs.
+// Workload sizes: tens of millions of modeled cycles per run, a
+// realistic-scale stand-in for the paper's full SPEC inputs.
 const Bench kSuite[] = {
     {"gzip-spec", "CPU", {"150"}, 1.41},
     {"crafty", "CPU", {"2000000"}, 1.40},
@@ -73,16 +70,12 @@ constexpr int kReps = 4;
 /// of os/tiertable.h).
 enum class Mode { Off, Auth, AuthCached, AuthShadow, AuthInline };
 
-/// When `wall_ns_per_instr` is non-null it receives host wall-clock per
-/// retired guest instruction across the reps (informational; modeled cycles
-/// are the gated contract). `dispatch` selects the execution engine --
-/// byte-identical modeled results either way, only wall-clock differs.
-util::Summary measure(const Bench& b, Mode mode, double* wall_ns_per_instr = nullptr,
+/// `dispatch` selects the execution engine -- byte-identical modeled
+/// results either way.
+util::Summary measure(const Bench& b, Mode mode,
                       vm::DispatchMode dispatch = vm::default_dispatch_mode()) {
   const bool authenticated = mode != Mode::Off;
   std::vector<double> samples;
-  double total_wall_ns = 0;
-  double total_instr = 0;
   for (int rep = 0; rep < kReps; ++rep) {
     System sys(os::Personality::LinuxSim, test_key(),
                authenticated ? os::Enforcement::Asc : os::Enforcement::Off);
@@ -94,19 +87,12 @@ util::Summary measure(const Bench& b, Mode mode, double* wall_ns_per_instr = nul
     prepare(sys.kernel().fs());
     binary::Image img = build(b.program, os::Personality::LinuxSim);
     if (authenticated) img = sys.install(img).image;
-    const auto t0 = std::chrono::steady_clock::now();
     auto r = sys.machine().run(img, b.argv);
-    const auto t1 = std::chrono::steady_clock::now();
     if (!r.completed) {
       std::fprintf(stderr, "%s failed: %s\n", b.program, r.violation_detail.c_str());
       return {};
     }
-    total_wall_ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
-    total_instr += static_cast<double>(r.instructions);
     samples.push_back(static_cast<double>(r.cycles));
-  }
-  if (wall_ns_per_instr != nullptr && total_instr > 0) {
-    *wall_ns_per_instr = total_wall_ns / total_instr;
   }
   return util::summarize(samples);
 }
@@ -125,16 +111,12 @@ void run_table() {
   double sum_cached = 0;
   double sum_shadow = 0;
   double sum_inline = 0;
-  double sum_speedup = 0;
   bool first = true;
   for (const Bench& b : kSuite) {
-    // Engine wall-clock comparison rides on the unmonitored runs: the same
-    // workload through the threaded engine and the reference interpreter
-    // (identical modeled cycles, asserted below).
-    double wall_threaded = 0;
-    double wall_switch = 0;
-    const auto orig = measure(b, Mode::Off, &wall_threaded, vm::DispatchMode::Threaded);
-    const auto orig_switch = measure(b, Mode::Off, &wall_switch, vm::DispatchMode::Switch);
+    // The unmonitored runs go through both the threaded engine and the
+    // reference interpreter, which must agree on modeled cycles.
+    const auto orig = measure(b, Mode::Off, vm::DispatchMode::Threaded);
+    const auto orig_switch = measure(b, Mode::Off, vm::DispatchMode::Switch);
     if (orig_switch.mean != orig.mean) {
       std::fprintf(stderr, "%s: dispatch modes disagree on modeled cycles!\n", b.program);
     }
@@ -150,7 +132,6 @@ void run_table() {
     sum_cached += ovh_c;
     sum_shadow += ovh_s;
     sum_inline += ovh_i;
-    sum_speedup += wall_threaded > 0 ? wall_switch / wall_threaded : 0;
     std::printf("%-10s %-12s %12.2f %12.2f %12.2f %12.2f %12.2f %7.2f%% %7.2f%% %7.2f%% "
                 "%7.2f%% | %7.2f%%\n",
                 b.program, b.type, orig.mean / 1e6, auth.mean / 1e6, cached.mean / 1e6,
@@ -162,13 +143,10 @@ void run_table() {
                    "\"auth\": %.3f, \"auth_cached\": %.3f, \"auth_shadow\": %.3f, "
                    "\"auth_inline\": %.3f, "
                    "\"overhead_pct\": %.3f, \"overhead_cached_pct\": %.3f, "
-                   "\"overhead_shadow_pct\": %.3f, \"overhead_inline_pct\": %.3f, "
-                   "\"wall_ns_per_instr\": %.3f, \"wall_ns_per_instr_switch\": %.3f, "
-                   "\"dispatch_speedup\": %.2f}",
+                   "\"overhead_shadow_pct\": %.3f, \"overhead_inline_pct\": %.3f}",
                    first ? "" : ",\n", b.program, b.type, orig.mean / 1e6, auth.mean / 1e6,
                    cached.mean / 1e6, shadowed.mean / 1e6, inl.mean / 1e6, ovh, ovh_c, ovh_s,
-                   ovh_i, wall_threaded, wall_switch,
-                   wall_threaded > 0 ? wall_switch / wall_threaded : 0);
+                   ovh_i);
       first = false;
     }
   }
@@ -184,10 +162,8 @@ void run_table() {
   }
   std::printf("mean overhead: %.2f%% uncached, %.2f%% with the verified-call cache, "
               "%.2f%% with cache+shadow, %.2f%% with the full tier lattice\n"
-              "(paper range 0.73%%-7.92%%; machine-readable copy in BENCH_table6.json)\n"
-              "mean threaded-engine wall-clock speedup over the switch interpreter: %.1fx\n"
-              "(host-dependent; per-row wall_ns_per_instr columns in the JSON, not gated)\n",
-              sum / n, sum_cached / n, sum_shadow / n, sum_inline / n, sum_speedup / n);
+              "(paper range 0.73%%-7.92%%; machine-readable copy in BENCH_table6.json)\n",
+              sum / n, sum_cached / n, sum_shadow / n, sum_inline / n);
 }
 
 void BM_Macro(benchmark::State& state) {

@@ -7,10 +7,8 @@
 // storms). Every tenant rekeys the shared installed templates to its own
 // key via the differential installer::Rekeyer before its first run.
 //
-// Two kinds of columns, deliberately separated (same discipline as the
-// Table 5 companion):
-//   wall_j*          measured wall seconds. Honest but host-dependent; a
-//                    single-core CI runner shows no speedup. INFORMATIONAL.
+// Every column is deterministic and host-independent (perfbench's `fleet`
+// workload measures the host clock):
 //   deterministic    the verdict trace AND the aggregated audit digest must
 //                    be byte-identical at jobs 1/2/8. GATED.
 //   modeled_vsps_j8  verified syscalls per modeled second: total verified
@@ -26,11 +24,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fleet/fleet.h"
@@ -41,12 +37,6 @@ namespace {
 using namespace asc;
 
 const int kJobs[] = {1, 2, 8};
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// LPT makespan of `weights` on `jobs` bins: the modeled wall of an ideal
 /// work-stealing schedule.
@@ -60,22 +50,13 @@ double lpt_makespan(std::vector<double> weights, int jobs) {
   return *std::max_element(bins.begin(), bins.end());
 }
 
-struct FleetRun {
-  double wall = 0;
-  fleet::FleetResult result;
-};
-
-FleetRun run_fleet(int tenants, int jobs) {
+fleet::FleetResult run_fleet(int tenants, int jobs) {
   util::Executor ex(jobs);
   fleet::FleetConfig cfg;
   cfg.seed = 1;
   cfg.tenants = tenants;
   cfg.executor = &ex;
-  FleetRun fr;
-  fr.wall = now_seconds();
-  fr.result = fleet::Driver(cfg).run();
-  fr.wall = now_seconds() - fr.wall;
-  return fr;
+  return fleet::Driver(cfg).run();
 }
 
 struct Row {
@@ -84,7 +65,6 @@ struct Row {
   bool deterministic = true;
   std::size_t trips = 0;
   std::uint64_t syscalls = 0;
-  double wall[3] = {0, 0, 0};  // indexed like kJobs
   double modeled_vsps_j8 = 0;  // verified syscalls / modeled second @ 8 jobs
   std::size_t per_tenant_bytes = 0;
 };
@@ -93,16 +73,11 @@ Row run_row(const std::string& name, int tenants) {
   Row r;
   r.name = name;
   r.tenants = tenants;
-  fleet::FleetResult ref;
-  for (int j = 0; j < 3; ++j) {
-    FleetRun fr = run_fleet(tenants, kJobs[j]);
-    r.wall[j] = fr.wall;
-    if (j == 0) {
-      ref = std::move(fr.result);
-    } else if (fr.result.verdict_trace != ref.verdict_trace ||
-               fr.result.audit.digest != ref.audit.digest) {
-      r.deterministic = false;
-    }
+  const fleet::FleetResult ref = run_fleet(tenants, kJobs[0]);
+  for (int j = 1; j < 3; ++j) {
+    const fleet::FleetResult fr = run_fleet(tenants, kJobs[j]);
+    r.deterministic &=
+        fr.verdict_trace == ref.verdict_trace && fr.audit.digest == ref.audit.digest;
   }
   r.trips = ref.trips.size();
   r.syscalls = ref.total_syscalls;
@@ -134,31 +109,27 @@ void run_table() {
     std::printf("(fleet_100k skipped: set ASC_FLEET_FULL=1 for the full-size row)\n");
   }
 
-  std::printf("%-10s %7s %4s %5s %9s %9s %9s %12s %10s\n", "Fleet", "tenants", "det",
-              "trips", "wall_j1", "wall_j2", "wall_j8", "model_vsps_8", "bytes/ten");
+  std::printf("%-10s %7s %4s %5s %12s %10s\n", "Fleet", "tenants", "det", "trips",
+              "model_vsps_8", "bytes/ten");
   FILE* json = std::fopen("BENCH_table7.json", "w");
   if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n  \"table\": \"table7\",\n"
-                 "  \"unit\": \"verified_syscalls_per_modeled_second + bytes\",\n"
-                 "  \"host_cpus\": %u,\n  \"rows\": [\n",
-                 std::thread::hardware_concurrency());
+    std::fprintf(json, "{\n  \"table\": \"table7\",\n"
+                       "  \"unit\": \"verified_syscalls_per_modeled_second + bytes\",\n"
+                       "  \"rows\": [\n");
   }
   bool first = true;
   for (const Row& r : rows) {
-    std::printf("%-10s %7d %4s %5zu %8.3fs %8.3fs %8.3fs %12.0f %10zu\n",
-                r.name.c_str(), r.tenants, r.deterministic ? "yes" : "NO", r.trips,
-                r.wall[0], r.wall[1], r.wall[2], r.modeled_vsps_j8, r.per_tenant_bytes);
+    std::printf("%-10s %7d %4s %5zu %12.0f %10zu\n", r.name.c_str(), r.tenants,
+                r.deterministic ? "yes" : "NO", r.trips, r.modeled_vsps_j8, r.per_tenant_bytes);
     if (json != nullptr) {
       std::fprintf(json,
                    "%s    {\"name\": \"%s\", \"tenants\": %d, \"deterministic\": %s, "
                    "\"trips\": %zu, \"syscalls\": %llu, "
-                   "\"wall_j1\": %.4f, \"wall_j2\": %.4f, \"wall_j8\": %.4f, "
                    "\"modeled_vsps_j8\": %.1f, \"per_tenant_bytes\": %zu}",
                    first ? "" : ",\n", r.name.c_str(), r.tenants,
                    r.deterministic ? "true" : "false", r.trips,
-                   static_cast<unsigned long long>(r.syscalls), r.wall[0], r.wall[1],
-                   r.wall[2], r.modeled_vsps_j8, r.per_tenant_bytes);
+                   static_cast<unsigned long long>(r.syscalls), r.modeled_vsps_j8,
+                   r.per_tenant_bytes);
       first = false;
     }
   }
@@ -166,8 +137,7 @@ void run_table() {
     std::fprintf(json, "\n  ]\n}\n");
     std::fclose(json);
   }
-  std::printf("(wall columns are host-dependent and informational; determinism,\n"
-              " modeled throughput, and per-tenant bytes are gated -- "
+  std::printf("(determinism, modeled throughput, and per-tenant bytes are gated -- "
               "BENCH_table7.json)\n");
 }
 
@@ -175,8 +145,8 @@ void BM_Fleet(benchmark::State& state) {
   const int tenants = static_cast<int>(state.range(0));
   const int jobs = static_cast<int>(state.range(1));
   for (auto _ : state) {
-    const FleetRun fr = run_fleet(tenants, jobs);
-    benchmark::DoNotOptimize(fr.result.total_syscalls);
+    const fleet::FleetResult fr = run_fleet(tenants, jobs);
+    benchmark::DoNotOptimize(fr.total_syscalls);
   }
   state.SetLabel("tenants=" + std::to_string(tenants) + " jobs=" + std::to_string(jobs));
 }

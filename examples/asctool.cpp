@@ -59,14 +59,15 @@
 // The lifecycle runner (src/fault/lifecycle.h) behind three subcommands.
 // Each exits nonzero if the fail-stop invariant breaks or an oracle trips;
 // results are identical at any --jobs count.
-//   asctool campaign [--seed N] [--runs N] [--class NAME]... [--spec R]...
+//   asctool campaign [--seed N] [--runs N] [--class POINT]... [--spec R]...
 //                    [--mode fail-stop|budgeted|audit-only] [--budget N]
 //                                seeded fault-injection sweep over cat,
 //                                vuln_echo and the getpid loop; prints the
-//                                mutation class x Violation matrix. --spec
-//                                replays one "[repro ...]" line exactly.
+//                                point x Violation matrix. A POINT is
+//                                STRIKE[@TIER]. --spec replays one
+//                                "[repro ...]" line exactly.
 //   asctool chaos [--tenants N] [--seed N] [--trace]
-//                 [--stages s1,s2,...] [--classes c1,c2,...]
+//                 [--stages s1,s2,...] [--classes p1,p2,...]
 //                                lifecycle storm: churn, stage-targeted
 //                                faults, injected internal faults
 //   asctool fleet [--tenants N] [--seed N] [--rotate N] [--swap N]
@@ -415,11 +416,11 @@ int usage() {
                "           [--failure-mode fail-stop|budgeted:N|audit-only]\n"
                "           [--dispatch switch|threaded] [--aes scratch|auto]\n"
                "           <img.txe> [args...] |\n"
-               "       campaign [--seed N] [--runs N] [--class NAME]...\n"
-               "           [--spec C:T:0xS[:STAGE]]...\n"
+               "       campaign [--seed N] [--runs N] [--class POINT]...\n"
+               "           [--spec POINT:T:0xS[:STAGE]]...\n"
                "           [--mode fail-stop|budgeted|audit-only] [--budget N] |\n"
                "       chaos [--tenants N] [--seed N] [--trace] [--stages s,...]\n"
-               "           [--classes c,...] |\n"
+               "           [--classes POINT,...] |\n"
                "       fleet [--tenants N] [--seed N] [--rotate N] [--swap N] [--respawn N]\n"
                "           [--tamper t,...] [--trace] [--audit]\n"
                "       --jobs N: worker threads for the installer's parallel phases and the\n"
@@ -428,9 +429,10 @@ int usage() {
                "       rekey re-signs an installed image differentially (no re-analysis)\n"
                "       using <in.txe>.manifest, written by install alongside its output\n"
                "       stages: trap enforce dispatch audit\n"
-               "       classes:");
-  for (const auto c : fault::all_mutation_classes()) {
-    std::fprintf(stderr, " %s", fault::mutation_class_name(c).c_str());
+               "       POINT: STRIKE[@TIER], TIER in cached shadowed inline (default eager)\n"
+               "       strikes:");
+  for (std::size_t i = 0; i < fault::kNumStrikes; ++i) {
+    std::fprintf(stderr, " %s", fault::strike_name(static_cast<fault::Strike>(i)).c_str());
   }
   std::fprintf(stderr, "\n");
   return 1;
@@ -447,6 +449,18 @@ std::vector<std::string> split_csv(const std::string& s) {
     start = comma + 1;
   }
   return out;
+}
+
+/// Parse every name of the comma-separated `csv` into `out`; false on an
+/// unknown name or an empty list.
+template <class T, class Parse>
+bool parse_csv(const std::string& csv, Parse parse, std::vector<T>* out) {
+  for (const auto& name : split_csv(csv)) {
+    const std::optional<T> v = parse(name);
+    if (!v) return false;
+    out->push_back(*v);
+  }
+  return !out->empty();
 }
 
 /// Walk the `--flag [value]` arguments after a lifecycle subcommand.
@@ -474,7 +488,7 @@ int cmd_campaign(const std::vector<std::string>& av) {
   fault::CampaignConfig cfg;
   const bool ok = each_flag(av, {}, [&](const std::string& f, const std::string& a) {
     if (f == "--seed") return parse_u64_flag(a, &cfg.seed);
-    if (f == "--runs") return parse_int_flag(a, &cfg.runs_per_class, 0);
+    if (f == "--runs") return parse_int_flag(a, &cfg.runs_per_point, 0);
     if (f == "--budget") {
       int b = 0;
       if (!parse_int_flag(a, &b, 0)) return false;
@@ -489,9 +503,9 @@ int cmd_campaign(const std::vector<std::string>& av) {
       return true;
     }
     if (f == "--class") {
-      const auto c = fault::mutation_class_from_name(a);
-      if (c) cfg.classes.push_back(*c);
-      return c.has_value();
+      const auto point = fault::point_from_name(a);
+      if (point) cfg.points.push_back(*point);
+      return point.has_value();
     }
     if (f == "--spec") {
       const auto spec = fault::parse_spec(a);
@@ -511,8 +525,8 @@ int cmd_campaign(const std::vector<std::string>& av) {
       fault::getpid_loop_guest(pers)};
   fault::CampaignResult total;
   for (const auto& guest : guests) {
-    std::printf("== %s (seed=%llu, %d runs/class, mode=%s) ==\n", guest.name.c_str(),
-                static_cast<unsigned long long>(cfg.seed), cfg.runs_per_class,
+    std::printf("== %s (seed=%llu, %d runs/point, mode=%s) ==\n", guest.name.c_str(),
+                static_cast<unsigned long long>(cfg.seed), cfg.runs_per_point,
                 os::failure_mode_name(cfg.mode).c_str());
     const fault::CampaignResult r = fault::Campaign(cfg).run(guest);
     if (!cfg.explicit_specs.empty()) {
@@ -551,22 +565,8 @@ int cmd_chaos(const std::vector<std::string>& av) {
     if (f == "--trace") return trace = true;
     if (f == "--tenants") return parse_int_flag(a, &cfg.tenants, 1);
     if (f == "--seed") return parse_u64_flag(a, &cfg.seed);
-    if (f == "--stages") {
-      for (const auto& name : split_csv(a)) {
-        const auto st = fault::trap_stage_from_name(name);
-        if (!st) return false;
-        cfg.stages.push_back(*st);
-      }
-      return !cfg.stages.empty();
-    }
-    if (f == "--classes") {
-      for (const auto& name : split_csv(a)) {
-        const auto c = fault::mutation_class_from_name(name);
-        if (!c) return false;
-        cfg.classes.push_back(*c);
-      }
-      return !cfg.classes.empty();
-    }
+    if (f == "--stages") return parse_csv(a, fault::trap_stage_from_name, &cfg.stages);
+    if (f == "--classes") return parse_csv(a, fault::point_from_name, &cfg.points);
     return false;
   });
   if (!ok) return usage();

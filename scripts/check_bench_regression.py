@@ -27,23 +27,16 @@ Checks, per row matched by "name":
     deterministic and keep modeled_speedup_j8 >= 2.0. Rows carrying
     modeled_rekey_speedup (the differential Rekeyer's modeled advantage over
     a full reinstall, priced per-byte from the runtime cost model) must keep
-    it >= 10.0. Wall-clock columns (wall_j*) are host-dependent -- a
-    single-core runner shows no speedup -- so they are printed as notes,
-    never gated;
-  * wall-clock engine columns are INFORMATIONAL and never gated:
-    wall_ns_per_instr (tables 4/6, host ns per retired guest instruction),
-    wall_ns_per_instr_switch / dispatch_speedup (table 6, threaded engine vs
-    the reference switch interpreter), and the table4 top-level
-    cmac_blocks_per_sec / cmac_blocks_per_sec_scratch / aes_backend trio.
-    They are printed as trend notes so a wall-clock regression is visible in
-    the CI log without making the gate host-dependent;
+    it >= 10.0;
   * table7 rows (fleet-scale multi-tenant throughput; every tenant runs
     under its own key: one install, N differential Rekeyer passes) must stay
     deterministic across job counts, report zero invariant-oracle trips,
     keep modeled_vsps_j8 (verified syscalls per modeled second) from falling
     more than the tolerance below the baseline, and keep per_tenant_bytes
     (retained TenantState shard bytes) from growing more than the tolerance.
-    Wall-clock columns are again notes, never gated.
+
+Every column is modeled and deterministic; the host clock is measured by
+perfbench (perfbench/README.md), not here.
 
 Exit status: 0 = within bounds, 1 = regression, 2 = usage/parse error.
 """
@@ -89,21 +82,6 @@ def main():
         if base is None:
             print(f"  note: new row '{name}' (no baseline yet)")
             continue
-        # Engine wall-clock trend notes (host-dependent, never gated).
-        if "wall_ns_per_instr" in cur:
-            trend = ""
-            if base.get("wall_ns_per_instr"):
-                ratio = cur["wall_ns_per_instr"] / base["wall_ns_per_instr"]
-                trend = f", {ratio:.2f}x baseline"
-            print(
-                f"  note: {name}/wall_ns_per_instr = "
-                f"{cur['wall_ns_per_instr']:.2f}ns{trend} (not gated)"
-            )
-        if "dispatch_speedup" in cur:
-            print(
-                f"  note: {name}/dispatch_speedup = "
-                f"{cur['dispatch_speedup']:.2f}x threaded vs switch (not gated)"
-            )
         for field in COST_FIELDS:
             if field not in base or field not in cur:
                 continue
@@ -184,12 +162,6 @@ def main():
                     f"{table}/{name}: modeled_rekey_speedup column disappeared "
                     f"(baseline has it)"
                 )
-            for wall in ("wall_j1", "wall_j2", "wall_j8"):
-                if wall in cur:
-                    print(
-                        f"  note: {name}/{wall} = {cur[wall]:.3f}s "
-                        f"(host-dependent, not gated)"
-                    )
         if table == "table7":
             if cur.get("deterministic") is not True:
                 failures.append(
@@ -222,23 +194,6 @@ def main():
                         f"{bytes_per} bytes, more than {tolerance:.0%} over "
                         f"baseline {base_bytes}"
                     )
-            for wall in ("wall_j1", "wall_j2", "wall_j8"):
-                if wall in cur:
-                    print(
-                        f"  note: {name}/{wall} = {cur[wall]:.3f}s "
-                        f"(host-dependent, not gated)"
-                    )
-
-    # Table4's CMAC engine throughput trio (top-level, informational).
-    if "cmac_blocks_per_sec" in current:
-        bps = current["cmac_blocks_per_sec"]
-        scratch = current.get("cmac_blocks_per_sec_scratch")
-        backend = current.get("aes_backend", "?")
-        ratio = f", {bps / scratch:.1f}x scratch" if scratch else ""
-        print(
-            f"  note: cmac_blocks_per_sec = {bps / 1e6:.1f}M ({backend}{ratio}) "
-            f"(not gated)"
-        )
 
     if failures:
         print(f"BENCH REGRESSION in {table}:")

@@ -15,8 +15,8 @@ void CampaignResult::merge(const CampaignResult& other) {
   silent_bypass += other.silent_bypass;
   host_crash += other.host_crash;
   not_applied += other.not_applied;
-  for (const auto& [cls, row] : other.matrix) {
-    for (const auto& [v, n] : row) matrix[cls][v] += n;
+  for (const auto& [point, row] : other.matrix) {
+    for (const auto& [v, n] : row) matrix[point][v] += n;
   }
   trips.insert(trips.end(), other.trips.begin(), other.trips.end());
 }
@@ -24,7 +24,7 @@ void CampaignResult::merge(const CampaignResult& other) {
 std::string CampaignResult::summary() const {
   // Column set: every Violation observed anywhere in the matrix.
   std::vector<os::Violation> cols;
-  for (const auto& [cls, row] : matrix) {
+  for (const auto& [point, row] : matrix) {
     for (const auto& [v, n] : row) {
       if (std::find(cols.begin(), cols.end(), v) == cols.end()) cols.push_back(v);
     }
@@ -32,16 +32,16 @@ std::string CampaignResult::summary() const {
   std::sort(cols.begin(), cols.end());
 
   char buf[160];
-  std::string out = "mutation class x Violation coverage matrix\n";
-  std::snprintf(buf, sizeof buf, "%-22s", "");
+  std::string out = "point x Violation coverage matrix\n";
+  std::snprintf(buf, sizeof buf, "%-30s", "");
   out += buf;
   for (const auto v : cols) {
     std::snprintf(buf, sizeof buf, " %16s", os::violation_name(v).c_str());
     out += buf;
   }
   out += "\n";
-  for (const auto& [cls, row] : matrix) {
-    std::snprintf(buf, sizeof buf, "%-22s", mutation_class_name(cls).c_str());
+  for (const auto& [point, row] : matrix) {
+    std::snprintf(buf, sizeof buf, "%-30s", point_name(point).c_str());
     out += buf;
     for (const auto v : cols) {
       const auto it = row.find(v);
@@ -118,15 +118,15 @@ CampaignResult Campaign::run(const GuestProgram& prog) {
     switch (v.outcome) {
       case Outcome::Benign:
         ++result.benign;
-        ++result.matrix[v.spec.cls][os::Violation::None];
+        ++result.matrix[v.spec.point][os::Violation::None];
         break;
       case Outcome::Detected:
         ++result.detected;
-        ++result.matrix[v.spec.cls][v.violation];
+        ++result.matrix[v.spec.point][v.violation];
         break;
       case Outcome::WrongVerdict:
         ++result.wrong_verdict;
-        ++result.matrix[v.spec.cls][v.violation];
+        ++result.matrix[v.spec.point][v.violation];
         break;
       case Outcome::SilentBypass:
         ++result.silent_bypass;
@@ -145,54 +145,33 @@ CampaignResult Campaign::run(const GuestProgram& prog) {
   // ---- the seeded mutation sweep ----
   // The spec list is drawn serially (the seeded RNG sequence IS the
   // campaign's identity); the mutated executions fan out over the pool.
-  const auto classes = cfg_.classes.empty() ? all_mutation_classes() : cfg_.classes;
-  const auto stage_pool = cfg_.stages.empty() ? all_trap_stages() : cfg_.stages;
+  const auto points = cfg_.points.empty() ? default_points() : cfg_.points;
   const util::Rng root(cfg_.seed);
   const std::uint64_t tag = fnv1a(prog.name);
-  std::vector<FaultSpec> specs;
   const bool replaying = !cfg_.explicit_specs.empty();
-  if (replaying) {
-    specs = cfg_.explicit_specs;
-  } else {
-    specs.reserve(classes.size() * static_cast<std::size_t>(cfg_.runs_per_class));
-    for (const auto cls : classes) {
-      // Per-class substreams: adding a class never shifts another's specs.
-      util::Rng rng = root.derive(tag ^ (static_cast<std::uint64_t>(cls) << 32));
-      util::Rng stage_rng =
-          root.derive(tag ^ (static_cast<std::uint64_t>(cls) << 32) ^ 0x57a6e5u);
-      // Per-class pool: only the boundaries this class may strike at (e.g.
-      // AsBodyCorrupt excludes Enforce -- see fault::stage_allowed).
-      std::vector<os::TrapStage> pool;
-      for (const auto s : stage_pool) {
-        if (stage_allowed(cls, s)) pool.push_back(s);
-      }
-      if (pool.empty()) pool.push_back(os::TrapStage::Trap);
-      for (int i = 0; i < cfg_.runs_per_class; ++i) {
-        FaultSpec spec;
-        spec.cls = cls;
-        spec.trigger_call =
-            1 + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(guest.clean_traps)));
-        spec.seed = rng.next_u64();
-        if (stage_targetable(cls)) {
-          spec.stage = pool[stage_rng.next_below(pool.size())];
-        }
-        specs.push_back(spec);
+  std::vector<FaultSpec> specs = cfg_.explicit_specs;
+  if (!replaying) {
+    specs.reserve(points.size() * static_cast<std::size_t>(cfg_.runs_per_point));
+    for (const FaultPoint point : points) {
+      // Per-point substreams: adding a point never shifts another's specs.
+      util::Rng rng = root.derive(tag ^ (static_cast<std::uint64_t>(point.strike) << 32) ^
+                                  (static_cast<std::uint64_t>(point.tier) << 40));
+      for (int i = 0; i < cfg_.runs_per_point; ++i) {
+        specs.push_back(draw_spec(point, guest.clean_traps, cfg_.stages, rng));
       }
     }
   }
 
+  // Replayed explicit specs get no NotApplied retry: a reproducer must run
+  // exactly the spec it names.
   std::vector<RunVerdict> verdicts =
       fan_out<RunVerdict>(cfg_.executor, specs.size(), [&](std::size_t k) {
-        FaultSpec spec = specs[k];
-        RunVerdict v = execute(spec);
-        if (!replaying && v.outcome == Outcome::NotApplied && spec.trigger_call > 1) {
-          // The class had no target at or after the trigger (e.g. the last
-          // AS argument already went by); retry from the first call.
-          // Replayed explicit specs are exempt: a reproducer must run
-          // exactly the spec it names.
-          spec.trigger_call = 1;
-          v = execute(spec);
-        }
+        if (replaying) return execute(specs[k]);
+        RunVerdict v;
+        run_drawn(specs[k], [&](const FaultSpec& s) {
+          v = execute(s);
+          return v.outcome;
+        });
         return v;
       });
   for (RunVerdict& v : verdicts) record(std::move(v));

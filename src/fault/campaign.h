@@ -8,7 +8,7 @@
 //
 //   every mutated run either behaves identically to the clean run (the
 //   mutation was never consumed by the checker) or yields a verdict whose
-//   Violation class is expected for the mutation class -- with zero host
+//   Violation class is expected for the strike -- with zero host
 //   crashes, zero silent bypasses (accepted runs whose behavior diverges
 //   from the clean run without any audited verdict), and zero trips of the
 //   lifecycle oracle.
@@ -38,10 +38,10 @@ namespace asc::fault {
 
 struct CampaignConfig {
   std::uint64_t seed = 1;
-  int runs_per_class = 8;
-  std::vector<MutationClass> classes;  // empty = all classes
-  /// Stage pool drawn from for stage-targetable classes (empty = all four
-  /// TrapStage boundaries). Non-targetable classes always strike at Trap.
+  int runs_per_point = 8;
+  std::vector<FaultPoint> points;  // empty = default_points()
+  /// Stage pool (empty = all four TrapStage boundaries); each point draws
+  /// from the members its strike allows, or strikes at Trap when none does.
   std::vector<os::TrapStage> stages;
   /// Replay exactly these specs instead of drawing from the seeded RNG
   /// (the reproducer path: paste a RunVerdict::repro through parse_spec).
@@ -86,9 +86,9 @@ struct CampaignResult {
   int silent_bypass = 0;
   int host_crash = 0;
   int not_applied = 0;
-  /// Coverage matrix: mutation class -> Violation observed -> count
-  /// (Benign runs are counted under Violation::None).
-  std::map<MutationClass, std::map<os::Violation, int>> matrix;
+  /// Coverage matrix: point -> Violation observed -> count (Benign runs are
+  /// counted under Violation::None).
+  std::map<FaultPoint, std::map<os::Violation, int>> matrix;
   /// Flattened oracle trips from every run.
   std::vector<std::string> trips;
 

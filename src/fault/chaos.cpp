@@ -25,7 +25,7 @@ namespace {
 /// clean reference byte-for-byte (rm/mv-style destructive tools would
 /// diverge on their own leftovers). vuln_echo spawns a child, so teardown
 /// storms include nested processes; the getpid loop's site promotes to the
-/// Inline tier, where promo-toctou strikes.
+/// Inline tier, where @inline points strike.
 std::vector<GuestProgram> chaos_guests(os::Personality p) {
   const auto fs = fixture(
       {{"/f.txt", "aaaaaabbbbcccccccccddd\nmore text here\n" + std::string(512, 'q')},
@@ -71,8 +71,7 @@ std::string ChaosResult::summary() const {
 
 ChaosResult ChaosEngine::run() {
   const std::vector<InstalledGuest> pool = install_pool(chaos_guests(kPersonality));
-  const auto classes = cfg_.classes.empty() ? all_mutation_classes() : cfg_.classes;
-  const auto stage_pool = cfg_.stages.empty() ? all_trap_stages() : cfg_.stages;
+  const auto points = cfg_.points.empty() ? default_points() : cfg_.points;
   const util::Rng root(cfg_.seed);
 
   // ---- one tenant lifecycle: a seeded random plan ----
@@ -121,34 +120,19 @@ ChaosResult ChaosEngine::run() {
     // ---- the fault run ----
     std::optional<FaultInjector> inj;
     if (lc.plan == ChaosPlan::Tamper) {
-      FaultSpec spec;
-      spec.cls = classes[rng.next_below(classes.size())];
-      spec.trigger_call =
-          1 + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(guest.clean_traps)));
-      spec.seed = rng.next_u64();
-      std::vector<os::TrapStage> allowed;
-      for (const auto s : stage_pool) {
-        if (stage_allowed(spec.cls, s)) allowed.push_back(s);
-      }
-      if (allowed.empty()) allowed.push_back(os::TrapStage::Trap);
-      if (stage_targetable(spec.cls)) spec.stage = allowed[rng.next_below(allowed.size())];
-      const std::uint64_t donor_pick = rng.next_u64();  // drawn unconditionally
-
-      auto attempt = [&](const FaultSpec& s) {
+      const FaultSpec spec =
+          draw_spec(points[rng.next_below(points.size())], guest.clean_traps, cfg_.stages, rng);
+      const std::uint64_t donor_pick = rng.next_u64();
+      run_drawn(spec, [&](const FaultSpec& s) {
         lc.plan_repr = spec_repr(s);
         tenant.arm(inj.emplace(s), donor_pick);
         const auto r = tenant.run("fault run");
-        if (!r) return Outcome::HostCrash;
+        if (!r) return lc.fault_outcome = Outcome::HostCrash;
         if (const auto viols = tenant.violations(); !viols.empty()) {
           lc.violation = viols.front()->violation;
         }
-        return tenant.classify(*inj, *r);
-      };
-      lc.fault_outcome = attempt(spec);
-      if (lc.fault_outcome == Outcome::NotApplied && spec.trigger_call > 1) {
-        spec.trigger_call = 1;
-        lc.fault_outcome = attempt(spec);
-      }
+        return lc.fault_outcome = tenant.classify(*inj, *r);
+      });
     } else if (lc.plan == ChaosPlan::Internal) {
       // Injected internal inconsistencies: a shadow-nonce desync the kernel's
       // per-trap self-check must catch, plus two oracle-style reports that

@@ -5,11 +5,12 @@
 // lifecycle runner (lifecycle.h) -- stresses the part a per-run campaign
 // cannot: the KERNEL'S OWN lifecycle bookkeeping under churn -- spawn/exec/
 // teardown storms, staggered key rotations, monitor swaps, and fast-path
-// invalidation -- with faults landing not just before the trap but at every
-// TrapStage boundary of the pipeline (FaultSpec::stage), plus the lifecycle
-// mutation classes (rotation-during-trap, teardown-mid-verify,
-// double-invalidation) and injected INTERNAL inconsistencies that exercise
-// the per-pid health machine (os/health.h).
+// invalidation -- with faults drawn from the same (strike, tier) points as
+// the campaign, landing not just before the trap but at every TrapStage
+// boundary of the pipeline (FaultSpec::stage), the lifecycle events
+// (rotation-during-trap, teardown-mid-verify, double-invalidation,
+// rekey-toctou) among them, plus injected INTERNAL inconsistencies that
+// exercise the per-pid health machine (os/health.h).
 //
 // Every tenant is one guest lifecycle on its own System: a fault run under a
 // seeded plan, then a recovery run that must behave byte-identically to the
@@ -45,7 +46,7 @@ namespace asc::fault {
 /// What a tenant's seeded plan does to its lifecycle.
 enum class ChaosPlan : std::uint8_t {
   Clean,     // churn only: rotations, monitor swaps, shadow toggles
-  Tamper,    // one stage-targeted FaultSpec (guest tamper or lifecycle class)
+  Tamper,    // one stage-targeted FaultSpec (guest tamper or lifecycle event)
   Internal,  // injected internal inconsistencies driving the health machine
 };
 
@@ -56,9 +57,9 @@ struct ChaosConfig {
   /// Guest lifecycles to drive (each = one System: install, fault run,
   /// recovery run, teardown).
   int tenants = 32;
-  /// Mutation classes the Tamper plans draw from (empty = all classes).
-  std::vector<MutationClass> classes;
-  /// TrapStage pool for stage-targetable classes (empty = all boundaries).
+  /// Points the Tamper plans draw from (empty = default_points()).
+  std::vector<FaultPoint> points;
+  /// TrapStage pool (empty = all boundaries); see CampaignConfig::stages.
   std::vector<os::TrapStage> stages;
   /// Executor the lifecycles fan out over (nullptr = process-global pool).
   util::Executor* executor = nullptr;
@@ -113,7 +114,7 @@ class ChaosEngine {
   const ChaosConfig& config() const { return cfg_; }
 
   /// Drive all tenant lifecycles and aggregate. Deterministic for a fixed
-  /// (seed, tenants, classes, stages) at any executor width.
+  /// (seed, tenants, points, stages) at any executor width.
   ChaosResult run();
 
  private:

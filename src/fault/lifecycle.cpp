@@ -13,8 +13,8 @@ namespace asc::fault {
 
 namespace {
 
-/// A key the guests were never signed under: the kernel key of a
-/// key-mismatch run and the target of a mid-trap rotation.
+/// A key the guests were never signed under: the target of a mid-trap
+/// rotation.
 crypto::Key128 foreign_key() {
   crypto::Key128 k = test_key();
   for (auto& b : k) b = static_cast<std::uint8_t>(b ^ 0x5a);
@@ -186,24 +186,14 @@ bool Tenant::live_rekey(os::Process& p, const SignedGuest& to) {
 }
 
 void Tenant::arm(FaultInjector& inj, std::uint64_t donor_pick) {
-  const FaultSpec& spec = inj.spec();
   inj.set_rotation_key(foreign_key());
-  if (spec.cls == MutationClass::KeyMismatch) kernel().set_key(foreign_key());
-  if (spec.cls == MutationClass::RekeyToctou) {
+  if (inj.spec().point.strike == Strike::RekeyToctou) {
     // A coherent payload for the CURRENT template: the strike must be
     // benign, so the view and the helpers match what actually runs.
     rekey_to_ = std::make_unique<SignedGuest>(guest_.rekey(*current_, derived_key(0xC4A00002ULL)));
     inj.set_rekey([this](os::Process& p) { return live_rekey(p, *rekey_to_); });
   }
-  // A donor from a different trap: its counter nonce (or foreign lastBlock)
-  // cannot match what the kernel expects at the trigger.
-  std::vector<int> donors;
-  for (const auto& [call, bytes] : guest_.snapshots) {
-    if (call != spec.trigger_call) donors.push_back(call);
-  }
-  if (!donors.empty()) {
-    inj.set_replay_state(guest_.snapshots.at(donors[donor_pick % donors.size()]));
-  }
+  inj.set_replay_donors(guest_.snapshots, donor_pick);
   hook = [this, &inj](os::Process& p, os::TrapContext& ctx, os::TrapStage s) {
     inj.on_stage(kernel(), p, ctx, s);
   };
@@ -260,7 +250,7 @@ Outcome Tenant::classify(const FaultInjector& inj, const vm::RunResult& r) {
   const auto viols = violations();
   if (!viols.empty()) {
     const os::VerdictRecord& first = *viols.front();
-    const auto& exp = expected_violations(inj.spec().cls);
+    const auto& exp = expected_violations(inj.spec().point.strike);
     if (std::find(exp.begin(), exp.end(), first.violation) == exp.end()) {
       trip("wrong verdict " + os::violation_name(first.violation) + repro);
       return Outcome::WrongVerdict;
@@ -274,6 +264,27 @@ Outcome Tenant::classify(const FaultInjector& inj, const vm::RunResult& r) {
   if (guest_.behaves_like_clean(r)) return Outcome::Benign;
   trip("silent bypass: behavior diverged without a verdict" + repro);
   return Outcome::SilentBypass;
+}
+
+FaultSpec draw_spec(FaultPoint point, int clean_traps, const std::vector<os::TrapStage>& stages,
+                    util::Rng& rng) {
+  FaultSpec spec;
+  spec.point = point;
+  spec.trigger_call = 1 + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(clean_traps)));
+  spec.seed = rng.next_u64();
+  std::vector<os::TrapStage> allowed;
+  for (const auto s : stages.empty() ? all_trap_stages() : stages) {
+    if (stage_allowed(point.strike, s)) allowed.push_back(s);
+  }
+  if (!allowed.empty()) spec.stage = allowed[rng.next_below(allowed.size())];
+  return spec;
+}
+
+void run_drawn(FaultSpec spec, const std::function<Outcome(const FaultSpec&)>& attempt) {
+  if (attempt(spec) == Outcome::NotApplied && spec.trigger_call > 1) {
+    spec.trigger_call = 1;
+    attempt(spec);
+  }
 }
 
 std::vector<std::string> Tenant::finish(const std::string& who) {

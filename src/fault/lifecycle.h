@@ -18,14 +18,17 @@
 //     pid-keyed tier record survives; at the end, the audit log is coherent
 //     (Tenant::run, Tenant::finish);
 //   * classification of a tampered run (Tenant::classify);
+//   * the spec drawer of the random plans, with its NotApplied retry
+//     (draw_spec, run_drawn);
 //   * the live-rekey event with its deferred helper swap
 //     (Tenant::live_rekey);
 //   * the tenant-ordered fan-out over the executor (fan_out).
 //
 // The drivers are plan builders over these pieces: Campaign (campaign.h)
-// sweeps seeded FaultSpecs, one fresh tenant per spec; ChaosEngine
-// (chaos.h) draws a random churn-and-fault plan per tenant; fleet::Driver
-// (fleet/fleet.h) runs key-rotation, monitor-swap and respawn cadences.
+// sweeps seeded FaultSpecs per (strike, tier) point, one fresh tenant per
+// spec; ChaosEngine (chaos.h) draws a random churn-and-fault plan per
+// tenant; fleet::Driver (fleet/fleet.h) runs key-rotation, monitor-swap and
+// respawn cadences.
 //
 // Every trap hook goes through the kernel's stage hook. A tenant installs
 // one wrapper that lands a deferred helper swap at the next depth-0 PreTrap
@@ -48,6 +51,7 @@
 #include "installer/rekeyer.h"
 #include "os/fs.h"
 #include "util/executor.h"
+#include "util/rng.h"
 #include "vm/machine.h"
 
 namespace asc::fault {
@@ -74,7 +78,7 @@ struct GuestProgram {
 std::function<void(os::SimFs&)> fixture(std::vector<std::pair<std::string, std::string>> files);
 
 /// Tight getpid loop (48 calls): the guest whose site promotes to the Inline
-/// tier, so promo-toctou strikes land inside the trap-less window.
+/// tier, so @inline strikes land inside the trap-less window.
 GuestProgram getpid_loop_guest(os::Personality p);
 
 enum class Outcome : std::uint8_t {
@@ -145,9 +149,10 @@ class Tenant {
   /// registered when the swap lands: now, or at the next depth-0 PreTrap
   /// if the kernel parked the request. True if applied now.
   bool live_rekey(os::Process& p, const SignedGuest& to);
-  /// Hook `inj` up as the plan, with the payloads its class needs: a
-  /// foreign key (key mismatch, mid-trap rotation), a coherent rekey of the
-  /// current template, and the CrossReplay donor `donor_pick` selects.
+  /// Hook `inj` up as the plan, with the payloads its strike needs: a
+  /// foreign key (mid-trap rotation), a coherent rekey of the current
+  /// template, and the clean run's CrossReplay donors, of which `donor_pick`
+  /// selects one.
   void arm(FaultInjector& inj, std::uint64_t donor_pick);
 
   /// One run of the current template on a freshly prepared filesystem,
@@ -178,6 +183,17 @@ class Tenant {
   std::size_t mark_ = 0;  // audit-log size when the last run began
   std::vector<std::string> trips_;
 };
+
+/// The one spec drawer of the random plans (Campaign, ChaosEngine): a spec
+/// of `point` whose trigger (in [1, clean_traps]), seed and stage come from
+/// `rng`, in that order. The stage is one of `stages` (empty = all four)
+/// that the point's strike allows, or Trap when none does.
+FaultSpec draw_spec(FaultPoint point, int clean_traps, const std::vector<os::TrapStage>& stages,
+                    util::Rng& rng);
+/// Run a drawn spec through `attempt`, and once more from call 1 when it
+/// found no target at or after its trigger (the last AS argument already
+/// went by, or the tier gate was open only earlier).
+void run_drawn(FaultSpec spec, const std::function<Outcome(const FaultSpec&)>& attempt);
 
 /// Run `lifecycle(t)` for every tenant t in [0, n) over the executor
 /// (nullptr = the process-global pool). Results land in tenant order, so

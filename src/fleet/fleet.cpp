@@ -112,7 +112,7 @@ FleetResult Driver::run() {
     // or on OTHER tenants' plans. The isolation tests rely on this. Key
     // material comes from derive()d substreams, never from `rng` itself.
     const std::uint64_t rotate_pick = rng.next_u64();
-    const std::uint64_t tamper_cls_pick = rng.next_u64();
+    const std::uint64_t tamper_strike_pick = rng.next_u64();
     const std::uint64_t tamper_call_pick = rng.next_u64();
     const std::uint64_t tamper_seed = rng.next_u64();
 
@@ -136,12 +136,12 @@ FleetResult Driver::run() {
     std::optional<fault::FaultInjector> inj;
     std::optional<fault::SignedGuest> rotated;
     if (tv.tampered) {
-      // Guest tamper drawn from the tenant's substream: verification-byte
-      // classes that always find a target on a rewritten call, so the
+      // Guest tamper drawn from the tenant's substream: one of the two
+      // targets that always find their bytes on a rewritten call, so the
       // lifecycle deterministically fail-stops.
       fault::FaultSpec spec;
-      spec.cls = (tamper_cls_pick & 1) ? fault::MutationClass::DescriptorFlip
-                                       : fault::MutationClass::CallMacFlip;
+      spec.point.strike =
+          (tamper_strike_pick & 1) ? fault::Strike::DescriptorFlip : fault::Strike::CallMacFlip;
       const std::uint64_t span =
           std::max<std::uint64_t>(1, std::min<std::uint64_t>(4, guest.clean.syscalls));
       spec.trigger_call = 1 + static_cast<int>(tamper_call_pick % span);

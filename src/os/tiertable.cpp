@@ -374,9 +374,11 @@ std::size_t TierTable::inline_sites() const {
   return n;
 }
 
-bool TierTable::inline_site_promoted(int pid, std::uint32_t call_site) const {
+Tier TierTable::tier(int pid, std::uint32_t call_site) const {
   const auto it = sites_.find({pid, call_site});
-  return it != sites_.end() && it->second.tier == Tier::Inline;
+  if (it == sites_.end() || !serves_cache(pid)) return Tier::Eager;
+  if (it->second.tier == Tier::Inline) return Tier::Inline;
+  return serves_shadow(pid) && shadow(pid) != nullptr ? Tier::Shadowed : Tier::Cached;
 }
 
 std::size_t TierTable::approx_bytes() const {

@@ -342,7 +342,10 @@ class TierTable {
   std::size_t sites() const { return sites_.size(); }
   std::size_t sites(int pid) const;
   std::size_t inline_sites() const;
-  bool inline_site_promoted(int pid, std::uint32_t call_site) const;
+  /// The tier the lattice serves (pid, call_site) at right now: Inline for
+  /// a promoted record, Shadowed for a record of a pid whose shadow is live,
+  /// Cached for a record alone, Eager when no record serves.
+  Tier tier(int pid, std::uint32_t call_site) const;
   /// Pids with a per-pid record (zero once every process has ended).
   std::size_t pids() const { return pids_.size(); }
 

@@ -382,9 +382,11 @@ TEST(AscShadowRun, CampaignVerdictsAreIdenticalAcrossJobCounts) {
     util::Executor ex(jobs);
     fault::CampaignConfig cfg;
     cfg.seed = 31337;
-    cfg.runs_per_class = 4;
-    cfg.classes = {fault::MutationClass::PolicyStateCorrupt, fault::MutationClass::CrossReplay,
-                   fault::MutationClass::ShadowToctou};
+    cfg.runs_per_point = 4;
+    cfg.points = {{fault::Strike::PolicyStateCorrupt},
+                  {fault::Strike::CrossReplay},
+                  {fault::Strike::PolicyStateCorrupt, os::Tier::Shadowed},
+                  {fault::Strike::CrossReplay, os::Tier::Shadowed}};
     cfg.executor = &ex;
     return fault::Campaign(cfg).run(g);
   };

@@ -7,15 +7,17 @@
 
 #include "fault/campaign.h"
 #include "fault/chaos.h"
+#include "util/rng.h"
 #include "workloads.h"
 
 namespace asc {
 namespace {
 
+using fault::FaultPoint;
 using fault::FaultSpec;
 using fault::GuestProgram;
-using fault::MutationClass;
 using fault::Outcome;
+using fault::Strike;
 using os::HealthState;
 
 const auto kPers = os::Personality::LinuxSim;
@@ -256,17 +258,17 @@ TEST(ChaosEngineHealth, AuditOnlyModeStillRecordsTransitions) {
 // ---- reproducer spec grammar (satellite) ----
 
 TEST(ChaosEngineSpec, ReprRoundTripsForEveryClassAndStage) {
-  for (const auto cls : fault::all_mutation_classes()) {
+  for (const FaultPoint point : fault::all_points()) {
     for (const auto stage : fault::all_trap_stages()) {
-      if (!fault::stage_allowed(cls, stage)) continue;
+      if (!fault::stage_allowed(point.strike, stage)) continue;
       FaultSpec spec;
-      spec.cls = cls;
+      spec.point = point;
       spec.trigger_call = 7;
       spec.seed = 0xdeadbeefcafeULL;
       spec.stage = stage;
       const auto back = fault::parse_spec(fault::spec_repr(spec));
       ASSERT_TRUE(back.has_value()) << fault::spec_repr(spec);
-      EXPECT_EQ(back->cls, spec.cls);
+      EXPECT_EQ(back->point, spec.point);
       EXPECT_EQ(back->trigger_call, spec.trigger_call);
       EXPECT_EQ(back->seed, spec.seed);
       EXPECT_EQ(back->stage, spec.stage);
@@ -281,42 +283,111 @@ TEST(ChaosEngineSpec, ParseRejectsMalformedSpecs) {
   EXPECT_FALSE(fault::parse_spec("call-mac-flip:0:0x1").has_value());
   EXPECT_FALSE(fault::parse_spec("no-such-class:1:0x1").has_value());
   EXPECT_FALSE(fault::parse_spec("call-mac-flip:1:0x1:bogus-stage").has_value());
+  // Only what spec_repr prints: no sign, padding or trailing bytes in the
+  // trigger, "0x" and canonical lowercase hex for the seed; only a stage the
+  // strike may strike at (a single-trap double fetch; a register target
+  // after trap entry); a known strike and a known non-default tier, with no
+  // alias for the classes the (strike, tier) axes replaced.
+  const char* const malformed[] = {
+      "call-mac-flip:3x:0x2a",
+      "call-mac-flip:+3:0x2a",
+      "call-mac-flip: 3:0x2a",
+      "call-mac-flip:03:0x2a",
+      "call-mac-flip:-1:0x2a",
+      "call-mac-flip:2147483648:0x2a",
+      "call-mac-flip:3:-1",
+      "call-mac-flip:3:0x2azz",
+      "call-mac-flip:3:077",
+      "call-mac-flip:3:0x",
+      "call-mac-flip:3:0x02a",
+      "call-mac-flip:3:0x2A",
+      "call-mac-flip:3:0X2a",
+      "call-mac-flip:3:42",
+      "call-mac-flip:3:0x10000000000000000",
+      "call-mac-flip:3:0x2a:",
+      "call-mac-flip:3:0x2a:trap:",
+      "call-mac-flip:3:0x2a:pre-trap",
+      "as-body-corrupt:3:0x2a:enforce",
+      "register-swap:3:0x2a:audit",
+      "call-mac-flip@eager:3:0x2a",
+      "call-mac-flip@:3:0x2a",
+      "call-mac-flip@fast:3:0x2a",
+      "@inline:3:0x2a",
+      "cache-toctou:3:0x2a",
+      "shadow-toctou:3:0x2a",
+      "promo-toctou:3:0x2a",
+      "key-mismatch:3:0x2a",
+  };
+  for (const char* bad : malformed) EXPECT_FALSE(fault::parse_spec(bad).has_value()) << bad;
+  const auto at_tier = fault::parse_spec("pred-set-corrupt@cached:3:0x2a:audit");
+  ASSERT_TRUE(at_tier.has_value());
+  EXPECT_EQ(at_tier->point, (FaultPoint{Strike::PredSetCorrupt, os::Tier::Cached}));
   // Three-part form defaults to the classic Trap strike point.
   const auto spec = fault::parse_spec("call-mac-flip:3:0x2a");
   ASSERT_TRUE(spec.has_value());
   EXPECT_EQ(spec->stage, os::TrapStage::Trap);
+  EXPECT_EQ(spec->trigger_call, 3);
+  EXPECT_EQ(spec->seed, 0x2aULL);
+  EXPECT_TRUE(fault::parse_spec("call-mac-flip:2147483647:0xffffffffffffffff:audit").has_value());
+  EXPECT_TRUE(fault::parse_spec("call-mac-flip:1:0x0:trap").has_value());
+}
+
+// parse_spec sits at the trust boundary: whatever it accepts must be
+// exactly what spec_repr prints. Every single-byte substitution of a printed
+// reproducer is either rejected or canonical.
+TEST(ChaosEngineSpec, EverySingleByteSubstitutionIsRejectedOrCanonical) {
+  util::Rng rng(0x5eed5bec);
+  int accepted = 0;
+  for (const FaultPoint point : fault::all_points()) {
+    for (const auto stage : fault::all_trap_stages()) {
+      if (!fault::stage_allowed(point.strike, stage)) continue;
+      const FaultSpec spec{point, 1 + static_cast<int>(rng.next_below(1000)), rng.next_u64(),
+                           stage};
+      const std::string repr = fault::spec_repr(spec);
+      for (std::size_t i = 0; i < repr.size(); ++i) {
+        std::string s = repr;
+        for (int b = 0; b < 256; ++b) {
+          s[i] = static_cast<char>(b);
+          const auto back = fault::parse_spec(s);
+          if (!back) continue;
+          ++accepted;
+          ASSERT_EQ(fault::spec_repr(*back), s) << "from " << repr;
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(ChaosEngineSpec, StageEligibilityMatchesThreatModel) {
-  // Register/TOCTOU/environmental classes are only coherent at trap entry.
-  EXPECT_FALSE(fault::stage_allowed(MutationClass::RegisterSwap, os::TrapStage::Dispatch));
-  EXPECT_FALSE(fault::stage_allowed(MutationClass::KeyMismatch, os::TrapStage::Audit));
+  // Register targets are only coherent at trap entry.
+  EXPECT_FALSE(fault::stage_allowed(Strike::RegisterSwap, os::TrapStage::Dispatch));
   // AS-body flips between verify and dispatch are a single-trap double-fetch
   // TOCTOU outside the ASC threat model.
-  EXPECT_FALSE(fault::stage_allowed(MutationClass::AsBodyCorrupt, os::TrapStage::Enforce));
-  EXPECT_TRUE(fault::stage_allowed(MutationClass::AsBodyCorrupt, os::TrapStage::Audit));
-  // Lifecycle classes strike at any boundary.
+  EXPECT_FALSE(fault::stage_allowed(Strike::AsBodyCorrupt, os::TrapStage::Enforce));
+  EXPECT_TRUE(fault::stage_allowed(Strike::AsBodyCorrupt, os::TrapStage::Audit));
+  // Lifecycle events strike at any boundary.
   for (const auto s : fault::all_trap_stages()) {
-    EXPECT_TRUE(fault::stage_allowed(MutationClass::TeardownMidVerify, s));
-    EXPECT_TRUE(fault::stage_allowed(MutationClass::RotationDuringTrap, s));
+    EXPECT_TRUE(fault::stage_allowed(Strike::TeardownMidVerify, s));
+    EXPECT_TRUE(fault::stage_allowed(Strike::RotationDuringTrap, s));
   }
 }
 
-// ---- lifecycle mutation classes through the campaign ----
+// ---- lifecycle events through the campaign ----
 
 TEST(ChaosEngineLifecycle, LifecycleClassesMeetExpectations) {
   fault::CampaignConfig cfg;
   cfg.seed = 20260808;
-  cfg.runs_per_class = 6;
-  cfg.classes = {MutationClass::RotationDuringTrap, MutationClass::TeardownMidVerify,
-                 MutationClass::DoubleInvalidation};
+  cfg.runs_per_point = 6;
+  cfg.points = {{Strike::RotationDuringTrap}, {Strike::TeardownMidVerify},
+                {Strike::DoubleInvalidation}};
   fault::Campaign campaign(cfg);
   const fault::CampaignResult r = campaign.run(cat_guest());
 
   EXPECT_TRUE(r.invariant_holds()) << r.summary();
   int rotation_detected = 0;
   for (const auto& v : r.verdicts) {
-    if (v.spec.cls == MutationClass::RotationDuringTrap) {
+    if (v.spec.point.strike == Strike::RotationDuringTrap) {
       // A mid-trap rotation stales every signed byte: the next verified
       // call fail-stops with BadCallMac (Benign only when the rotation
       // landed after the guest's last verification).
@@ -339,8 +410,8 @@ TEST(ChaosEngineLifecycle, LifecycleClassesMeetExpectations) {
 TEST(ChaosEngineLifecycle, ExplicitSpecsReplayVerdictsExactly) {
   fault::CampaignConfig cfg;
   cfg.seed = 99;
-  cfg.runs_per_class = 4;
-  cfg.classes = {MutationClass::CallMacFlip, MutationClass::PolicyStateCorrupt};
+  cfg.runs_per_point = 4;
+  cfg.points = {{Strike::CallMacFlip}, {Strike::PolicyStateCorrupt}};
   const fault::CampaignResult first = fault::Campaign(cfg).run(cat_guest());
   ASSERT_FALSE(first.verdicts.empty());
 
@@ -383,7 +454,7 @@ TEST(ChaosEngineRun, SmallStormIsSoundAndDeterministic) {
 
 TEST(ChaosEngineRun, InlineTierStormIsSoundAndStreamsStayLegacyCompatible) {
   // Every tenant kernel runs the Inline tier and promotes eligible sites,
-  // the Tamper pool includes promo-toctou, and the pool includes the
+  // the Tamper pool includes @inline points, and the pool includes the
   // pidloop guest -- and the run must still be sound: the post-run oracles
   // assert zero inline sites survive between runs, so teardown demotion
   // works under churn.

@@ -1,5 +1,5 @@
 // The chaos soak (`slow` label): >= 200 tenant lifecycles under seeded churn
-// with stage-targeted fault injection across every mutation class, replayed
+// with stage-targeted fault injection across every default point, replayed
 // at executor widths 1/2/8. Acceptance: zero invariant-oracle trips, every
 // injected guest tamper fail-stops, and the verdict trace is byte-identical
 // at every width. On failure, the failing reproducer lines are written to

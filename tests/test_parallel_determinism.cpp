@@ -86,9 +86,9 @@ TEST(ParallelDeterminism, CampaignReproducesSerialVerdictsAtAnyJobCount) {
     util::Executor ex(jobs);
     fault::CampaignConfig cfg;
     cfg.seed = 42;
-    cfg.runs_per_class = 3;
-    cfg.classes = {fault::MutationClass::CallMacFlip, fault::MutationClass::DescriptorFlip,
-                   fault::MutationClass::PolicyStateCorrupt, fault::MutationClass::CrossReplay};
+    cfg.runs_per_point = 3;
+    cfg.points = {{fault::Strike::CallMacFlip}, {fault::Strike::DescriptorFlip},
+                  {fault::Strike::PolicyStateCorrupt}, {fault::Strike::CrossReplay}};
     cfg.executor = &ex;
     return fault::Campaign(cfg).run(cat_guest());
   };
@@ -110,7 +110,7 @@ TEST(ParallelDeterminism, CampaignReproducesSerialVerdictsAtAnyJobCount) {
   for (std::size_t i = 0; i < serial.verdicts.size(); ++i) {
     const fault::RunVerdict& a = serial.verdicts[i];
     const fault::RunVerdict& b = parallel.verdicts[i];
-    EXPECT_EQ(a.spec.cls, b.spec.cls) << "run " << i;
+    EXPECT_EQ(a.spec.point, b.spec.point) << "run " << i;
     EXPECT_EQ(a.spec.trigger_call, b.spec.trigger_call) << "run " << i;
     EXPECT_EQ(a.spec.seed, b.spec.seed) << "run " << i;
     EXPECT_EQ(a.outcome, b.outcome) << "run " << i;

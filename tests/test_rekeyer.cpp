@@ -22,7 +22,7 @@ using fault::Campaign;
 using fault::CampaignConfig;
 using fault::CampaignResult;
 using fault::GuestProgram;
-using fault::MutationClass;
+using fault::Strike;
 
 const auto kPers = os::Personality::LinuxSim;
 
@@ -215,8 +215,8 @@ GuestProgram vuln_echo_guest() {
 TEST(Rekeyer, ToctouCampaignNeverEscapes) {
   CampaignConfig cfg;
   cfg.seed = 20260808;
-  cfg.runs_per_class = 60;  // 2 guests x 60 = 120 executions
-  cfg.classes = {MutationClass::RekeyToctou};
+  cfg.runs_per_point = 60;  // 2 guests x 60 = 120 executions
+  cfg.points = {{Strike::RekeyToctou}};
   const CampaignResult r = Campaign(cfg).run_all({cat_guest(), vuln_echo_guest()});
 
   EXPECT_EQ(static_cast<int>(r.verdicts.size()), 120);

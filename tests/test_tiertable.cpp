@@ -25,6 +25,7 @@ namespace {
 
 using os::DemotionCause;
 using os::HealthState;
+using os::Tier;
 
 const auto kPers = os::Personality::LinuxSim;
 constexpr std::uint32_t kIters = 2000;
@@ -146,7 +147,7 @@ TEST(TierTableRun, PromotionRegistersNoWatch) {
       true, /*threshold=*/4, {},
       [&](System& sys, os::Process& p, std::uint32_t site) {
         const vm::Memory::WatchStats w = p.mem.watch_stats();
-        const bool promoted = sys.kernel().tier_table().inline_site_promoted(p.pid, site);
+        const bool promoted = sys.kernel().tier_table().tier(p.pid, site) == Tier::Inline;
         if (promoted && !was_promoted && !promoting_delta) {
           promoting_delta = w.registered - registered_at_last_trap;
         }
@@ -263,6 +264,39 @@ TEST(TierTableRun, QuarantinedPidNeverHoldsAnInlineSiteAndRepromotionIsEarned) {
   EXPECT_GT(lr.stats.inline_hits, 0u);
 }
 
+// TierTable::tier names the tier the lattice serves a site at: Eager at the
+// first trap, Shadowed once verified, Inline once promoted; Eager again
+// right after end_process and after a health eviction, and at most Cached
+// while the pid is Degraded.
+TEST(TierTableRun, TierQueryFollowsTheSiteThroughTheLattice) {
+  std::vector<Tier> seen;  // at each trap's PreTrap
+  std::optional<Tier> after_end;
+  std::optional<Tier> after_eviction;
+  const LoopRun lr = run_pidloop(
+      true, /*threshold=*/3, {}, [&](System& sys, os::Process& p, std::uint32_t site) {
+        os::TierTable& tiers = sys.kernel().tier_table();
+        seen.push_back(tiers.tier(p.pid, site));
+        if (seen.size() == 10) {
+          tiers.end_process(p.pid);
+          after_end = tiers.tier(p.pid, site);
+        }
+        if (seen.size() == 20) {
+          sys.kernel().report_internal_fault(p, "test: planted fault");
+          after_eviction = tiers.tier(p.pid, site);
+        }
+      });
+  ASSERT_TRUE(lr.result.completed) << lr.result.violation_detail;
+  ASSERT_GT(seen.size(), 22u);
+  EXPECT_EQ(seen[0], Tier::Eager);
+  EXPECT_EQ(seen[1], Tier::Shadowed);
+  EXPECT_EQ(seen[8], Tier::Inline);
+  EXPECT_EQ(after_end, Tier::Eager);
+  EXPECT_EQ(seen[10], Tier::Shadowed) << "the torn-down trap re-verified and re-installed";
+  EXPECT_EQ(seen[19], Tier::Inline) << "promotion re-earned after the teardown";
+  EXPECT_EQ(after_eviction, Tier::Eager);
+  EXPECT_EQ(seen[21], Tier::Cached) << "a Degraded pid is served without its shadow";
+}
+
 // A benign same-value write into the policy-state record of a promoted site:
 // the spine must write back the shadow under the authoritative kernel
 // counter BEFORE the write lands, demote the site, and let the eager §3.2
@@ -273,12 +307,12 @@ TEST(TierTableRun, DemotionResyncsGuestStateUnderAuthoritativeCounter) {
   const LoopRun lr = run_pidloop(
       true, /*threshold=*/3, {},
       [&](System& sys, os::Process& p, std::uint32_t site) {
-        if (touched > 0 || !sys.kernel().tier_table().inline_site_promoted(p.pid, site)) return;
+        if (touched > 0 || sys.kernel().tier_table().tier(p.pid, site) != Tier::Inline) return;
         const std::uint32_t lb = p.cpu.regs[isa::kRegStatePtr];
         ASSERT_TRUE(p.mem.in_range(lb, policy::kPolicyStateSize));
         p.mem.w8(lb, p.mem.r8(lb));  // same value; the watch keys on the write
         ++touched;
-        EXPECT_FALSE(sys.kernel().tier_table().inline_site_promoted(p.pid, site))
+        EXPECT_NE(sys.kernel().tier_table().tier(p.pid, site), Tier::Inline)
             << "write into the state record left the promotion alive";
       });
   ASSERT_TRUE(lr.result.completed)
@@ -297,7 +331,7 @@ TEST(TierTableRun, TamperAtPromotedSiteFailStops) {
   const LoopRun lr = run_pidloop(
       true, /*threshold=*/3, {},
       [&](System& sys, os::Process& p, std::uint32_t site) {
-        if (flipped > 0 || !sys.kernel().tier_table().inline_site_promoted(p.pid, site)) return;
+        if (flipped > 0 || sys.kernel().tier_table().tier(p.pid, site) != Tier::Inline) return;
         const std::uint32_t mac_ptr = p.cpu.regs[isa::kRegCallMac];
         ASSERT_TRUE(p.mem.in_range(mac_ptr, 16));
         p.mem.w8(mac_ptr, p.mem.r8(mac_ptr) ^ 0x01);
@@ -315,7 +349,7 @@ TEST(TierTableRun, KeyRotationAndMonitorSwapDemote) {
   const LoopRun lr = run_pidloop(
       true, /*threshold=*/3, {},
       [&](System& sys, os::Process& p, std::uint32_t site) {
-        if (rotated == 0 && sys.kernel().tier_table().inline_site_promoted(p.pid, site)) {
+        if (rotated == 0 && sys.kernel().tier_table().tier(p.pid, site) == Tier::Inline) {
           // test_key() is deterministic, so this re-installs the same key:
           // verification keeps succeeding, but the rotation itself must
           // revoke every promotion (old-key verifications are void).
@@ -325,7 +359,7 @@ TEST(TierTableRun, KeyRotationAndMonitorSwapDemote) {
           return;
         }
         if (rotated == 1 && swapped == 0 &&
-            sys.kernel().tier_table().inline_site_promoted(p.pid, site)) {
+            sys.kernel().tier_table().tier(p.pid, site) == Tier::Inline) {
           sys.kernel().set_enforcement(os::Enforcement::Asc);  // monitor replaced
           ++swapped;
           EXPECT_EQ(sys.kernel().tier_table().inline_sites(), 0u);
@@ -363,7 +397,7 @@ TEST(TierTableRun, GatingOffAFastPathDemotesInsteadOfOrphaning) {
   const LoopRun lr = run_pidloop(
       true, /*threshold=*/3, {},
       [&](System& sys, os::Process& p, std::uint32_t site) {
-        if (gated > 0 || !sys.kernel().tier_table().inline_site_promoted(p.pid, site)) return;
+        if (gated > 0 || sys.kernel().tier_table().tier(p.pid, site) != Tier::Inline) return;
         // The probe depends on the shadow nonce; switching the shadow off
         // must revoke the promotion through the same table, not leave an
         // inline site probing a mechanism that no longer exists.
