@@ -127,6 +127,7 @@ AbstractValue trace_value(const ProgramIr& ir, const binary::Image& image, const
         if (din.ref == RefKind::DataAddr && is_rodata_cstring(image, din.ref_addr)) {
           v.kind = AbstractValue::Kind::StrAddr;
           v.value = din.ref_addr;
+          v.leas = {d};
         } else if (din.ref == RefKind::DataAddr) {
           // Address of a non-string or writable object: a constant address
           // ("Immediate" in the paper's classification).
@@ -199,6 +200,11 @@ AbstractValue trace_value(const ProgramIr& ir, const binary::Image& image, const
     });
     result.kind = all_str ? AbstractValue::Kind::StrAddr : AbstractValue::Kind::Const;
     result.value = *consts.begin();
+    if (all_str) {
+      std::set<std::size_t> leas;
+      for (const auto& v : vals) leas.insert(v.leas.begin(), v.leas.end());
+      result.leas.assign(leas.begin(), leas.end());
+    }
     return result;
   }
   result.kind = AbstractValue::Kind::Multi;

@@ -6,7 +6,8 @@
 // abstract value:
 //
 //   Const(v)        movi constant, or lea of a non-string / writable object
-//   StrAddr(a)      lea of a NUL-terminated constant in .rodata
+//   StrAddr(a)      lea of a NUL-terminated constant in .rodata, directly or
+//                   through register copies; the value keeps those LEAs
 //   FdFrom(sites)   copy chain rooted at the r0 result of fd-returning
 //                   syscalls (Table 3's `fds` column, §5.3)
 //   Multi(values)   several constant definitions reach (Table 3's `mv`)
@@ -60,6 +61,7 @@ struct AbstractValue {
   std::uint32_t value = 0;                  // Const or StrAddr (the address)
   std::vector<std::uint32_t> values;        // Multi: the possible constants
   std::vector<std::size_t> fd_sites;        // FdFrom: syscall instr indexes
+  std::vector<std::size_t> leas;            // StrAddr: the LEAs that load it
 };
 
 /// Trace the value of register `r` at instruction `instr` of function `fi`.

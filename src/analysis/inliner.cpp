@@ -172,28 +172,7 @@ InlineReport inline_syscall_stubs(ProgramIr& ir) {
     }
   }
 
-  // Remove stubs that are now dead.
-  for (std::size_t fi = 0; fi < ir.funcs.size(); ++fi) {
-    if (!is_stub[fi]) continue;
-    if (ir.funcs[fi].address_taken) continue;
-    bool still_called = false;
-    for (std::size_t oi = 0; oi < ir.funcs.size() && !still_called; ++oi) {
-      const IrFunction& other = ir.funcs[oi];
-      if (other.opaque || other.inlined_away) continue;
-      for (const auto& instr : other.instrs) {
-        if ((instr.ins.op == isa::Op::Call || instr.ins.op == isa::Op::Jmp) &&
-            instr.ref == RefKind::FuncEntry && instr.ref_index == fi) {
-          still_called = true;
-          break;
-        }
-      }
-    }
-    if (!still_called) {
-      ir.funcs[fi].inlined_away = true;
-      ir.funcs[fi].instrs.clear();
-      ++report.stubs_removed;
-    }
-  }
+  remove_dead(ir, is_stub, report);
   return report;
 }
 

@@ -69,6 +69,7 @@ SiteScan scan_function(const ProgramIr& ir, const binary::Image& image, const Cf
           cls.kind = ArgClass::Kind::String;
           cls.value = v.value;
           cls.str = image.cstring_at(v.value).value_or("");
+          cls.str_leas = v.leas;
           break;
         }
         case AbstractValue::Kind::Multi:

@@ -37,6 +37,7 @@ struct ArgClass {
   Kind kind = Kind::Unknown;
   std::uint32_t value = 0;               // Const / String (the address)
   std::string str;                       // String content
+  std::vector<std::size_t> str_leas;     // String: the LEAs the rewriter retargets
   std::vector<std::uint32_t> values;     // Multi
   std::vector<std::uint32_t> fd_origin_blocks;  // FdArg: local block ids of sources
 };

@@ -7,27 +7,15 @@ Installer::Installer(const crypto::Key128& key, os::Personality personality)
 
 GeneratedPolicies Installer::analyze(const binary::Image& input,
                                      const InstallOptions& options) const {
-  PolicyGenOptions pg;
-  pg.control_flow = options.control_flow;
-  pg.capability_tracking = options.capability_tracking;
-  pg.metapolicy = options.metapolicy;
-  pg.executor = options.executor;
-  return generate_policies(input, personality_, pg);
+  return generate_policies(input, personality_, options);
 }
 
 InstallResult Installer::rewrite(const binary::Image& input, GeneratedPolicies gp,
                                  const InstallOptions& options) {
-  InstallResult result;
-  result.warnings = gp.warnings;
-  result.inline_report = gp.inline_report;
-  RewriteOptions ro;
-  ro.program_id = options.program_id != 0 ? options.program_id : next_program_id_++;
-  ro.unique_block_ids = options.unique_block_ids;
-  ro.executor = options.executor;
-  RewriteResult rr = rewrite_with_policies(input, std::move(gp), key_, ro);
-  result.image = std::move(rr.image);
-  result.policies = std::move(rr.policies);
-  result.manifest = std::move(rr.manifest);
+  InstallOptions resolved = options;
+  if (resolved.program_id == 0) resolved.program_id = next_program_id_++;
+  InstallResult result = rewrite_with_policies(input, std::move(gp), resolved);
+  sign(result.image, result.manifest, key_, options.executor);
   return result;
 }
 

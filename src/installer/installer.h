@@ -1,15 +1,14 @@
 // The trusted installer (§3.3, Fig. 2).
 //
 // Run by the security administrator with the MAC key. Reads a relocatable
-// binary, generates policies by conservative static analysis, and rewrites
-// the binary so every system call is an authenticated system call. The
-// two-step analyze()/rewrite() form supports the metapolicy workflow of
-// §5.2: analyze, inspect/fill the policy template, then rewrite.
+// binary, generates policies by conservative static analysis, rewrites the
+// binary so every system call is an authenticated system call, and signs
+// it. The two-step analyze()/rewrite() form supports the metapolicy workflow
+// of §5.2: analyze, inspect/fill the policy template, then rewrite. Only
+// the signing step (installer::sign, rekeyer.h) uses the key.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "binary/image.h"
 #include "crypto/cmac.h"
@@ -18,30 +17,6 @@
 #include "os/syscalls.h"
 
 namespace asc::installer {
-
-struct InstallOptions {
-  bool control_flow = true;
-  bool capability_tracking = false;
-  bool unique_block_ids = true;
-  policy::Metapolicy metapolicy;
-  /// Override the program id (0 = allocate from the installer's counter).
-  /// Explicit ids keep installs deterministic when several images are
-  /// installed concurrently by independent tasks.
-  std::uint16_t program_id = 0;
-  /// Pool the analysis and signing phases fan out over (nullptr = the
-  /// process-global pool). Output is byte-identical at any job count.
-  util::Executor* executor = nullptr;
-};
-
-struct InstallResult {
-  binary::Image image;
-  std::vector<policy::SyscallPolicy> policies;
-  std::vector<std::string> warnings;
-  analysis::InlineReport inline_report;
-  /// Key-independent signing surface of `image`; feed it to Rekeyer::rekey()
-  /// to re-sign under a different key without re-running analysis.
-  SignManifest manifest;
-};
 
 class Installer {
  public:
@@ -54,7 +29,8 @@ class Installer {
   GeneratedPolicies analyze(const binary::Image& input,
                             const InstallOptions& options = {}) const;
 
-  /// Step 2: rewrite with (possibly administrator-edited) policies.
+  /// Step 2: rewrite with (possibly administrator-edited) policies, then
+  /// sign.
   InstallResult rewrite(const binary::Image& input, GeneratedPolicies gp,
                         const InstallOptions& options = {});
 

@@ -3,7 +3,7 @@
 namespace asc::installer {
 
 GeneratedPolicies generate_policies(const binary::Image& image, os::Personality personality,
-                                    const PolicyGenOptions& options) {
+                                    const InstallOptions& options) {
   util::Executor* exec = options.executor;
   GeneratedPolicies gp;
   gp.ir = analysis::disassemble(image, exec);

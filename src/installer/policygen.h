@@ -10,6 +10,7 @@
 // Table 1/2 experiments.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,13 +28,20 @@
 
 namespace asc::installer {
 
-struct PolicyGenOptions {
+/// Options for both installer steps: analysis (policy generation) and
+/// rewrite.
+struct InstallOptions {
   bool control_flow = true;          // emit predecessor-set policies
   bool capability_tracking = false;  // emit fd-source sets (§5.3)
   policy::Metapolicy metapolicy;     // strictness requirements (§5.2)
-  /// Work-stealing pool the per-function/per-site analysis fans out over
-  /// (nullptr = the process-global pool). Output is identical at any job
-  /// count; jobs=1 is the exact serial reference path.
+  bool unique_block_ids = true;      // §5.5 Frankenstein defence
+  /// Override the program id (0 = allocate from the installer's counter).
+  /// Explicit ids keep installs deterministic when several images are
+  /// installed concurrently by independent tasks.
+  std::uint16_t program_id = 0;
+  /// Work-stealing pool the per-function/per-site analysis, the rewrite and
+  /// the signing fan out over (nullptr = the process-global pool). Output is
+  /// byte-identical at any job count; jobs=1 is the exact serial path.
   util::Executor* executor = nullptr;
 };
 
@@ -54,6 +62,6 @@ struct GeneratedPolicies {
 };
 
 GeneratedPolicies generate_policies(const binary::Image& image, os::Personality personality,
-                                    const PolicyGenOptions& options = {});
+                                    const InstallOptions& options = {});
 
 }  // namespace asc::installer

@@ -1,6 +1,6 @@
 #include "installer/rekeyer.h"
 
-#include <atomic>
+#include <algorithm>
 #include <unordered_map>
 
 #include "policy/authstring.h"
@@ -20,7 +20,115 @@ constexpr std::uint32_t kManifestVersion = 1;
 // core saturated, small enough that parallel_for has work to spread.
 constexpr std::size_t kBatchChunk = 64;
 
-std::size_t chunk_count(std::size_t n) { return (n + kBatchChunk - 1) / kBatchChunk; }
+/// A manifest's signing surface resolved to offsets into .asdata, every
+/// address bounds-checked before any MAC is computed (throws happen before
+/// threads start).
+struct Surface {
+  struct As {
+    std::size_t body;  // content
+    std::size_t mac;   // its 16-byte MAC
+    std::uint32_t len;
+  };
+  std::vector<As> as;
+  std::vector<std::size_t> call_macs;
+  std::vector<std::vector<std::size_t>> patch_macs;  // per call: AS MAC offset per patch
+  std::size_t state = 0;                              // policy-state record
+};
+
+Surface resolve(const binary::Section& asdata, const SignManifest& manifest) {
+  const std::uint32_t base = asdata.vaddr();
+  const std::vector<std::uint8_t>& bytes = asdata.bytes;
+  // `what` names the offending record class on failure.
+  auto at = [&](std::uint32_t vaddr, std::uint32_t n, const char* what) -> std::size_t {
+    if (vaddr < base || vaddr - base > bytes.size() || n > bytes.size() - (vaddr - base)) {
+      throw Error(std::string("sign: ") + what + " outside .asdata");
+    }
+    return vaddr - base;
+  };
+  Surface s;
+  std::unordered_map<std::uint32_t, std::size_t> mac_of_body;
+  for (const auto& as : manifest.as_records) {
+    const std::size_t body = at(as.body, as.len, "AS body");
+    const std::size_t mac = at(as.body - 16, 16, "AS MAC slot");
+    if (as.body < base + policy::kAsHeaderSize ||
+        util::get_u32(bytes, body - policy::kAsHeaderSize) != as.len) {
+      throw Error("sign: AS length field mismatch");
+    }
+    s.as.push_back({body, mac, as.len});
+    mac_of_body.emplace(as.body, mac);
+  }
+  for (const auto& c : manifest.calls) {
+    s.call_macs.push_back(at(c.mac_slot, 16, "call MAC slot"));
+    std::vector<std::size_t>& macs = s.patch_macs.emplace_back();
+    for (const auto& p : c.patches) {
+      const auto it = mac_of_body.find(p.as_body);
+      if (it == mac_of_body.end()) throw Error("sign: patch names unknown AS");
+      macs.push_back(it->second);
+    }
+  }
+  s.state = at(manifest.state_addr, policy::kPolicyStateSize, "state record");
+  return s;
+}
+
+/// CMACs under `key` of messages 0..n-1, kBatchChunk at a time through the
+/// batched core, the chunks fanned out over `ex`. `msg(i, scratch)` returns
+/// message i, built in `scratch` if it is not already in memory.
+template <typename Msg>
+std::vector<crypto::Mac> mac_all(std::size_t n, const Msg& msg, const crypto::MacKey& key,
+                                 util::Executor& ex) {
+  std::vector<crypto::Mac> macs(n);
+  ex.parallel_for((n + kBatchChunk - 1) / kBatchChunk, [&](std::size_t ci) {
+    const std::size_t lo = ci * kBatchChunk;
+    const std::size_t hi = std::min(lo + kBatchChunk, n);
+    std::vector<std::vector<std::uint8_t>> scratch(hi - lo);
+    std::vector<std::span<const std::uint8_t>> msgs;
+    for (std::size_t i = lo; i < hi; ++i) msgs.push_back(msg(i, scratch[i - lo]));
+    const std::vector<crypto::Mac> out = key.mac_batch(msgs);
+    std::copy(out.begin(), out.end(), macs.begin() + static_cast<std::ptrdiff_t>(lo));
+  });
+  return macs;
+}
+
+/// The MAC of every AS content.
+std::vector<crypto::Mac> as_macs(const std::vector<std::uint8_t>& bytes, const Surface& s,
+                                 const crypto::MacKey& key, util::Executor& ex) {
+  return mac_all(
+      s.as.size(),
+      [&](std::size_t i, std::vector<std::uint8_t>&) {
+        return std::span<const std::uint8_t>(bytes.data() + s.as[i].body, s.as[i].len);
+      },
+      key, ex);
+}
+
+/// The MAC of every call message, with the AS MACs `bytes` holds right now
+/// spliced in.
+std::vector<crypto::Mac> call_macs(const std::vector<std::uint8_t>& bytes, const Surface& s,
+                                   const SignManifest& manifest, const crypto::MacKey& key,
+                                   util::Executor& ex) {
+  return mac_all(
+      s.call_macs.size(),
+      [&](std::size_t i, std::vector<std::uint8_t>& msg) {
+        const ManifestCallRecord& c = manifest.calls[i];
+        msg = c.message;
+        for (std::size_t k = 0; k < c.patches.size(); ++k) {
+          std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(s.patch_macs[i][k]), 16,
+                      msg.begin() + c.patches[k].msg_off);
+        }
+        return std::span<const std::uint8_t>(msg);
+      },
+      key, ex);
+}
+
+/// Whether the 16 bytes at `off` are `mac`.
+bool holds(const std::vector<std::uint8_t>& bytes, std::size_t off, const crypto::Mac& mac) {
+  crypto::Mac m;
+  std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(off), 16, m.begin());
+  return crypto::Cmac::equal(m, mac);
+}
+
+void put(std::vector<std::uint8_t>& bytes, std::size_t off, const crypto::Mac& mac) {
+  std::copy(mac.begin(), mac.end(), bytes.begin() + static_cast<std::ptrdiff_t>(off));
+}
 
 }  // namespace
 
@@ -96,7 +204,9 @@ SignManifest SignManifest::deserialize(std::span<const std::uint8_t> file) {
       ManifestPatch p;
       p.msg_off = u32("patch msg off");
       p.as_body = u32("patch as body");
-      if (p.msg_off + 16 > c.message.size()) throw Error("SignManifest: patch out of message");
+      if (std::uint64_t{p.msg_off} + 16 > c.message.size()) {
+        throw Error("SignManifest: patch out of message");
+      }
       c.patches.push_back(p);
     }
     m.calls.push_back(c);
@@ -105,179 +215,65 @@ SignManifest SignManifest::deserialize(std::span<const std::uint8_t> file) {
   return m;
 }
 
+void sign(binary::Image& image, const SignManifest& manifest, const crypto::MacKey& key,
+          util::Executor* executor) {
+  util::Executor& ex = util::resolve_executor(executor);
+  binary::Section& asdata = image.section(binary::SectionKind::AsData);
+  const Surface s = resolve(asdata, manifest);
+  std::vector<std::uint8_t>& bytes = asdata.bytes;
+  // AS content MACs first (content is key-independent), then the call MACs
+  // over messages carrying those fresh AS MACs, then the state seed.
+  const std::vector<crypto::Mac> as = as_macs(bytes, s, key, ex);
+  for (std::size_t i = 0; i < as.size(); ++i) put(bytes, s.as[i].mac, as[i]);
+  const std::vector<crypto::Mac> calls = call_macs(bytes, s, manifest, key, ex);
+  for (std::size_t i = 0; i < calls.size(); ++i) put(bytes, s.call_macs[i], calls[i]);
+  put(bytes, s.state + 4, key.mac(policy::encode_policy_state(manifest.start_block, 0)));
+}
+
 RekeyResult Rekeyer::rekey(const binary::Image& image, const SignManifest& manifest,
                            const crypto::Key128& old_key, const crypto::Key128& new_key,
                            util::Executor* executor) {
   util::Executor& ex = util::resolve_executor(executor);
-  const crypto::MacKey old_mac(old_key);
-  const crypto::MacKey new_mac(new_key);
-
   RekeyResult out;
   out.image = image;
   out.view.state_addr = manifest.state_addr;
-
   binary::Section& asdata = out.image.section(binary::SectionKind::AsData);
-  const std::uint32_t base = asdata.vaddr();
-  std::vector<std::uint8_t>& bytes = asdata.bytes;
-  // Every manifest address must resolve inside .asdata; `what` names the
-  // offending record class on failure.
-  auto at = [&](std::uint32_t vaddr, std::uint32_t n, const char* what) -> std::size_t {
-    if (vaddr < base || vaddr - base > bytes.size() || n > bytes.size() - (vaddr - base)) {
-      throw Error(std::string("Rekeyer: ") + what + " outside .asdata");
-    }
-    return vaddr - base;
-  };
-  // Pre-resolve all offsets serially (throws happen before threads start).
-  struct AsOffsets {
-    std::size_t body;
-    std::size_t mac;
-    std::uint32_t len;
-  };
-  std::vector<AsOffsets> as_offs;
-  as_offs.reserve(manifest.as_records.size());
-  for (const auto& as : manifest.as_records) {
-    const std::size_t body = at(as.body, as.len, "AS body");
-    const std::size_t mac = at(as.body - 16, 16, "AS MAC slot");
-    if (as.body < base + policy::kAsHeaderSize ||
-        util::get_u32(bytes, body - policy::kAsHeaderSize) != as.len) {
-      throw Error("Rekeyer: AS length field mismatch");
-    }
-    as_offs.push_back({body, mac, as.len});
-  }
-  std::vector<std::size_t> call_offs;
-  call_offs.reserve(manifest.calls.size());
-  for (const auto& c : manifest.calls) call_offs.push_back(at(c.mac_slot, 16, "call MAC slot"));
-  const std::size_t state_off = at(manifest.state_addr, policy::kPolicyStateSize, "state record");
-  // AS body address -> index, for splicing content MACs into call messages.
-  std::unordered_map<std::uint32_t, std::size_t> as_index;
-  for (std::size_t i = 0; i < manifest.as_records.size(); ++i) {
-    as_index.emplace(manifest.as_records[i].body, i);
-  }
-  for (const auto& c : manifest.calls) {
-    for (const auto& p : c.patches) {
-      if (!as_index.contains(p.as_body)) throw Error("Rekeyer: patch names unknown AS");
-    }
-  }
 
-  // Builds one call message with its embedded AS MAC fields spliced in from
-  // `mac_of` (old MACs for the verify pass, new ones for the sign pass).
-  auto patched_message = [&](const ManifestCallRecord& c,
-                             auto&& mac_of) -> std::vector<std::uint8_t> {
-    std::vector<std::uint8_t> msg = c.message;
-    for (const auto& p : c.patches) {
-      const auto* m = mac_of(as_index.at(p.as_body));
-      std::copy(m, m + 16, msg.begin() + p.msg_off);
-    }
-    return msg;
-  };
-
-  // ---- Phase V: verify the whole old surface under old_key. A mismatch
-  // means the image was tampered with (or keys are wrong); refusing here
-  // keeps the rekeyer from laundering a tamper into valid new-key MACs.
-  std::atomic<bool> ok{true};
-  ex.parallel_for(chunk_count(manifest.as_records.size()), [&](std::size_t ci) {
-    const std::size_t lo = ci * kBatchChunk;
-    const std::size_t hi = std::min(lo + kBatchChunk, manifest.as_records.size());
-    std::vector<std::span<const std::uint8_t>> msgs;
-    std::vector<crypto::Mac> expected;
-    for (std::size_t i = lo; i < hi; ++i) {
-      msgs.emplace_back(bytes.data() + as_offs[i].body, as_offs[i].len);
-      crypto::Mac m;
-      std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(as_offs[i].mac), 16, m.begin());
-      expected.push_back(m);
-    }
-    for (bool v : old_mac.verify_batch(msgs, expected)) {
-      if (!v) ok.store(false, std::memory_order_relaxed);
-    }
-  });
-  ex.parallel_for(chunk_count(manifest.calls.size()), [&](std::size_t ci) {
-    const std::size_t lo = ci * kBatchChunk;
-    const std::size_t hi = std::min(lo + kBatchChunk, manifest.calls.size());
-    std::vector<std::vector<std::uint8_t>> storage;
-    std::vector<std::span<const std::uint8_t>> msgs;
-    std::vector<crypto::Mac> expected;
-    for (std::size_t i = lo; i < hi; ++i) {
-      storage.push_back(patched_message(
-          manifest.calls[i], [&](std::size_t ai) { return bytes.data() + as_offs[ai].mac; }));
-      crypto::Mac m;
-      std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(call_offs[i]), 16, m.begin());
-      expected.push_back(m);
-    }
-    for (const auto& s : storage) msgs.emplace_back(s.data(), s.size());
-    for (bool v : old_mac.verify_batch(msgs, expected)) {
-      if (!v) ok.store(false, std::memory_order_relaxed);
-    }
-  });
-  // Policy-state seed: a rekeyable image is at rest, so its record must
-  // still be the install-time {start_block, counter 0} seed.
+  // ---- verify the whole old surface under old_key. A mismatch means the
+  // image was tampered with (or keys are wrong); refusing here keeps the
+  // rekeyer from laundering a tamper into valid new-key MACs.
   {
-    const std::uint32_t last = util::get_u32(bytes, state_off);
-    crypto::Mac m;
-    std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(state_off + 4), 16, m.begin());
-    if (last != manifest.start_block ||
-        !old_mac.verify(policy::encode_policy_state(last, 0), m)) {
-      ok.store(false, std::memory_order_relaxed);
-    }
+    const crypto::MacKey old_mac(old_key);
+    const Surface s = resolve(asdata, manifest);
+    const std::vector<std::uint8_t>& bytes = asdata.bytes;
+    bool ok = true;
+    const std::vector<crypto::Mac> as = as_macs(bytes, s, old_mac, ex);
+    for (std::size_t i = 0; i < as.size(); ++i) ok &= holds(bytes, s.as[i].mac, as[i]);
+    const std::vector<crypto::Mac> calls = call_macs(bytes, s, manifest, old_mac, ex);
+    for (std::size_t i = 0; i < calls.size(); ++i) ok &= holds(bytes, s.call_macs[i], calls[i]);
+    // Policy-state seed: a rekeyable image is at rest, so its record must
+    // still be the install-time {start_block, counter 0} seed.
+    ok &= util::get_u32(bytes, s.state) == manifest.start_block &&
+          holds(bytes, s.state + 4,
+                old_mac.mac(policy::encode_policy_state(manifest.start_block, 0)));
+    if (!ok) throw Error("Rekeyer: image does not verify under the old key");
   }
-  if (!ok.load()) throw Error("Rekeyer: image does not verify under the old key");
 
-  // ---- Phase S: recompute the surface under new_key. AS content MACs
-  // first (content is key-independent), then call MACs over messages with
-  // the NEW embedded MACs spliced in, then the state seed.
-  std::vector<crypto::Mac> new_as(manifest.as_records.size());
-  ex.parallel_for(chunk_count(manifest.as_records.size()), [&](std::size_t ci) {
-    const std::size_t lo = ci * kBatchChunk;
-    const std::size_t hi = std::min(lo + kBatchChunk, manifest.as_records.size());
-    std::vector<std::span<const std::uint8_t>> msgs;
-    for (std::size_t i = lo; i < hi; ++i) {
-      msgs.emplace_back(bytes.data() + as_offs[i].body, as_offs[i].len);
-    }
-    const std::vector<crypto::Mac> macs = new_mac.mac_batch(msgs);
-    for (std::size_t i = lo; i < hi; ++i) new_as[i] = macs[i - lo];
-  });
-  for (std::size_t i = 0; i < manifest.as_records.size(); ++i) {
-    std::copy(new_as[i].begin(), new_as[i].end(),
-              bytes.begin() + static_cast<std::ptrdiff_t>(as_offs[i].mac));
-  }
-  std::vector<crypto::Mac> new_calls(manifest.calls.size());
-  ex.parallel_for(chunk_count(manifest.calls.size()), [&](std::size_t ci) {
-    const std::size_t lo = ci * kBatchChunk;
-    const std::size_t hi = std::min(lo + kBatchChunk, manifest.calls.size());
-    std::vector<std::vector<std::uint8_t>> storage;
-    std::vector<std::span<const std::uint8_t>> msgs;
-    for (std::size_t i = lo; i < hi; ++i) {
-      storage.push_back(patched_message(manifest.calls[i],
-                                        [&](std::size_t ai) { return new_as[ai].data(); }));
-    }
-    for (const auto& s : storage) msgs.emplace_back(s.data(), s.size());
-    const std::vector<crypto::Mac> macs = new_mac.mac_batch(msgs);
-    for (std::size_t i = lo; i < hi; ++i) new_calls[i] = macs[i - lo];
-  });
-  for (std::size_t i = 0; i < manifest.calls.size(); ++i) {
-    std::copy(new_calls[i].begin(), new_calls[i].end(),
-              bytes.begin() + static_cast<std::ptrdiff_t>(call_offs[i]));
-  }
-  const crypto::Mac state_mac =
-      new_mac.mac(policy::encode_policy_state(manifest.start_block, 0));
-  std::copy(state_mac.begin(), state_mac.end(),
-            bytes.begin() + static_cast<std::ptrdiff_t>(state_off + 4));
+  sign(out.image, manifest, crypto::MacKey(new_key), &ex);
 
   // The live-swap view covers the AS and call MAC slots but NOT the state
   // MAC: a running process's {lastBlock, counter} has moved past the seed,
   // so the kernel re-MACs the live state itself (os/rekey.h).
   out.view.patches.reserve(manifest.as_records.size() + manifest.calls.size());
-  for (std::size_t i = 0; i < manifest.as_records.size(); ++i) {
+  auto patch = [&](std::uint32_t addr) {
     os::RekeyPatch p;
-    p.addr = manifest.as_records[i].body - 16;
-    std::copy(new_as[i].begin(), new_as[i].end(), p.bytes.begin());
+    p.addr = addr;
+    std::copy_n(asdata.bytes.begin() + static_cast<std::ptrdiff_t>(addr - asdata.vaddr()), 16,
+                p.bytes.begin());
     out.view.patches.push_back(p);
-  }
-  for (std::size_t i = 0; i < manifest.calls.size(); ++i) {
-    os::RekeyPatch p;
-    p.addr = manifest.calls[i].mac_slot;
-    std::copy(new_calls[i].begin(), new_calls[i].end(), p.bytes.begin());
-    out.view.patches.push_back(p);
-  }
+  };
+  for (const auto& as : manifest.as_records) patch(as.body - 16);
+  for (const auto& c : manifest.calls) patch(c.mac_slot);
 
   out.stats.macs_recomputed = manifest.mac_count();
   out.stats.surface_bytes = manifest.mac_surface_bytes();

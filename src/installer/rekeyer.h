@@ -1,27 +1,30 @@
-// Differential re-keying: O(MAC-surface) re-signing of an installed image.
+// The installer's one signer, and differential re-keying: O(MAC-surface)
+// re-signing of an installed image.
 //
-// A fresh install runs the whole pipeline -- disassembly, CFG construction,
-// supergraph walks, policy derivation, rewrite, sign. But the only
-// key-dependent bytes in the output are the MACs: call MACs over encoded
-// policies, AS content MACs, and the policy-state seed MAC. The rewriter
-// therefore emits a SignManifest alongside the image recording exactly where
-// those MACs live and what bytes each one covers, and Rekeyer::rekey()
-// re-signs the image under a new key by recomputing only that surface --
-// batched through Cmac::compute_batch and fanned out with
-// util::Executor::parallel_for.
+// The only key-dependent bytes of an installed image are its MACs: call MACs
+// over encoded policies, AS content MACs, and the policy-state seed MAC. The
+// rewriter lays the image out with all of them zero and emits a SignManifest
+// recording exactly where each one lives and what bytes it covers. sign()
+// writes that surface under a key -- batched through Cmac::compute_batch and
+// fanned out with util::Executor::parallel_for -- and it is the only code
+// that computes an installed MAC: Installer::rewrite() signs through it, and
+// Rekeyer::rekey() re-signs through it.
 //
 // Call-MAC messages are NOT stored key-dependent: an encoded policy embeds
 // the content MACs of its AS arguments and of its predecessor-set blob, so
 // the manifest stores each call message with those embedded MAC fields
-// ZEROED plus a patch list {offset in message, AS body address}. The verify
-// pass splices in the old MACs read from the image; the sign pass splices in
-// the freshly computed new ones. The manifest itself is thus strictly
-// key-independent and reusable across any number of rotations.
+// ZEROED plus a patch list {offset in message, AS body address}. Both the
+// verify pass and sign() splice in the AS MACs the image holds at that
+// moment: the old ones when verifying, the freshly written ones when
+// signing. The manifest itself is thus strictly key-independent and
+// reusable across any number of rotations.
 //
 // rekey() first verifies the ENTIRE old surface under the old key and throws
 // on any mismatch -- re-signing a tampered image would launder the tamper
-// into valid new-key MACs. The output is byte-identical to a fresh install
-// under the new key (the differential oracle test pins this).
+// into valid new-key MACs -- then calls sign() under the new key. The output
+// is byte-identical to a fresh install under the new key: the differential
+// test pins that the verify pass accepts every install and that the
+// manifest names every key-dependent byte.
 #pragma once
 
 #include <cstdint>
@@ -63,8 +66,8 @@ struct ManifestCallRecord {
   bool operator==(const ManifestCallRecord&) const = default;
 };
 
-/// Everything needed to re-sign an installed image under a different key
-/// without re-running any analysis. Emitted by the rewriter, consumed by
+/// Everything needed to sign an installed image under any key without
+/// re-running any analysis. Emitted by the rewriter, consumed by sign() and
 /// Rekeyer::rekey(). Key-independent by construction.
 struct SignManifest {
   std::uint16_t program_id = 0;
@@ -99,6 +102,15 @@ struct RekeyResult {
   os::RekeyView view;   // MAC-slot patches + state_addr for live kernel swap
   RekeyStats stats;
 };
+
+/// Write every MAC of `image`'s signing surface under `key`: each AS MAC,
+/// each call MAC (over its message with the just-written AS MACs spliced
+/// in), and the policy-state seed MAC over {start_block, counter 0}. Throws
+/// Error, before computing any MAC, if the manifest names bytes outside
+/// .asdata, an AS whose length field disagrees, or a patch for an unknown
+/// AS. Byte-identical output at any executor job count.
+void sign(binary::Image& image, const SignManifest& manifest, const crypto::MacKey& key,
+          util::Executor* executor = nullptr);
 
 class Rekeyer {
  public:

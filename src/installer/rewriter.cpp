@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
-#include "analysis/dataflow.h"
 #include "isa/encode.h"
 #include "policy/authstring.h"
 #include "util/error.h"
@@ -20,12 +18,9 @@ using analysis::IrInstr;
 using analysis::RefKind;
 using binary::SectionKind;
 
-/// Allocator for the .asdata section.
-///
-/// Layout (reserve/add_as/add_string_as) is strictly serial so addresses are
-/// identical at any job count; the CMAC over every AS blob is recorded as a
-/// pending signing job and computed by sign_pending() in parallel -- each
-/// job MACs its own content range and writes its own 16-byte MAC slot.
+/// Allocator for the .asdata section. Strictly serial, so addresses are
+/// identical at any job count. Each AS blob is laid out as {len, zero MAC,
+/// content} and recorded for the signer.
 class AsDataBuilder {
  public:
   /// Reserve `n` bytes; returns the virtual address of the first byte.
@@ -39,71 +34,21 @@ class AsDataBuilder {
     return addr;
   }
 
-  /// Append an AS blob {len, MAC, content}; the MAC is left zero until
-  /// sign_pending(). Returns the BODY address.
+  /// Append an AS blob; returns the BODY address.
   std::uint32_t add_as(std::span<const std::uint8_t> content) {
     if (content.size() > policy::kAsMaxLength) throw Error("authenticated string too long");
-    const auto len = static_cast<std::uint32_t>(content.size());
-    const std::uint32_t addr = reserve(policy::kAsHeaderSize + len);
-    const std::uint32_t off = addr - binary::section_base(SectionKind::AsData);
-    util::set_u32(bytes_, off, len);
-    std::copy(content.begin(), content.end(), bytes_.begin() + off + policy::kAsHeaderSize);
-    pending_.push_back({off + policy::kAsHeaderSize, len, off + 4});
-    return addr + policy::as_body_offset();
+    return append(content, 0);
   }
 
   /// Deduplicated AS for a string constant. The AS length covers the string
   /// WITHOUT the NUL (the kernel MACs the logical string) while the stored
   /// content keeps NUL termination for the guest.
   std::uint32_t add_string_as(const std::string& s) {
-    auto it = string_cache_.find(s);
-    if (it != string_cache_.end()) return it->second;
-    const auto len = static_cast<std::uint32_t>(s.size());
-    const std::uint32_t addr = reserve(policy::kAsHeaderSize + len + 1);
-    const std::uint32_t off = addr - binary::section_base(SectionKind::AsData);
-    util::set_u32(bytes_, off, len);
-    std::copy(s.begin(), s.end(), bytes_.begin() + off + policy::kAsHeaderSize);
-    pending_.push_back({off + policy::kAsHeaderSize, len, off + 4});
-    const std::uint32_t body = addr + policy::as_body_offset();
-    string_cache_[s] = body;
-    return body;
-  }
-
-  /// Compute every pending AS MAC and write it into its slot. Chunks of
-  /// kSignChunk records go through Cmac::compute_batch (4-lane AES-NI
-  /// lockstep), and the chunks fan out over `ex`. Disjoint read/write ranges
-  /// per job; bytes_ no longer grows.
-  void sign_pending(const crypto::MacKey& key, util::Executor& ex) {
-    constexpr std::size_t kSignChunk = 64;
-    const std::size_t nchunks = (pending_.size() + kSignChunk - 1) / kSignChunk;
-    ex.parallel_for(nchunks, [&](std::size_t ci) {
-      const std::size_t lo = ci * kSignChunk;
-      const std::size_t hi = std::min(lo + kSignChunk, pending_.size());
-      std::vector<std::span<const std::uint8_t>> msgs;
-      msgs.reserve(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) {
-        msgs.emplace_back(bytes_.data() + pending_[i].msg_off, pending_[i].msg_len);
-      }
-      const std::vector<crypto::Mac> macs = key.mac_batch(msgs);
-      for (std::size_t i = lo; i < hi; ++i) {
-        std::copy(macs[i - lo].begin(), macs[i - lo].end(),
-                  bytes_.begin() + pending_[i].mac_off);
-      }
-    });
-    pending_.clear();
-  }
-
-  /// Manifest view of every AS blob allocated so far (body vaddr + covered
-  /// length). Must be harvested BEFORE sign_pending() clears the list;
-  /// dedup in add_string_as means one record per unique string.
-  std::vector<ManifestAsRecord> manifest_as_records() const {
-    std::vector<ManifestAsRecord> recs;
-    recs.reserve(pending_.size());
-    for (const PendingMac& p : pending_) {
-      recs.push_back(
-          ManifestAsRecord{binary::section_base(SectionKind::AsData) + p.msg_off, p.msg_len});
+    auto [it, fresh] = string_cache_.try_emplace(s, 0);
+    if (fresh) {
+      it->second = append({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()}, 1);
     }
-    return recs;
+    return it->second;
   }
 
   void write(std::uint32_t addr, std::span<const std::uint8_t> data) {
@@ -112,23 +57,31 @@ class AsDataBuilder {
     std::copy(data.begin(), data.end(), bytes_.begin() + off);
   }
 
+  /// Every AS blob laid out, in allocation order (one per unique string).
+  std::vector<ManifestAsRecord> take_records() { return std::move(records_); }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
  private:
-  struct PendingMac {
-    std::uint32_t msg_off = 0;  // offsets into bytes_
-    std::uint32_t msg_len = 0;
-    std::uint32_t mac_off = 0;
-  };
+  /// {len, zero MAC, content} plus `pad` zero bytes; returns the body address.
+  std::uint32_t append(std::span<const std::uint8_t> content, std::uint32_t pad) {
+    const auto len = static_cast<std::uint32_t>(content.size());
+    const std::uint32_t body = reserve(policy::kAsHeaderSize + len + pad) + policy::kAsHeaderSize;
+    const std::uint32_t off = body - binary::section_base(SectionKind::AsData);
+    util::set_u32(bytes_, off - policy::kAsHeaderSize, len);
+    std::copy(content.begin(), content.end(), bytes_.begin() + off);
+    records_.push_back(ManifestAsRecord{body, len});
+    return body;
+  }
+
   std::vector<std::uint8_t> bytes_;
-  std::vector<PendingMac> pending_;
+  std::vector<ManifestAsRecord> records_;
   std::map<std::string, std::uint32_t> string_cache_;
 };
 
 }  // namespace
 
-RewriteResult rewrite_with_policies(const binary::Image& input, GeneratedPolicies gp,
-                                    const crypto::MacKey& key, const RewriteOptions& options) {
+InstallResult rewrite_with_policies(const binary::Image& input, GeneratedPolicies gp,
+                                    const InstallOptions& options) {
   if (!gp.holes.empty()) {
     throw Error("rewriter: policy template has " + std::to_string(gp.holes.size()) +
                 " unfilled holes (metapolicy not satisfied)");
@@ -145,14 +98,14 @@ RewriteResult rewrite_with_policies(const binary::Image& input, GeneratedPolicie
   // ---- allocate policy state in .asdata (writable in this VM) ----
   const std::uint32_t state_addr = asdata.reserve(policy::kPolicyStateSize);
 
-  // ---- per-site .asdata allocation: strings, patterns, pred sets, MACs ----
-  // Serial: address assignment must not depend on scheduling. All AES work
-  // (the AS MACs) is deferred to the parallel sign_pending() below.
+  // ---- per-site .asdata allocation: strings, patterns, pred sets, MAC slots ----
+  // Serial: address assignment must not depend on scheduling. String LEAs
+  // are retargeted here too.
   const std::size_t nsites = gp.scan.sites.size();
   struct SiteAlloc {
-    std::array<std::uint32_t, os::kMaxSyscallArgs> as_body{};   // AS body addr per String arg
-    std::array<std::uint32_t, os::kMaxSyscallArgs> pattern_body{};  // per Pattern arg
+    std::array<std::uint32_t, os::kMaxSyscallArgs> as_body{};  // AS body addr per String arg
     std::uint32_t pred_body = 0;
+    std::uint32_t pred_len = 0;
     std::uint32_t mac_slot = 0;
   };
   std::vector<SiteAlloc> allocs(nsites);
@@ -160,20 +113,28 @@ RewriteResult rewrite_with_policies(const binary::Image& input, GeneratedPolicie
 
   for (std::size_t si = 0; si < nsites; ++si) {
     policy::SyscallPolicy& pol = gp.policies[si];
+    const analysis::SyscallSite& site = gp.scan.sites[si];
     SiteAlloc& al = allocs[si];
     std::vector<policy::PatternRef> pattern_refs;
     for (int a = 0; a < pol.arity; ++a) {
       const auto idx = static_cast<std::size_t>(a);
-      if (pol.args[idx].kind == policy::ArgPolicy::Kind::String) {
-        al.as_body[idx] = asdata.add_string_as(pol.args[idx].str);
-      } else if (pol.args[idx].kind == policy::ArgPolicy::Kind::Pattern) {
+      const policy::ArgPolicy& arg = pol.args[idx];
+      if (arg.kind == policy::ArgPolicy::Kind::String) {
+        // Retarget the LEAs the scan traced this argument to. Without one,
+        // the AS address could never reach the call.
+        const std::vector<std::size_t>& leas = site.args[idx].str_leas;
+        if (leas.empty()) {
+          throw Error("rewriter: string policy on " + std::string(os::signature(pol.sys).name) +
+                      " argument " + std::to_string(a) +
+                      ", which the analysis did not trace to a string constant");
+        }
+        al.as_body[idx] = asdata.add_string_as(arg.str);
+        for (std::size_t d : leas) ir.funcs[site.func].instrs[d].ref_addr = al.as_body[idx];
+      } else if (arg.kind == policy::ArgPolicy::Kind::Pattern) {
         any_pattern = true;
-        const std::string& pat = pol.args[idx].str;
-        al.pattern_body[idx] =
-            asdata.add_as(std::span<const std::uint8_t>(
-                reinterpret_cast<const std::uint8_t*>(pat.data()), pat.size()));
-        pattern_refs.push_back(
-            policy::PatternRef{static_cast<std::uint32_t>(a), al.pattern_body[idx]});
+        const std::uint32_t body = asdata.add_as(std::span<const std::uint8_t>(
+            reinterpret_cast<const std::uint8_t*>(arg.str.data()), arg.str.size()));
+        pattern_refs.push_back(policy::PatternRef{static_cast<std::uint32_t>(a), body});
       }
     }
     // Compose block ids now.
@@ -184,21 +145,20 @@ RewriteResult rewrite_with_policies(const binary::Image& input, GeneratedPolicie
       pol.control_flow = true;  // the blob rides on the control-flow tuple
       const auto blob = policy::encode_pred_set(pol.predecessors, pol.fd_sources, pattern_refs);
       al.pred_body = asdata.add_as(blob);
+      al.pred_len = static_cast<std::uint32_t>(blob.size());
     }
     al.mac_slot = asdata.reserve(16);
   }
 
-  // ---- sign every AS blob (parallel batched CMAC schedule) ----
-  // The manifest's AS table is harvested first: sign_pending consumes the
-  // pending list, and the rekeyer needs the same {body, len} surface.
-  RewriteResult result;
+  InstallResult result;
+  result.warnings = std::move(gp.warnings);
+  result.inline_report = std::move(gp.inline_report);
   result.manifest.program_id = options.program_id;
   result.manifest.unique_block_ids = options.unique_block_ids;
   result.manifest.state_addr = state_addr;
   result.manifest.start_block = compose(policy::kStartBlockLocal);
-  result.manifest.as_records = asdata.manifest_as_records();
+  result.manifest.as_records = asdata.take_records();
   result.manifest.calls.resize(nsites);
-  asdata.sign_pending(key, ex);
 
   // ---- locate the guest hint buffer if patterns are used ----
   std::uint32_t hint_buf_addr = 0;
@@ -211,11 +171,11 @@ RewriteResult rewrite_with_policies(const binary::Image& input, GeneratedPolicie
     hint_buf_addr = sym->addr;
   }
 
-  // ---- retarget string-argument LEAs and insert extra-arg setup ----
+  // ---- insert extra-arg setup ----
   // Group sites by function; rebuild each function's instruction list once.
   // Functions are independent (each task rebuilds its own f.instrs and
-  // updates only its own sites' instruction indexes), so the rebuild -- and
-  // the per-function ReachingDefs it needs -- fans out over the pool.
+  // updates only its own sites' instruction indexes), so the rebuild fans
+  // out over the pool.
   std::map<std::size_t, std::vector<std::size_t>> sites_by_func;
   for (std::size_t si = 0; si < nsites; ++si) {
     sites_by_func[gp.scan.sites[si].func].push_back(si);
@@ -227,25 +187,6 @@ RewriteResult rewrite_with_policies(const binary::Image& input, GeneratedPolicie
     const std::size_t fi = func_sites[k].first;
     const std::vector<std::size_t>& site_ids = func_sites[k].second;
     IrFunction& f = ir.funcs[fi];
-
-    // Retarget defining LEAs of String arguments.
-    const analysis::ReachingDefs rd(ir, gp.cfg, fi);
-    for (std::size_t si : site_ids) {
-      const analysis::SyscallSite& site = gp.scan.sites[si];
-      const policy::SyscallPolicy& pol = gp.policies[si];
-      for (int a = 0; a < pol.arity; ++a) {
-        const auto idx = static_cast<std::size_t>(a);
-        if (pol.args[idx].kind != policy::ArgPolicy::Kind::String) continue;
-        const std::uint32_t body = allocs[si].as_body[idx];
-        for (std::size_t d : rd.defs_at(site.instr, static_cast<isa::Reg>(1 + a))) {
-          if (d == analysis::kEntryDef) continue;
-          IrInstr& din = f.instrs[d];
-          if (din.ins.op == isa::Op::Lea && din.ref == RefKind::DataAddr) {
-            din.ref_addr = body;
-          }
-        }
-      }
-    }
 
     // Insert the extra-argument setup before each SYSCALL of this function.
     std::vector<IrInstr> out;
@@ -379,8 +320,6 @@ RewriteResult rewrite_with_policies(const binary::Image& input, GeneratedPolicie
     }
   }
 
-  // ---- opaque functions that moved: the check above threw if unsafe ----
-
   // ---- build the output image ----
   binary::Image& out = result.image;
   out.sections.reserve(8);  // section() grows the vector; see tasm::link
@@ -421,12 +360,15 @@ RewriteResult rewrite_with_policies(const binary::Image& input, GeneratedPolicie
   }
   out.entry = func_addr[ir.entry_func];
 
-  // ---- final call sites & encoded policies/MACs ----
-  // Parallel per site: every call MAC is an independent CMAC over that
-  // site's encoded policy, written to that site's own 16-byte .asdata slot.
-  ex.parallel_for(nsites, [&](std::size_t si) {
+  // ---- final call sites and call-MAC messages ----
+  // Each message is encoded with its embedded AS MAC fields zero, and its
+  // patch list binds each field to the AS whose MAC the signer splices in:
+  // AS args in ascending order, then the predecessor set, the order of
+  // embedded_mac_offsets.
+  for (std::size_t si = 0; si < nsites; ++si) {
     policy::SyscallPolicy& pol = gp.policies[si];
     const analysis::SyscallSite& site = gp.scan.sites[si];
+    const SiteAlloc& al = allocs[si];
     pol.call_site = instr_addr[site.func][site.instr];
 
     policy::EncodedPolicyInputs in;
@@ -435,78 +377,35 @@ RewriteResult rewrite_with_policies(const binary::Image& input, GeneratedPolicie
     in.call_site = pol.call_site;
     in.block_id = pol.block_id;
     in.arity = pol.arity;
-    for (int a = 0; a < pol.arity; ++a) {
-      const auto idx = static_cast<std::size_t>(a);
-      switch (pol.args[idx].kind) {
-        case policy::ArgPolicy::Kind::Const:
-          in.const_values[idx] = pol.args[idx].value;
-          break;
-        case policy::ArgPolicy::Kind::String: {
-          policy::AsRef as;
-          as.addr = allocs[si].as_body[idx];
-          as.len = static_cast<std::uint32_t>(pol.args[idx].str.size());
-          as.mac = key.mac(std::span<const std::uint8_t>(
-              reinterpret_cast<const std::uint8_t*>(pol.args[idx].str.data()),
-              pol.args[idx].str.size()));
-          in.as_args[idx] = as;
-          break;
-        }
-        default:
-          break;
-      }
-    }
-    if (pol.control_flow) {
-      std::vector<policy::PatternRef> pattern_refs;
-      for (int a = 0; a < pol.arity; ++a) {
-        const auto idx = static_cast<std::size_t>(a);
-        if (pol.args[idx].kind == policy::ArgPolicy::Kind::Pattern) {
-          pattern_refs.push_back(
-              policy::PatternRef{static_cast<std::uint32_t>(a), allocs[si].pattern_body[idx]});
-        }
-      }
-      const auto blob = policy::encode_pred_set(pol.predecessors, pol.fd_sources, pattern_refs);
-      policy::AsRef pred;
-      pred.addr = allocs[si].pred_body;
-      pred.len = static_cast<std::uint32_t>(blob.size());
-      pred.mac = key.mac(blob);
-      in.pred_set = pred;
-      in.lb_ptr = state_addr;
-    }
-    const auto encoded = policy::encode_policy(in);
-    const crypto::Mac call_mac = key.mac(encoded);
-    asdata.write(allocs[si].mac_slot, call_mac);
-
-    // Manifest call record: the encoded message with its embedded AS MAC
-    // fields zeroed (keeping the manifest key-independent) plus the patch
-    // list binding each field to the AS whose content MAC fills it. The
-    // offsets helper mirrors encode_policy, so the bodies line up: AS args
-    // in ascending order, then the predecessor set.
-    ManifestCallRecord& rec = result.manifest.calls[si];
-    rec.mac_slot = allocs[si].mac_slot;
-    rec.message = encoded;
     std::vector<std::uint32_t> bodies;
     for (int a = 0; a < pol.arity; ++a) {
       const auto idx = static_cast<std::size_t>(a);
-      if (in.descriptor.arg_is_authenticated_string(a)) bodies.push_back(allocs[si].as_body[idx]);
+      const policy::ArgPolicy& arg = pol.args[idx];
+      if (arg.kind == policy::ArgPolicy::Kind::Const) in.const_values[idx] = arg.value;
+      if (arg.kind == policy::ArgPolicy::Kind::String) {
+        in.as_args[idx] = {al.as_body[idx], static_cast<std::uint32_t>(arg.str.size()), {}};
+        bodies.push_back(al.as_body[idx]);
+      }
     }
-    if (in.descriptor.control_flow_constrained()) bodies.push_back(allocs[si].pred_body);
+    if (pol.control_flow) {
+      in.pred_set = {al.pred_body, al.pred_len, {}};
+      in.lb_ptr = state_addr;
+      bodies.push_back(al.pred_body);
+    }
+    ManifestCallRecord& rec = result.manifest.calls[si];
+    rec.mac_slot = al.mac_slot;
+    rec.message = policy::encode_policy(in);
     const std::vector<std::size_t> mac_offs = policy::embedded_mac_offsets(in);
     for (std::size_t k = 0; k < mac_offs.size(); ++k) {
       rec.patches.push_back(ManifestPatch{static_cast<std::uint32_t>(mac_offs[k]), bodies[k]});
-      std::fill_n(rec.message.begin() + static_cast<std::ptrdiff_t>(mac_offs[k]), 16, 0);
     }
-  });
+  }
 
-  // ---- initialize the policy state ----
+  // ---- the policy state starts at the start block; its MAC is signed ----
   {
-    std::vector<std::uint8_t> state;
-    const std::uint32_t start = policy::make_block_id(
-        options.program_id, policy::kStartBlockLocal, options.unique_block_ids);
-    util::put_u32(state, start);
-    const auto msg = policy::encode_policy_state(start, 0);
-    const crypto::Mac m = key.mac(msg);
-    state.insert(state.end(), m.begin(), m.end());
-    asdata.write(state_addr, state);
+    std::vector<std::uint8_t> last_block;
+    util::put_u32(last_block, result.manifest.start_block);
+    asdata.write(state_addr, last_block);
   }
 
   out.section(SectionKind::AsData).bytes = asdata.take();

@@ -59,17 +59,6 @@ void drop_hole(PolicyTemplate& t, std::size_t hole_index) {
 }
 }  // namespace
 
-void PolicyTemplate::fill_with_string(std::size_t hole_index, const std::string& value) {
-  const TemplateHole h = peek_hole(*this, hole_index);
-  if (h.requirement == ArgRequirement::MustPattern) {
-    throw Error("PolicyTemplate: hole requires a pattern, not a string constant");
-  }
-  auto& arg = policies[h.policy_index].args[static_cast<std::size_t>(h.arg)];
-  arg.kind = ArgPolicy::Kind::String;
-  arg.str = value;
-  drop_hole(*this, hole_index);
-}
-
 void PolicyTemplate::fill_with_pattern(std::size_t hole_index, const std::string& pattern) {
   const TemplateHole h = peek_hole(*this, hole_index);
   auto& arg = policies[h.policy_index].args[static_cast<std::size_t>(h.arg)];

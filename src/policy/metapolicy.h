@@ -67,9 +67,8 @@ struct PolicyTemplate {
 
   bool complete() const { return holes.empty(); }
 
-  /// Fill one hole with a constant string value or a pattern. Throws if the
-  /// hole index is invalid or the fill does not satisfy the requirement.
-  void fill_with_string(std::size_t hole_index, const std::string& value);
+  /// Fill one hole with a pattern or a constant value. Throws if the hole
+  /// index is invalid or the fill does not satisfy the requirement.
   void fill_with_pattern(std::size_t hole_index, const std::string& pattern);
   void fill_with_const(std::size_t hole_index, std::uint32_t value);
 };

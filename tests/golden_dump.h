@@ -7,10 +7,17 @@
 // full formatted audit log. tests/golden/trap_pipeline.golden was captured
 // from the pre-refactor (monolithic-kernel) tree; the golden test asserts the
 // staged pipeline reproduces it byte for byte.
+//
+// `installed_images_dump()` is the installer's oracle: one line per bundled
+// app, with FNV-1a digests of what the installer writes (see its comment).
+// tests/golden/installed_images.golden pins it.
 #pragma once
 
+#include <cstdio>
 #include <string>
 
+#include "apps/apps.h"
+#include "installer/installer.h"
 #include "monitor/ktable.h"
 #include "workloads.h"
 
@@ -53,6 +60,29 @@ inline void prepare_screen_fs(os::SimFs& fs) {
   (void)fs.mkdir("/", "/dev", 0755);
   auto ino = fs.open("/", "/dev/tty", os::SimFs::kRdWr | os::SimFs::kCreat, 0666);
   (void)ino;
+}
+
+/// FNV-1a over a sequence of byte strings, printed as 16 hex digits.
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(const std::uint8_t* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  }
+  void add(const std::vector<std::uint8_t>& v) { add(v.data(), v.size()); }
+  void add(const std::string& s) {
+    add(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+  }
+  std::string hex() const {
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+    return buf;
+  }
+};
+
+inline std::string policies_digest(const std::vector<policy::SyscallPolicy>& policies) {
+  Fnv f;
+  for (const auto& p : policies) f.add(p.to_string());
+  return f.hex();
 }
 
 }  // namespace golden_detail
@@ -107,6 +137,40 @@ inline std::string golden_trap_dump() {
 
     out += "audit:\n";
     for (const auto& rec : sys.kernel().audit_log()) out += rec.to_string() + "\n";
+  }
+  return out;
+}
+
+/// Every LinuxSim app of apps::build_all installed by a fresh installer
+/// under test_key() with program id = index + 1: site count and digests of
+/// the serialized image, the serialized SignManifest and the final policies.
+/// Then every BsdSim app, analysis only (installing throws on BSD's opaque
+/// close stub): policy count and digests of the policies and warnings.
+inline std::string installed_images_dump() {
+  using golden_detail::Fnv;
+  std::string out;
+  const auto linux_apps = apps::build_all(os::Personality::LinuxSim);
+  for (std::size_t i = 0; i < linux_apps.size(); ++i) {
+    installer::Installer inst(test_key(), os::Personality::LinuxSim);
+    installer::InstallOptions opt;
+    opt.program_id = static_cast<std::uint16_t>(i + 1);
+    const installer::InstallResult r = inst.install(linux_apps[i].second, opt);
+    Fnv image;
+    image.add(r.image.serialize());
+    Fnv manifest;
+    manifest.add(r.manifest.serialize());
+    out += "linux " + linux_apps[i].first + " sites=" + std::to_string(r.policies.size()) +
+           " image=" + image.hex() + " manifest=" + manifest.hex() +
+           " policies=" + golden_detail::policies_digest(r.policies) + "\n";
+  }
+  for (const auto& [name, img] : apps::build_all(os::Personality::BsdSim)) {
+    const installer::Installer inst(test_key(), os::Personality::BsdSim);
+    const installer::GeneratedPolicies gp = inst.analyze(img);
+    Fnv warnings;
+    for (const auto& w : gp.warnings) warnings.add(w + "\n");
+    out += "bsd " + name + " sites=" + std::to_string(gp.policies.size()) +
+           " policies=" + golden_detail::policies_digest(gp.policies) +
+           " warnings=" + warnings.hex() + "\n";
   }
   return out;
 }

@@ -23,6 +23,7 @@ using apps::R1;
 using apps::R2;
 using apps::R3;
 using apps::R11;
+using apps::R12;
 
 TEST(Disassembler, RequiresRelocatableImage) {
   tasm::Assembler a("t");
@@ -179,6 +180,32 @@ TEST(Dataflow, TracesConstantsAndStrings) {
   EXPECT_EQ(v2.value, 0u);
   const auto v3 = trace_value(ir, img, cfg, rd, 0, sys_idx, 3);
   EXPECT_EQ(v3.kind, AbstractValue::Kind::Const) << "copy chains must be followed";
+}
+
+TEST(Dataflow, StringThroughACopyKeepsEveryLea) {
+  tasm::Assembler a("t");
+  a.func("_start");
+  a.cmpi(R11, 0);
+  a.jz(".b");
+  a.lea(R12, "path");  // 2
+  a.jmp(".join");
+  a.label(".b");
+  a.lea(R12, "path");  // 4
+  a.label(".join");
+  a.mov(R1, R12);
+  a.movi(R0, 5);  // open
+  a.syscall_();
+  a.ret();
+  a.rodata_cstr("path", "/a.txt");
+  auto img = a.link("_start");
+  auto ir = disassemble(img);
+  auto cfg = build_cfg(ir);
+  const ReachingDefs rd(ir, cfg, 0);
+  // the syscall is instruction index 7
+  const auto v = trace_value(ir, img, cfg, rd, 0, 7, 1);
+  ASSERT_EQ(v.kind, AbstractValue::Kind::StrAddr);
+  EXPECT_EQ(v.leas, (std::vector<std::size_t>{2, 4}))
+      << "the rewriter retargets exactly these LEAs";
 }
 
 TEST(Dataflow, MultiplePathsYieldMultiValue) {

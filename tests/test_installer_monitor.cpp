@@ -4,9 +4,11 @@
 
 #include <set>
 
+#include "apps/libtoy.h"
 #include "monitor/ktable.h"
 #include "monitor/systrace.h"
 #include "monitor/training.h"
+#include "tasm/assembler.h"
 #include "workloads.h"
 
 namespace asc {
@@ -65,6 +67,64 @@ TEST(InstallerTest, StringArgumentsBecomeAuthenticatedStrings) {
   EXPECT_EQ(spawn->args[0].str, "/bin/ls");
   // The descriptor must carry the AS bit so the kernel knows to check it.
   EXPECT_TRUE(spawn->descriptor().arg_is_authenticated_string(0));
+}
+
+// A path that reaches open() through a register copy: `lea r11,"/a.txt";
+// mov r1,r11`. The scan traces the copy to the string, so the argument gets
+// a String policy; the rewriter must retarget that LEA at the authenticated
+// string, or the open fails its call MAC.
+binary::Image build_copied_path_open(os::Personality pers) {
+  tasm::Assembler a("copypath");
+  using namespace apps;
+  a.func("main");
+  a.lea(R11, "cp_path");
+  a.mov(R1, R11);
+  a.movi(R2, O_RDONLY);
+  a.movi(R3, 0);
+  a.call("sys_open");
+  a.mov(R1, R0);
+  a.call("sys_close");
+  a.movi(R0, 0);
+  a.ret();
+  a.rodata_cstr("cp_path", "/a.txt");
+  emit_libc(a, pers);
+  return a.link();
+}
+
+TEST(InstallerTest, StringReachedThroughACopyIsAuthenticated) {
+  const auto pers = os::Personality::LinuxSim;
+  System sys(pers);
+  auto ino = sys.kernel().fs().open("/", "/a.txt", os::SimFs::kWrOnly | os::SimFs::kCreat, 0644);
+  ASSERT_GE(ino, 0);
+  auto inst = sys.install(build_copied_path_open(pers));
+  const policy::SyscallPolicy* open = nullptr;
+  for (const auto& p : inst.policies) {
+    if (p.sys == os::SysId::Open) open = &p;
+  }
+  ASSERT_NE(open, nullptr);
+  EXPECT_EQ(open->args[0].kind, policy::ArgPolicy::Kind::String);
+  EXPECT_EQ(open->args[0].str, "/a.txt");
+  const auto r = sys.machine().run(inst.image);
+  EXPECT_TRUE(r.completed) << os::violation_name(r.violation) << ": " << r.violation_detail;
+}
+
+TEST(InstallerTest, StringPolicyOnAnUntracedArgumentIsRejected) {
+  const auto pers = os::Personality::LinuxSim;
+  installer::Installer inst(test_key(), pers);
+  const binary::Image img = apps::build_tool_cat(pers);
+  installer::GeneratedPolicies gp = inst.analyze(img);
+  // cat opens an argv-derived path: the scan resolved it to no string LEA,
+  // so a hand-written string policy there has nothing to retarget.
+  bool edited = false;
+  for (auto& p : gp.policies) {
+    if (p.sys != os::SysId::Open || p.args[0].kind == policy::ArgPolicy::Kind::String) continue;
+    p.args[0].kind = policy::ArgPolicy::Kind::String;
+    p.args[0].str = "/etc/passwd";
+    edited = true;
+    break;
+  }
+  ASSERT_TRUE(edited);
+  EXPECT_THROW(inst.rewrite(img, std::move(gp)), Error);
 }
 
 TEST(InstallerTest, MetapolicyHolesBlockRewrite) {

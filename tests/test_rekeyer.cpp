@@ -90,6 +90,11 @@ TEST(Rekeyer, TruncatedManifestIsRejected) {
   EXPECT_THROW(installer::SignManifest::deserialize(blob), Error);
   blob.clear();
   EXPECT_THROW(installer::SignManifest::deserialize(blob), Error);
+  // A patch offset near 2^32 must not wrap past the message-bounds check.
+  installer::SignManifest wrapped = inst.manifest;
+  ASSERT_FALSE(wrapped.calls.empty());
+  wrapped.calls.front().patches.push_back(installer::ManifestPatch{0xfffffff8u, 0});
+  EXPECT_THROW(installer::SignManifest::deserialize(wrapped.serialize()), Error);
 }
 
 TEST(Rekeyer, DeterministicAcrossJobCounts) {
