@@ -110,9 +110,6 @@ RunResult Machine::run_internal(const binary::Image& image, const std::vector<st
   p.mem.load_image(image);
   p.cpu.pc = image.entry;
   p.stdin_data.assign(stdin_data.begin(), stdin_data.end());
-  if (const auto* bss = image.find_section(binary::SectionKind::Bss); bss != nullptr) {
-    (void)bss;  // heap starts at the fixed base regardless
-  }
   setup_initial_stack(p, argv);
 
   RunResult res;

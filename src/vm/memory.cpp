@@ -1,8 +1,26 @@
 #include "vm/memory.h"
 
+#include <sys/mman.h>
+
+#include <cstdio>
+#include <new>
+
 namespace asc::vm {
 
-Memory::Memory() : bytes_(binary::kAddressSpaceEnd - binary::kAddressSpaceBase, 0) {}
+namespace {
+
+std::uint8_t* map_space(std::size_t bytes) {
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return static_cast<std::uint8_t*>(p);
+}
+
+}  // namespace
+
+Memory::Memory() : bytes_(map_space(kSpaceBytes)) {}
+
+void Memory::Unmap::operator()(std::uint8_t* p) const noexcept { ::munmap(p, kSpaceBytes); }
 
 std::size_t Memory::index_of(std::uint32_t addr) { return addr - binary::kAddressSpaceBase; }
 
@@ -15,15 +33,17 @@ bool Memory::in_range(std::uint32_t addr, std::uint32_t n) const {
 
 void Memory::check(std::uint32_t addr, std::uint32_t n) const {
   if (!in_range(addr, n)) {
-    throw GuestFault("guest memory access out of range at 0x" + std::to_string(addr));
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "guest memory access out of range at 0x%08x", addr);
+    throw GuestFault(buf);
   }
 }
 
 void Memory::load_image(const binary::Image& image) {
   for (const auto& s : image.sections) {
-    if (s.kind == binary::SectionKind::Bss) continue;  // already zeroed
+    if (s.kind == binary::SectionKind::Bss) continue;  // untouched pages read as zero
     check(s.vaddr(), static_cast<std::uint32_t>(s.bytes.size()));
-    std::copy(s.bytes.begin(), s.bytes.end(), bytes_.begin() + static_cast<std::ptrdiff_t>(index_of(s.vaddr())));
+    std::copy(s.bytes.begin(), s.bytes.end(), bytes_.get() + index_of(s.vaddr()));
   }
 }
 
@@ -59,21 +79,19 @@ void Memory::w32(std::uint32_t addr, std::uint32_t value) {
 std::vector<std::uint8_t> Memory::read_bytes(std::uint32_t addr, std::uint32_t n) const {
   check(addr, n);
   const std::size_t i = index_of(addr);
-  return std::vector<std::uint8_t>(bytes_.begin() + static_cast<std::ptrdiff_t>(i),
-                                   bytes_.begin() + static_cast<std::ptrdiff_t>(i + n));
+  return std::vector<std::uint8_t>(bytes_.get() + i, bytes_.get() + i + n);
 }
 
 void Memory::read_bytes(std::uint32_t addr, std::uint32_t n, std::uint8_t* out) const {
   check(addr, n);
   const std::size_t i = index_of(addr);
-  std::copy(bytes_.begin() + static_cast<std::ptrdiff_t>(i),
-            bytes_.begin() + static_cast<std::ptrdiff_t>(i + n), out);
+  std::copy(bytes_.get() + i, bytes_.get() + i + n, out);
 }
 
 void Memory::write_bytes(std::uint32_t addr, std::span<const std::uint8_t> bytes) {
   check(addr, static_cast<std::uint32_t>(bytes.size()));
   notify_write(addr, static_cast<std::uint32_t>(bytes.size()));
-  std::copy(bytes.begin(), bytes.end(), bytes_.begin() + static_cast<std::ptrdiff_t>(index_of(addr)));
+  std::copy(bytes.begin(), bytes.end(), bytes_.get() + index_of(addr));
 }
 
 void Memory::watch(std::uint32_t addr, std::uint32_t len) {

@@ -1,10 +1,13 @@
 // Flat guest address space for one simulated process.
 //
 // The guest sees addresses in [kAddressSpaceBase, kAddressSpaceEnd); the host
-// backs that window with a single byte vector. All accesses are bounds
-// checked and raise asc::GuestFault (which the VM converts into an abnormal
-// guest termination, and the kernel-side checker converts into a policy
-// violation when triggered by a syscall argument).
+// backs that window with one anonymous private mapping that the host kernel
+// zeroes lazily: an untouched page reads as zero and gets a frame on its
+// first write, so the resident size follows the pages the guest touches, not
+// the size of the window. Memory owns the mapping and is move-only. All
+// accesses are bounds checked and raise asc::GuestFault (which the VM
+// converts into an abnormal guest termination, and the kernel-side checker
+// converts into a policy violation when triggered by a syscall argument).
 //
 // Deliberately NO page permissions: like the paper's threat model, data and
 // stack are writable AND executable, so code-injection attacks are possible
@@ -13,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -46,7 +50,7 @@ class Memory {
   std::string read_cstr(std::uint32_t addr, std::uint32_t max_len = 4096) const;
 
   /// Read-only view of the whole space (used by the VM instruction fetch).
-  std::span<const std::uint8_t> flat() const { return bytes_; }
+  std::span<const std::uint8_t> flat() const { return {bytes_.get(), kSpaceBytes}; }
   static std::size_t index_of(std::uint32_t addr);
   bool in_range(std::uint32_t addr, std::uint32_t n = 1) const;
 
@@ -101,6 +105,10 @@ class Memory {
   }
 
  private:
+  static constexpr std::size_t kSpaceBytes = binary::kAddressSpaceEnd - binary::kAddressSpaceBase;
+  struct Unmap {
+    void operator()(std::uint8_t* p) const noexcept;
+  };
   struct WatchRange {
     std::uint32_t addr;
     std::uint32_t len;
@@ -109,7 +117,7 @@ class Memory {
   void check(std::uint32_t addr, std::uint32_t n) const;
   void notify_write(std::uint32_t addr, std::uint32_t n);
   void recompute_watch_envelope();
-  std::vector<std::uint8_t> bytes_;
+  std::unique_ptr<std::uint8_t[], Unmap> bytes_;
   WriteWatchFn on_watched_write_;
   ExecWatchFn on_exec_write_;
   std::uint32_t exec_min_ = 0xffffffffu;

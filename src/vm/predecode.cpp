@@ -261,11 +261,4 @@ void PredecodeCache::flush() {
   ++stats_.flushes;
 }
 
-void PredecodeCache::flush_for_copy() {
-  blocks_.clear();
-  index_.clear();
-  pages_.clear();
-  ++gen_;
-}
-
 }  // namespace asc::vm

@@ -193,24 +193,9 @@ class PredecodeCache {
   /// Test hook: number of live (valid) blocks currently indexed.
   std::size_t indexed_blocks() const { return index_.size(); }
 
-  /// Copying a Process copies its Memory; the predecoded mirror starts
-  /// empty in the copy (blocks hold pointers into the source cache).
-  PredecodeCache() = default;
-  PredecodeCache(const PredecodeCache& other) : fuse_(other.fuse_) {}
-  PredecodeCache& operator=(const PredecodeCache& other) {
-    if (this != &other) {
-      flush_for_copy();
-      fuse_ = other.fuse_;
-    }
-    return *this;
-  }
-  PredecodeCache(PredecodeCache&&) = default;
-  PredecodeCache& operator=(PredecodeCache&&) = default;
-
  private:
   PredecodedBlock& build(std::uint32_t pc, Memory& mem, const os::CostModel& cost);
   void on_exec_write(std::uint32_t addr, std::uint32_t len);
-  void flush_for_copy();
   void flush();
   static std::uint32_t page_of(std::uint32_t addr) { return addr >> 12; }
 

@@ -1,6 +1,10 @@
 // Assembler/linker and VM semantics tests: small hand-written programs with
 // known outcomes.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+
+#include <memory>
+#include <type_traits>
 
 #include "apps/libtoy.h"
 #include "core/asc.h"
@@ -188,6 +192,51 @@ TEST(Vm, WildMemoryAccessFaults) {
     a.ret();
   });
   EXPECT_FALSE(r.completed);
+  EXPECT_NE(r.violation_detail.find("0x00001000"), std::string::npos) << r.violation_detail;
+}
+
+static_assert(!std::is_copy_constructible_v<vm::Memory>);
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+TEST(Vm, AddressSpaceFaultsInOnlyTouchedPages) {
+  tasm::Assembler a("small");
+  a.func("main");
+  a.movi(R0, 0);
+  a.ret();
+  apps::emit_libc(a, os::Personality::LinuxSim);
+  const binary::Image image = a.link();
+
+  constexpr int kSpaces = 64;
+  std::vector<vm::Memory> spaces;
+  spaces.reserve(kSpaces);
+  const long before = minor_faults();
+  for (int i = 0; i < kSpaces; ++i) spaces.emplace_back().load_image(image);
+  const long per_space = (minor_faults() - before) / kSpaces;
+  // A dense 8 MiB window takes 2,048 faults; ASan's shadow pages add a few.
+  EXPECT_LT(per_space, 100);
+}
+
+TEST(Vm, UntouchedMemoryReadsZero) {
+  vm::Memory mem;
+  EXPECT_EQ(mem.r32(binary::kHeapBase), 0u);
+  EXPECT_EQ(mem.r32(binary::kStackTop - 4), 0u);
+  EXPECT_EQ(mem.r8(binary::kStackTop - 1), 0u);
+}
+
+TEST(Vm, MovedMemoryKeepsItsBytes) {
+  auto src = std::make_unique<vm::Memory>();
+  src->w32(binary::kHeapBase, 0xdeadbeefu);
+  vm::Memory moved(std::move(*src));
+  src.reset();
+  EXPECT_EQ(moved.r32(binary::kHeapBase), 0xdeadbeefu);
+  vm::Memory assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.r32(binary::kHeapBase), 0xdeadbeefu);
 }
 
 TEST(Vm, CycleLimitStopsRunawayGuest) {
