@@ -1,5 +1,5 @@
 // Table 5 companion: host-side installer & fault-campaign throughput under
-// the work-stealing executor (util/executor.h), at jobs = 1, 2, 8.
+// the thread-pool executor (util/executor.h), at jobs = 1, 2, 8.
 //
 // Three workloads:
 //   install_fleet   -- analyze+rewrite every bundled app (explicit program
@@ -46,7 +46,7 @@ const auto kPers = os::Personality::LinuxSim;
 const int kJobs[] = {1, 2, 8};
 
 /// sum(weights) / LPT-makespan(weights, jobs): the speedup an ideal
-/// work-stealing schedule of these tasks reaches on `jobs` workers.
+/// dynamic schedule of these tasks reaches on `jobs` workers.
 double modeled_speedup(std::vector<double> weights, int jobs) {
   if (weights.empty() || jobs <= 1) return 1.0;
   std::sort(weights.begin(), weights.end(), std::greater<>());
@@ -111,7 +111,7 @@ RekeyRun rekey_fleet(const std::vector<installer::InstallResult>& installed, int
   for (const auto& inst : installed) {
     installer::RekeyResult r =
         installer::Rekeyer::rekey(inst.image, inst.manifest, test_key(), nk, &ex);
-    rr.surface_bytes += r.stats.surface_bytes;
+    rr.surface_bytes += inst.manifest.mac_surface_bytes();
     rr.images.push_back(r.image.serialize());
   }
   return rr;

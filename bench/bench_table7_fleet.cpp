@@ -2,7 +2,7 @@
 //
 // Runs the fleet::Driver at 1k and 10k tenants (100k with ASC_FLEET_FULL=1
 // in the environment -- the nightly soak's full-size row), each at
-// jobs = 1, 2, 8 on the work-stealing executor, with the default churn
+// jobs = 1, 2, 8 on util::Executor, with the default churn
 // cadences (staggered genuine key rotations, monitor swaps, respawn
 // storms). Every tenant rekeys the shared installed templates to its own
 // key via the differential installer::Rekeyer before its first run.
@@ -39,7 +39,7 @@ using namespace asc;
 const int kJobs[] = {1, 2, 8};
 
 /// LPT makespan of `weights` on `jobs` bins: the modeled wall of an ideal
-/// work-stealing schedule.
+/// dynamic schedule.
 double lpt_makespan(std::vector<double> weights, int jobs) {
   if (weights.empty()) return 0.0;
   std::sort(weights.begin(), weights.end(), std::greater<>());

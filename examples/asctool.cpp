@@ -184,8 +184,8 @@ int cmd_rekey(const std::string& in, const std::string& out, std::uint64_t key_s
   std::printf("rekeyed %s -> %s under key seed %llu: %llu MACs recomputed over "
               "%llu surface bytes (no re-analysis)\n",
               in.c_str(), out.c_str(), static_cast<unsigned long long>(key_seed),
-              static_cast<unsigned long long>(r.stats.macs_recomputed),
-              static_cast<unsigned long long>(r.stats.surface_bytes));
+              static_cast<unsigned long long>(man.mac_count()),
+              static_cast<unsigned long long>(man.mac_surface_bytes()));
   return 0;
 }
 

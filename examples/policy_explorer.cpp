@@ -61,10 +61,9 @@ int main(int argc, char** argv) {
     auto ino = fs.open("/", "/gram.y", os::SimFs::kWrOnly | os::SimFs::kCreat, 0644);
     fs.write(static_cast<std::uint32_t>(ino), 0,
              std::vector<std::uint8_t>(gram.begin(), gram.end()), false);
-    auto trained = monitor::train_policy(
-        sys.machine(), img,
-        prog == "bison" ? std::vector<monitor::TrainingRun>{{{"/gram.y"}, ""}}
-                        : std::vector<monitor::TrainingRun>{{{}, "add 1 2\nmul 3 4\n"}});
+    monitor::TrainingRun run{{"/gram.y"}, ""};
+    if (prog == "calc") run = {{}, "add 1 2\nmul 3 4\n"};
+    auto trained = monitor::train_policy(sys.machine(), img, {run});
     std::set<std::string> trained_names;
     for (auto n : trained.allowed) {
       if (auto id = os::syscall_from_number(pers, n)) {

@@ -166,8 +166,8 @@ def main():
             if cur.get("deterministic") is not True:
                 failures.append(
                     f"{table}/{name}: output is NOT deterministic across job "
-                    f"counts -- the audit pipeline broke the byte-identical "
-                    f"contract"
+                    f"counts -- the fleet fan-out or its audit merge broke the "
+                    f"byte-identical contract"
                 )
             if cur.get("trips", 0) != 0:
                 failures.append(

@@ -2,20 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <map>
-#include <mutex>
 
 namespace asc::crypto {
-
-/// Derived key material: AES round keys plus the CMAC subkeys K1/K2.
-/// Immutable after construction, shared by every Cmac bound to the key.
-struct Cmac::Schedule {
-  explicit Schedule(const Key128& key) : aes(key) {}
-  Aes128 aes;
-  Block k1{};
-  Block k2{};
-};
 
 namespace {
 
@@ -42,85 +30,16 @@ void xor_into(Block& dst, const Block& src) {
   for (int i = 0; i < 16; ++i) dst[static_cast<std::size_t>(i)] ^= src[static_cast<std::size_t>(i)];
 }
 
-// Sweep-probe counter across all shards (test hook; see memo_sweep_visited).
-std::atomic<std::uint64_t> g_sweep_visited{0};
-
 }  // namespace
 
-/// One shard of the schedule memo. Sharding by key hash keeps concurrent
-/// multi-tenant engine construction contention-light: tenants with distinct
-/// keys almost always lock distinct shards.
-struct Cmac::MemoShard {
-  std::mutex mu;
-  std::map<Key128, std::weak_ptr<const Schedule>> map;
-  // Where the amortized expired-node sweep resumes (all-zero key = start).
-  Key128 sweep_cursor{};
-};
-
-std::array<Cmac::MemoShard, Cmac::kMemoShards>& Cmac::shards() {
-  static std::array<MemoShard, kMemoShards> shards;
-  return shards;
-}
-
-Cmac::MemoShard& Cmac::shard_for(const Key128& key) {
-  // FNV-1a over the key bytes; any cheap spread works, the shard choice is
-  // invisible to callers.
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint8_t b : key) h = (h ^ b) * 1099511628211ull;
-  return shards()[h % kMemoShards];
-}
-
-Cmac::Cmac(const Key128& key) {
-  // Once-per-key subkey derivation: memoize the schedule so repeated engine
-  // construction under the same key (installer + kernel, many experiment
-  // iterations) pays the AES key expansion and K1/K2 derivation only once.
-  MemoShard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto& memo = shard.map;
-  if (auto it = memo.find(key); it != memo.end()) {
-    if (auto live = it->second.lock()) {
-      sched_ = std::move(live);
-      return;
-    }
-    memo.erase(it);
-  }
-  // Amortized expired-node sweep before inserting: advance a per-shard
-  // cursor by at most kSweepPerInsert nodes, erasing the dead ones. A
-  // workload rotating through many distinct keys adds at most one dead
-  // node per construction and each construction retires up to four, so the
-  // shard stays bounded by the LIVE keys while construction cost stays
-  // flat no matter how many dead keys accumulate (previously this was a
-  // full O(shard) scan on every construction).
-  if (!memo.empty()) {
-    auto it = memo.lower_bound(shard.sweep_cursor);
-    for (int v = 0; v < kSweepPerInsert && !memo.empty(); ++v) {
-      if (it == memo.end()) it = memo.begin();
-      g_sweep_visited.fetch_add(1, std::memory_order_relaxed);
-      it = it->second.expired() ? memo.erase(it) : std::next(it);
-    }
-    shard.sweep_cursor = it == memo.end() ? Key128{} : it->first;
-  }
-  auto sched = std::make_shared<Schedule>(key);
+Cmac::Schedule::Schedule(const Key128& key) : aes(key) {
   Block l{};
-  sched->aes.encrypt_block(l);
-  sched->k1 = derive_subkey(l);
-  sched->k2 = derive_subkey(sched->k1);
-  memo[key] = sched;
-  sched_ = std::move(sched);
+  aes.encrypt_block(l);
+  k1 = derive_subkey(l);
+  k2 = derive_subkey(k1);
 }
 
-std::size_t Cmac::schedule_memo_size() {
-  std::size_t n = 0;
-  for (auto& shard : shards()) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.map.size();
-  }
-  return n;
-}
-
-std::uint64_t Cmac::memo_sweep_visited() {
-  return g_sweep_visited.load(std::memory_order_relaxed);
-}
+Cmac::Cmac(const Key128& key) : sched_(std::make_unique<const Schedule>(key)) {}
 
 Mac Cmac::compute(std::span<const std::uint8_t> message) const {
   const Schedule& s = *sched_;
@@ -221,7 +140,7 @@ std::vector<Mac> Cmac::compute_batch(
 
 bool Cmac::equal(const Mac& a, const Mac& b) {
   std::uint8_t diff = 0;
-  for (int i = 0; i < 16; ++i) diff |= static_cast<std::uint8_t>(a[static_cast<std::size_t>(i)] ^ b[static_cast<std::size_t>(i)]);
+  for (std::size_t i = 0; i < 16; ++i) diff |= static_cast<std::uint8_t>(a[i] ^ b[i]);
   return diff == 0;
 }
 

@@ -7,11 +7,8 @@
 // installer/kernel key.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -22,20 +19,14 @@ namespace asc::crypto {
 /// A 128-bit message authentication code.
 using Mac = Block;
 
-/// CMAC engine bound to a key. The AES round keys and the two CMAC subkeys
-/// K1/K2 are derived once per distinct key and shared by every engine bound
-/// to it (the experiments construct hundreds of installer/kernel pairs
-/// against the same key; re-deriving per engine was pure setup waste).
+/// CMAC engine bound to a key. The constructor derives the AES round keys
+/// and the two CMAC subkeys K1/K2 once; the engine owns them and shares them
+/// with no other engine, so two engines never touch common state. Moving an
+/// engine moves its schedule; copying is not possible.
 ///
-/// Thread safety, designed for fleet-scale multi-tenant use: the schedule
-/// memo is SHARDED kMemoShards ways by a hash of the key bytes, each shard
-/// guarded by its own mutex, so thousands of tenant kernels constructing
-/// engines concurrently (staggered key rotations, per-lifecycle System
-/// setup) contend only when their keys land in the same shard -- and only
-/// during construction. A derived Schedule is immutable, and compute() only
-/// reads it, so concurrent compute()/mac() calls on engines sharing a key
-/// are lock-free; the parallel signing phases of the rewriter and the fleet
-/// driver's tenant lifecycles rely on this.
+/// Thread safety: compute() and compute_batch() only read the schedule, so
+/// concurrent calls on one engine are safe; the parallel signing phases of
+/// the installer and rekeyer rely on this.
 class Cmac {
  public:
   explicit Cmac(const Key128& key);
@@ -54,31 +45,16 @@ class Cmac {
   /// but cheap to do right).
   static bool equal(const Mac& a, const Mac& b);
 
-  /// Number of memoized key schedules currently tracked across all shards
-  /// (live or awaiting the sweep). Test hook: the memo must stay bounded by
-  /// the live keys.
-  static std::size_t schedule_memo_size();
-
-  /// Total expired-node-sweep probe count across all constructions (test
-  /// hook: proves construction visits O(kSweepPerInsert) nodes, not the
-  /// whole shard, as dead keys accumulate).
-  static std::uint64_t memo_sweep_visited();
-
-  /// Memo shard count (fixed; test/inspection surface).
-  static constexpr std::size_t kMemoShards = 16;
-
-  /// Expired-node sweep budget per construction (amortized: each insert
-  /// advances a per-shard cursor by at most this many nodes, so a shard is
-  /// fully swept every size/kSweepPerInsert constructions while each one
-  /// stays O(1)).
-  static constexpr int kSweepPerInsert = 4;
-
  private:
-  struct Schedule;   // {Aes128, K1, K2}, immutable once derived
-  struct MemoShard;  // {mutex, map<Key128, weak_ptr<Schedule>>}
-  static MemoShard& shard_for(const Key128& key);
-  static std::array<MemoShard, kMemoShards>& shards();
-  std::shared_ptr<const Schedule> sched_;
+  /// AES round keys plus the CMAC subkeys K1/K2. Held through a pointer so
+  /// an engine (and every TenantState holding one) stays one word wide.
+  struct Schedule {
+    explicit Schedule(const Key128& key);
+    Aes128 aes;
+    Block k1{};
+    Block k2{};
+  };
+  std::unique_ptr<const Schedule> sched_;
 };
 
 /// The key shared by the trusted installer and the (simulated) kernel.

@@ -164,16 +164,17 @@ CampaignResult Campaign::run(const GuestProgram& prog) {
 
   // Replayed explicit specs get no NotApplied retry: a reproducer must run
   // exactly the spec it names.
+  auto run_spec = [&](std::size_t k) {
+    if (replaying) return execute(specs[k]);
+    RunVerdict v;
+    run_drawn(specs[k], [&](const FaultSpec& s) {
+      v = execute(s);
+      return v.outcome;
+    });
+    return v;
+  };
   std::vector<RunVerdict> verdicts =
-      fan_out<RunVerdict>(cfg_.executor, specs.size(), [&](std::size_t k) {
-        if (replaying) return execute(specs[k]);
-        RunVerdict v;
-        run_drawn(specs[k], [&](const FaultSpec& s) {
-          v = execute(s);
-          return v.outcome;
-        });
-        return v;
-      });
+      util::resolve_executor(cfg_.executor).parallel_map<RunVerdict>(specs.size(), run_spec);
   for (RunVerdict& v : verdicts) record(std::move(v));
   return result;
 }

@@ -33,6 +33,7 @@
 #include "fault/fault.h"
 #include "fault/lifecycle.h"
 #include "os/auditlog.h"
+#include "util/executor.h"
 
 namespace asc::fault {
 

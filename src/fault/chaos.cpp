@@ -209,7 +209,8 @@ ChaosResult ChaosEngine::run() {
 
   // ---- fan the lifecycles out; aggregate in tenant order ----
   std::vector<LifecycleVerdict> lcs =
-      fan_out<LifecycleVerdict>(cfg_.executor, static_cast<std::size_t>(cfg_.tenants), lifecycle);
+      util::resolve_executor(cfg_.executor)
+          .parallel_map<LifecycleVerdict>(static_cast<std::size_t>(cfg_.tenants), lifecycle);
   ChaosResult result;
   for (LifecycleVerdict& lc : lcs) {
     switch (lc.plan) {

@@ -40,6 +40,7 @@
 #include "fault/fault.h"
 #include "fault/lifecycle.h"
 #include "os/health.h"
+#include "util/executor.h"
 
 namespace asc::fault {
 

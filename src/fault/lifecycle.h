@@ -21,8 +21,11 @@
 //   * the spec drawer of the random plans, with its NotApplied retry
 //     (draw_spec, run_drawn);
 //   * the live-rekey event with its deferred helper swap
-//     (Tenant::live_rekey);
-//   * the tenant-ordered fan-out over the executor (fan_out).
+//     (Tenant::live_rekey).
+//
+// The drivers fan their lifecycles out with util::Executor::parallel_map,
+// which returns results in tenant order, so anything folded from them is
+// identical at any job count.
 //
 // The drivers are plan builders over these pieces: Campaign (campaign.h)
 // sweeps seeded FaultSpecs per (strike, tier) point, one fresh tenant per
@@ -50,7 +53,6 @@
 #include "fault/fault.h"
 #include "installer/rekeyer.h"
 #include "os/fs.h"
-#include "util/executor.h"
 #include "util/rng.h"
 #include "vm/machine.h"
 
@@ -194,14 +196,5 @@ FaultSpec draw_spec(FaultPoint point, int clean_traps, const std::vector<os::Tra
 /// found no target at or after its trigger (the last AS argument already
 /// went by, or the tier gate was open only earlier).
 void run_drawn(FaultSpec spec, const std::function<Outcome(const FaultSpec&)>& attempt);
-
-/// Run `lifecycle(t)` for every tenant t in [0, n) over the executor
-/// (nullptr = the process-global pool). Results land in tenant order, so
-/// anything folded from them is identical at any job count.
-template <class T>
-std::vector<T> fan_out(util::Executor* executor, std::size_t n,
-                       const std::function<T(std::size_t)>& lifecycle) {
-  return util::resolve_executor(executor).parallel_map<T>(n, lifecycle);
-}
 
 }  // namespace asc::fault

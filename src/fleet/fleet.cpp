@@ -38,27 +38,20 @@ std::vector<fault::GuestProgram> default_fleet_guests(os::Personality p) {
   return out;
 }
 
-void AuditPipeline::stream(int tenant, std::string guest,
-                           std::vector<os::VerdictRecord> records) {
-  Slot& slot = slots_.at(static_cast<std::size_t>(tenant));
-  slot.guest = std::move(guest);
-  slot.records = std::move(records);
-}
-
-AuditPipeline::Merged AuditPipeline::merge() const {
-  Merged m;
+FleetAudit merge_audit(std::vector<TenantVerdict>& tenants) {
+  FleetAudit m;
   std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t t = 0; t < slots_.size(); ++t) {
-    const Slot& slot = slots_[t];
-    if (slot.records.empty()) continue;
+  for (TenantVerdict& tv : tenants) {
+    if (tv.audit.empty()) continue;
     ++m.tenants_with_records;
     char tag[48];
-    std::snprintf(tag, sizeof tag, "[t%05zu %s] ", t, slot.guest.c_str());
-    for (const os::VerdictRecord& rec : slot.records) {
+    std::snprintf(tag, sizeof tag, "[t%05d %s] ", tv.tenant, tv.guest.c_str());
+    for (os::VerdictRecord& rec : tv.audit) {
       m.lines.push_back(tag + rec.to_string());
       h = fnv1a(h, m.lines.back());
-      m.records.push_back(rec);
+      m.records.push_back(std::move(rec));
     }
+    tv.audit.clear();
   }
   char hex[24];
   std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
@@ -97,7 +90,6 @@ FleetResult Driver::run() {
   const std::vector<fault::InstalledGuest> pool = fault::install_pool(
       cfg_.guests.empty() ? default_fleet_guests(fault::kPersonality) : cfg_.guests);
   const util::Rng root(cfg_.seed);
-  AuditPipeline pipeline(cfg_.tenants);
 
   // ---- one tenant lifecycle: its own System, its own shard, its own key ----
   auto lifecycle = [&](std::size_t t) -> TenantVerdict {
@@ -196,7 +188,7 @@ FleetResult Driver::run() {
     tv.syscalls = tenant.syscalls;
     tv.cycles = tenant.cycles;
     tv.shard_bytes = tenant.kernel().tenant_state().approx_bytes();
-    pipeline.stream(tv.tenant, tv.guest, tenant.kernel().audit_log());
+    tv.audit = tenant.kernel().audit_log();
 
     char line[240];
     std::snprintf(line, sizeof line,
@@ -211,10 +203,12 @@ FleetResult Driver::run() {
     return tv;
   };
 
-  // ---- fan the lifecycles out; merge serially in tenant order ----
-  std::vector<TenantVerdict> tvs = fault::fan_out<TenantVerdict>(
-      cfg_.executor, static_cast<std::size_t>(cfg_.tenants), lifecycle);
+  // ---- fan the lifecycles out; fold and merge in tenant order ----
+  std::vector<TenantVerdict> tvs =
+      util::resolve_executor(cfg_.executor)
+          .parallel_map<TenantVerdict>(static_cast<std::size_t>(cfg_.tenants), lifecycle);
   FleetResult result;
+  result.audit = merge_audit(tvs);
   for (TenantVerdict& tv : tvs) {
     result.total_syscalls += tv.syscalls;
     result.total_cycles += tv.cycles;
@@ -230,7 +224,6 @@ FleetResult Driver::run() {
     result.verdict_trace.push_back(tv.trace_line);
     result.tenants.push_back(std::move(tv));
   }
-  result.audit = pipeline.merge();
   return result;
 }
 

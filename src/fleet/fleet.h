@@ -2,25 +2,21 @@
 // A cadence-plan builder over the lifecycle runner (fault/lifecycle.h).
 //
 // The tenant-sharding refactor (os/tenant.h) makes every Kernel's
-// enforcement state a self-contained TenantState shard: MAC key, verified-
-// call cache, policy-state shadow, health map, and audit log all live in the
-// shard, and the CMAC key-schedule memo -- the only process-global piece --
-// is sharded internally (crypto/cmac.h). The fleet driver is the proof of
-// that design at scale: it runs 1k-100k simulated guest lifecycles, each on
-// its own System (= its own kernel = its own shard, under its own MAC key),
-// fanned out over the work-stealing util::Executor, with mixed workloads
-// and churn -- spawn/exec/teardown storms, staggered mid-run key rotations,
-// monitor swaps -- and streams every tenant's VerdictRecords into one
-// aggregated audit pipeline.
+// enforcement state a self-contained TenantState shard: MAC key (with its
+// own CMAC schedule), verified-call cache, policy-state shadow, health map,
+// and audit log all live in the shard, and no state is shared between
+// shards. The fleet driver is the proof of that design at scale: it runs
+// 1k-100k simulated guest lifecycles, each on its own System (= its own
+// kernel = its own shard, under its own MAC key), fanned out over
+// util::Executor, with mixed workloads and churn -- spawn/exec/teardown
+// storms, staggered mid-run key rotations, monitor swaps -- and merges every
+// tenant's VerdictRecords into one aggregated audit stream.
 //
-// The pipeline is lock-light by construction: each tenant's records land in
-// a slot indexed by tenant id, written only by the worker that owns that
-// tenant (the executor's parallel_for invokes each index exactly once, so
-// slots are disjoint and no lock is taken on the hot path). A serial merge
-// then walks the slots in ascending tenant order, producing a record stream,
-// formatted lines, and a digest that are byte-identical at ANY job count --
-// jobs=1 is the executor's exact serial reference, and tests assert
-// jobs 1/2/8 agree.
+// Each lifecycle returns its tenant's audit records with its verdict.
+// parallel_map hands the verdicts back in tenant order whatever the
+// schedule, so merging them in that order gives a record stream, formatted
+// lines and a digest that are byte-identical at ANY job count -- jobs=1 is
+// the executor's exact serial reference, and tests assert jobs 1/2/8 agree.
 //
 // The runner's oracles audit every tenant kernel after every run, exactly
 // as for the chaos engine (fault/chaos.h): watch-range accounting balances,
@@ -36,6 +32,7 @@
 
 #include "fault/lifecycle.h"
 #include "os/auditlog.h"
+#include "util/executor.h"
 
 namespace asc::fleet {
 
@@ -92,39 +89,23 @@ struct TenantVerdict {
   std::vector<std::string> trips;
   /// One-line digest, byte-identical across executor widths.
   std::string trace_line;
+  /// The tenant kernel's audit log after teardown; merge_audit moves it
+  /// into FleetResult::audit.
+  std::vector<os::VerdictRecord> audit;
 };
 
-/// The lock-light aggregated audit pipeline. stream() is called by the
-/// worker that owns tenant t -- slot t is written exactly once, by exactly
-/// one worker, so no lock is taken. merge() is the serial phase: slots are
-/// walked in ascending tenant order, giving a deterministic aggregate.
-class AuditPipeline {
- public:
-  explicit AuditPipeline(int tenants) : slots_(static_cast<std::size_t>(tenants)) {}
-
-  /// Stream tenant t's audit records into its slot (owning worker only).
-  void stream(int tenant, std::string guest, std::vector<os::VerdictRecord> records);
-
-  struct Merged {
-    std::vector<os::VerdictRecord> records;  // tenant order, then log order
-    std::vector<std::string> lines;          // "[t00042 cat] ALERT ..." views
-    std::string digest;                      // FNV-1a over the lines, hex
-    std::size_t tenants_with_records = 0;
-  };
-  /// Serial merge in ascending tenant order. Byte-identical at any job
-  /// count: slot content depends only on (seed, tenant), never on the
-  /// schedule.
-  Merged merge() const;
-
-  std::size_t slots() const { return slots_.size(); }
-
- private:
-  struct Slot {
-    std::string guest;
-    std::vector<os::VerdictRecord> records;
-  };
-  std::vector<Slot> slots_;
+/// Every tenant's audit records, merged in tenant order.
+struct FleetAudit {
+  std::vector<os::VerdictRecord> records;  // tenant order, then log order
+  std::vector<std::string> lines;          // "[t00042 cat] ALERT ..." views
+  std::string digest;                      // FNV-1a over the lines, hex
+  std::size_t tenants_with_records = 0;
 };
+
+/// Merge the tenants' audit records in the order given, which Driver::run
+/// passes as tenant order: each record is tagged with its tenant id and
+/// guest, and the lines are digested. Moves every TenantVerdict::audit out.
+FleetAudit merge_audit(std::vector<TenantVerdict>& tenants);
 
 struct FleetResult {
   std::vector<TenantVerdict> tenants;
@@ -142,8 +123,8 @@ struct FleetResult {
   /// One line per tenant, in tenant order; the determinism surface the
   /// fleet tests compare across jobs=1/2/8.
   std::vector<std::string> verdict_trace;
-  /// The aggregated audit pipeline's merge.
-  AuditPipeline::Merged audit;
+  /// Every tenant's audit records, merged in tenant order.
+  FleetAudit audit;
 
   bool ok() const { return trips.empty(); }
   std::string summary() const;

@@ -39,7 +39,7 @@ struct InstallOptions {
   /// Explicit ids keep installs deterministic when several images are
   /// installed concurrently by independent tasks.
   std::uint16_t program_id = 0;
-  /// Work-stealing pool the per-function/per-site analysis, the rewrite and
+  /// Thread pool the per-function/per-site analysis, the rewrite and
   /// the signing fan out over (nullptr = the process-global pool). Output is
   /// byte-identical at any job count; jobs=1 is the exact serial path.
   util::Executor* executor = nullptr;

@@ -274,9 +274,6 @@ RekeyResult Rekeyer::rekey(const binary::Image& image, const SignManifest& manif
   };
   for (const auto& as : manifest.as_records) patch(as.body - 16);
   for (const auto& c : manifest.calls) patch(c.mac_slot);
-
-  out.stats.macs_recomputed = manifest.mac_count();
-  out.stats.surface_bytes = manifest.mac_surface_bytes();
   return out;
 }
 

@@ -92,15 +92,9 @@ struct SignManifest {
   bool operator==(const SignManifest&) const = default;
 };
 
-struct RekeyStats {
-  std::uint64_t macs_recomputed = 0;  // sign-pass MACs written
-  std::uint64_t surface_bytes = 0;    // mac_surface_bytes() of the manifest
-};
-
 struct RekeyResult {
   binary::Image image;  // re-signed copy, byte-identical to a fresh install
   os::RekeyView view;   // MAC-slot patches + state_addr for live kernel swap
-  RekeyStats stats;
 };
 
 /// Write every MAC of `image`'s signing surface under `key`: each AS MAC,

@@ -52,13 +52,11 @@ struct CostModel {
   // AES-CMAC: per-message setup + per-16-byte-block cost. A typical
   // authenticated call computes 3-4 MACs over short inputs; the paper
   // reports ~4,000 cycles of total checking overhead per call. The K1/K2
-  // subkey derivation (an extra AES operation plus two shifted XORs) is
-  // hoisted to once-per-key -- crypto/cmac.cpp shares one schedule per
-  // distinct key -- so it is charged at key install (`mac_subkey_setup`),
-  // not per message; per-message setup is correspondingly below the seed's
-  // 360-cycle figure.
+  // subkey derivation (an extra AES operation plus two shifted XORs) runs
+  // once per key, when Kernel::set_key builds the tenant's engine, and no
+  // cycles are charged for it: the model counts per-message work only, so
+  // per-message setup is correspondingly below the seed's 360-cycle figure.
   std::uint64_t mac_setup = 220;
-  std::uint64_t mac_subkey_setup = 140;  // once per key install, off the hot path
   std::uint64_t mac_per_block = 310;
   // Argument marshalling, AS header reads, predecessor-set membership scan,
   // policy-state update bookkeeping.

@@ -52,10 +52,9 @@ void Kernel::set_key(const crypto::Key128& key) {
   // through its reference to it), leaving guest memory exactly as the eager
   // protocol would have -- then no prior verification survives.
   tenant_.tiers.on_key_rotation();
+  // Building the engine derives the AES-CMAC subkeys, once per key. No
+  // cycles are charged for it: the cost model counts per-message MAC work.
   tenant_.key.emplace(key);
-  // (Charging note: the AES-CMAC subkey derivation -- cost_.mac_subkey_setup
-  // -- is paid here, once per key, which is what lets mac_cost() omit it on
-  // the per-call hot path.)
 }
 
 void Kernel::set_monitor_policy(const std::string& program, MonitorPolicy policy) {
@@ -148,10 +147,11 @@ bool Kernel::apply_rekey(Process& p, const crypto::Key128& new_key, const RekeyV
   // for the ordering contract).
   set_key(new_key);
 
-  // (3) Swap the re-signed MAC bytes into guest memory. The slots are MAC
-  // fields (AS headers and call-MAC slots), which no watch range guards --
-  // watches cover message CONTENT -- so these stores cannot re-enter the
-  // invalidation path; and the lattice was floored in (2) anyway.
+  // (3) Swap the re-signed MAC bytes into guest memory. The patches land on
+  // watched bytes -- the checker watches every call-MAC slot and every AS
+  // header plus body it verified -- but (2) dropped every site record, and
+  // with them every watch range, so these stores cannot re-enter the
+  // invalidation spine.
   for (const RekeyPatch& patch : view.patches) {
     if (!p.mem.in_range(patch.addr, 16)) return false;
     p.mem.write_bytes(patch.addr, patch.bytes);

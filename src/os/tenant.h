@@ -9,9 +9,9 @@
 // owns exactly one TenantState and delegates to it, so the single-tenant
 // API is unchanged -- but a fleet of kernels is now, by construction, a
 // fleet of disjoint shards: thousands of tenants can verify system calls
-// concurrently with no shared mutable state at all beyond the process-wide
-// CMAC schedule memo, which is itself sharded and per-shard locked
-// (crypto/cmac.h). fleet::Driver builds on exactly this property.
+// concurrently with no shared state at all. Each tenant's MacKey owns its
+// own CMAC key schedule (crypto/cmac.h). fleet::Driver builds on exactly
+// this property.
 //
 // Sharding rationale (why these three and nothing else): each member is
 // keyed by pid or by the tenant's key, never by anything another tenant can
@@ -47,8 +47,8 @@ struct TenantState {
   /// Declared after `key`, which it reads for write-backs.
   TierTable tiers;
 
-  /// Structured security/audit log; the fleet's aggregated audit pipeline
-  /// drains records() per tenant and merges them in tenant order.
+  /// Structured security/audit log; the fleet driver returns records() with
+  /// each tenant's verdict and merges them in tenant order.
   AuditLog audit;
 
   /// Approximate retained bytes of this shard (capacity-planning surface for

@@ -4,9 +4,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 namespace asc::util {
 
@@ -17,24 +17,9 @@ thread_local bool tls_in_parallel_region = false;
 }  // namespace
 
 struct Executor::Impl {
-  struct Range {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-
-  /// One deque per worker. Guarded by its own mutex; contention is low
-  /// because owners and thieves touch opposite ends and chunks are coarse.
-  struct Worker {
-    std::mutex mu;
-    std::deque<Range> chunks;
-  };
-
-  explicit Impl(int njobs) : jobs(njobs), workers(static_cast<std::size_t>(njobs)) {
-    for (auto& w : workers) w = std::make_unique<Worker>();
-    threads.reserve(workers.size() - 1);
-    for (std::size_t i = 1; i < workers.size(); ++i) {
-      threads.emplace_back([this, i] { thread_main(i); });
-    }
+  explicit Impl(int jobs) {
+    threads.reserve(static_cast<std::size_t>(jobs - 1));
+    for (int i = 1; i < jobs; ++i) threads.emplace_back([this] { thread_main(); });
   }
 
   ~Impl() {
@@ -46,132 +31,94 @@ struct Executor::Impl {
     for (auto& t : threads) t.join();
   }
 
-  void thread_main(std::size_t self) {
+  void thread_main() {
     std::uint64_t seen = 0;
     std::unique_lock<std::mutex> lk(mu);
     for (;;) {
       cv_work.wait(lk, [&] { return stop || generation != seen; });
       if (stop) return;
       seen = generation;
+      // A worker that wakes after its batch closed sits it out: only a
+      // worker counted in `active` may touch the cursor.
+      if (!open) continue;
+      ++active;
       lk.unlock();
-      work(self);
+      work();
       lk.lock();
+      if (--active == 0) cv_done.notify_all();
     }
   }
 
-  bool pop_or_steal(std::size_t self, Range* out) {
-    {
-      Worker& own = *workers[self];
-      std::lock_guard<std::mutex> lk(own.mu);
-      if (!own.chunks.empty()) {
-        *out = own.chunks.back();
-        own.chunks.pop_back();
-        return true;
-      }
-    }
-    for (std::size_t off = 1; off < workers.size(); ++off) {
-      Worker& victim = *workers[(self + off) % workers.size()];
-      std::lock_guard<std::mutex> lk(victim.mu);
-      if (!victim.chunks.empty()) {
-        *out = victim.chunks.front();
-        victim.chunks.pop_front();
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Drain chunks (own deque first, then steal) until none remain. Runs on
-  /// pool threads and on the caller inside run_batch.
-  void work(std::size_t self) {
+  /// Claim chunks off the cursor until it passes n. Runs on pool threads
+  /// and on the caller inside run_batch.
+  void work() {
     tls_in_parallel_region = true;
-    Range r;
-    while (pop_or_steal(self, &r)) {
-      const auto* fn = body.load(std::memory_order_acquire);
-      for (std::size_t i = r.begin; i < r.end; ++i) {
-        if (!cancelled.load(std::memory_order_relaxed)) {
-          try {
-            (*fn)(i);
-          } catch (...) {
-            {
-              std::lock_guard<std::mutex> lk(err_mu);
-              if (!first_error) first_error = std::current_exception();
-            }
-            cancelled.store(true, std::memory_order_relaxed);
-          }
+    for (;;) {
+      const std::size_t begin = cursor.fetch_add(chunk, std::memory_order_relaxed);
+      if (begin >= n) break;
+      const std::size_t end = std::min(n, begin + chunk);
+      for (std::size_t i = begin; i < end && !cancelled.load(std::memory_order_relaxed); ++i) {
+        try {
+          (*body)(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lk(mu);
+          if (!first_error) first_error = std::current_exception();
+          cancelled.store(true, std::memory_order_relaxed);
         }
-      }
-      const std::size_t len = r.end - r.begin;
-      if (remaining.fetch_sub(len, std::memory_order_acq_rel) == len) {
-        std::lock_guard<std::mutex> lk(mu);
-        cv_done.notify_all();
       }
     }
     tls_in_parallel_region = false;
   }
 
-  void run_batch(const std::function<void(std::size_t)>& fn, std::size_t n) {
+  void run_batch(const std::function<void(std::size_t)>& fn, std::size_t count) {
     // One batch at a time; concurrent callers queue here.
     std::lock_guard<std::mutex> outer(batch_mu);
     {
-      std::lock_guard<std::mutex> lk(err_mu);
-      first_error = nullptr;
-    }
-    cancelled.store(false, std::memory_order_relaxed);
-    // Publish body/remaining BEFORE any chunk becomes visible: a worker
-    // lingering from the previous batch may pop new chunks the moment they
-    // are pushed, without ever seeing the generation bump.
-    body.store(&fn, std::memory_order_release);
-    remaining.store(n, std::memory_order_release);
-
-    const std::size_t nworkers = workers.size();
-    const std::size_t chunk = std::max<std::size_t>(1, n / (nworkers * 8));
-    std::size_t next_worker = 0;
-    for (std::size_t begin = 0; begin < n; begin += chunk) {
-      const Range r{begin, std::min(n, begin + chunk)};
-      Worker& w = *workers[next_worker];
-      {
-        std::lock_guard<std::mutex> lk(w.mu);
-        w.chunks.push_back(r);
-      }
-      next_worker = (next_worker + 1) % nworkers;
-    }
-    {
       std::lock_guard<std::mutex> lk(mu);
+      body = &fn;
+      n = count;
+      chunk = std::max<std::size_t>(1, count / ((threads.size() + 1) * 8));
+      cursor.store(0, std::memory_order_relaxed);
+      cancelled.store(false, std::memory_order_relaxed);
+      open = true;
       ++generation;
     }
     cv_work.notify_all();
-    work(0);  // the caller is worker 0
-    {
-      std::unique_lock<std::mutex> lk(mu);
-      cv_done.wait(lk, [&] { return remaining.load(std::memory_order_acquire) == 0; });
-    }
+    work();  // the caller claims chunks too
+    // The cursor is past n, so every chunk is claimed; once the workers that
+    // joined have finished theirs, none is left in work() and none can
+    // enter until the next batch opens.
     std::exception_ptr err;
     {
-      std::lock_guard<std::mutex> lk(err_mu);
-      err = first_error;
-      first_error = nullptr;
+      std::unique_lock<std::mutex> lk(mu);
+      open = false;
+      cv_done.wait(lk, [&] { return active == 0; });
+      err = std::exchange(first_error, nullptr);
     }
     if (err) std::rethrow_exception(err);
   }
 
-  int jobs;
-  std::vector<std::unique_ptr<Worker>> workers;
-  std::vector<std::thread> threads;
+  std::mutex batch_mu;  // serializes run_batch callers
 
-  std::mutex mu;  // guards generation/stop; cv notification
+  // Guarded by `mu`. work() reads body, n and chunk without it: a pool
+  // thread enters work() only after seeing the batch open under `mu`, and
+  // run_batch returns only after every such thread has left.
+  std::mutex mu;
   std::condition_variable cv_work;
   std::condition_variable cv_done;
   std::uint64_t generation = 0;
   bool stop = false;
-
-  std::mutex batch_mu;  // serializes run_batch callers
-
-  std::atomic<const std::function<void(std::size_t)>*> body{nullptr};
-  std::atomic<std::size_t> remaining{0};
-  std::atomic<bool> cancelled{false};
-  std::mutex err_mu;
+  bool open = false;  // a batch is running; workers may join it
+  int active = 0;     // pool threads inside work()
+  const std::function<void(std::size_t)>* body = nullptr;
+  std::size_t n = 0;
+  std::size_t chunk = 1;
   std::exception_ptr first_error;
+
+  std::atomic<std::size_t> cursor{0};  // next unclaimed index
+  std::atomic<bool> cancelled{false};  // a body threw; skip the rest
+
+  std::vector<std::thread> threads;  // last: they use every member above
 };
 
 Executor::Executor(int jobs) : jobs_(jobs <= 0 ? default_jobs() : jobs) {

@@ -1,7 +1,7 @@
-// Work-stealing thread-pool executor for the host-side pipelines.
+// Thread-pool executor for the host-side pipelines.
 //
 // The installer's per-function analysis, the rewriter's per-site CMAC
-// signing, and the fault campaign's per-run replays are embarrassingly
+// signing, and the lifecycle runner's per-tenant runs are embarrassingly
 // parallel; this executor lets them use every core without giving up the
 // determinism contract:
 //
@@ -14,11 +14,11 @@
 //   * a parallel_for issued from inside a worker task runs inline
 //     (no nested fan-out, no pool-in-pool deadlock).
 //
-// Scheduling: a fixed pool of jobs-1 threads plus the calling thread. The
-// iteration space is split into contiguous chunks dealt round-robin onto
-// per-worker deques; owners pop from the back (LIFO, cache-warm), idle
-// workers steal from the front of a victim's deque (FIFO, oldest chunk).
-// Scheduling order is irrelevant to the output by construction.
+// Scheduling: a fixed pool of jobs-1 threads plus the calling thread claim
+// contiguous chunks of max(1, n/(jobs*8)) indices off one shared atomic
+// cursor. Since nested regions run inline, no task ever adds work, so the
+// cursor alone balances the load. Scheduling order is irrelevant to the
+// output by construction.
 #pragma once
 
 #include <cstddef>

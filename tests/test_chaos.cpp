@@ -449,7 +449,9 @@ TEST(ChaosEngineRun, SmallStormIsSoundAndDeterministic) {
   EXPECT_EQ(a.verdict_trace, b.verdict_trace) << "chaos run is not deterministic";
   // Internal plans must have driven the health machine without a single
   // violation verdict (their lifecycles would have tripped otherwise).
-  if (a.internal_plans > 0) EXPECT_GT(a.health.internal_faults, 0u);
+  if (a.internal_plans > 0) {
+    EXPECT_GT(a.health.internal_faults, 0u);
+  }
 }
 
 TEST(ChaosEngineRun, InlineTierStormIsSoundAndStreamsStayLegacyCompatible) {

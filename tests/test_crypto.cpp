@@ -102,67 +102,6 @@ TEST(Cmac, DistinctKeysDistinctMacs) {
   EXPECT_FALSE(Cmac::equal(a.compute(msg), b.compute(msg)));
 }
 
-// The per-key schedule memo must stay bounded by the LIVE keys: nodes whose
-// schedule expired are reclaimed (on re-lookup of the same key, and swept
-// when a new key is inserted), so rotating through many distinct keys does
-// not grow the map without bound.
-TEST(Cmac, ScheduleMemoStaysBoundedUnderKeyRotation) {
-  const std::size_t before = Cmac::schedule_memo_size();
-  for (std::uint8_t round = 0; round < 64; ++round) {
-    Key128 k{};
-    k[0] = round;
-    k[15] = static_cast<std::uint8_t>(round ^ 0x5a);
-    Cmac engine(k);  // dies at scope end: its memo node is sweepable
-    (void)engine;
-  }
-  // Each construction sweeps its shard's expired nodes before inserting, so
-  // at most one (already-expired) node per memo shard outlives the loop
-  // beyond what was there -- bounded by live keys + shard count, never by
-  // every key ever seen.
-  EXPECT_LE(Cmac::schedule_memo_size(), before + Cmac::kMemoShards);
-
-  // A live engine's node persists and is shared, not duplicated.
-  Key128 live{};
-  live[7] = 0xaa;
-  Cmac a(live);
-  const std::size_t with_live = Cmac::schedule_memo_size();
-  Cmac b(live);
-  EXPECT_EQ(Cmac::schedule_memo_size(), with_live);
-}
-
-// Construction cost must stay FLAT as dead keys accumulate: the expired-node
-// sweep is amortized (at most kSweepPerInsert probes per construction), not
-// a full-shard scan. Pile up hundreds of dead nodes, then check the probe
-// counter's per-construction delta never exceeds the budget.
-TEST(Cmac, AmortizedSweepKeepsConstructionCostFlat) {
-  auto make_key = [](std::uint32_t i) {
-    Key128 k{};
-    k[0] = static_cast<std::uint8_t>(i);
-    k[1] = static_cast<std::uint8_t>(i >> 8);
-    k[2] = 0xd5;  // namespace the test's keys away from other tests'
-    return k;
-  };
-  // Phase 1: rotate through many keys, every engine dying immediately.
-  for (std::uint32_t i = 0; i < 400; ++i) {
-    Cmac engine(make_key(i));
-    (void)engine;
-  }
-  // Phase 2: each further construction probes at most kSweepPerInsert
-  // memo nodes, no matter how much garbage phase 1 left behind.
-  for (std::uint32_t i = 400; i < 432; ++i) {
-    const std::uint64_t before = Cmac::memo_sweep_visited();
-    Cmac engine(make_key(i));
-    (void)engine;
-    const std::uint64_t probes = Cmac::memo_sweep_visited() - before;
-    EXPECT_LE(probes, static_cast<std::uint64_t>(Cmac::kSweepPerInsert)) << "construction " << i;
-  }
-  // A memo hit (live schedule reuse) must not probe at all.
-  Cmac live(make_key(9999));
-  const std::uint64_t before = Cmac::memo_sweep_visited();
-  Cmac again(make_key(9999));
-  EXPECT_EQ(Cmac::memo_sweep_visited() - before, 0u);
-}
-
 class BackendGuard {
  public:
   explicit BackendGuard(Aes128::BackendPolicy p) : saved_(Aes128::backend_policy()) {

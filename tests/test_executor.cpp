@@ -1,4 +1,4 @@
-// Unit tests for the work-stealing executor (util/executor.h): full index
+// Unit tests for the chunk-cursor executor (util/executor.h): full index
 // coverage, result ordering, the exact-serial jobs=1 path, exception
 // propagation, inline nesting, and the ASC_JOBS / set_global_jobs controls.
 #include <gtest/gtest.h>
@@ -124,11 +124,19 @@ TEST(Executor, SetGlobalJobsResizesTheSharedPool) {
 }
 
 TEST(Executor, ManyRoundsReuseTheSamePool) {
+  // Batch sizes alternate between large and tiny, so the chunk size and the
+  // bound change every round. A worker left over from one batch that claimed
+  // an index of the next with the old body or bound would miss or repeat an
+  // index here.
   Executor ex(4);
+  const std::size_t sizes[] = {1000, 3, 500, 2, 9999};
   for (int round = 0; round < 200; ++round) {
-    std::atomic<int> n{0};
-    ex.parallel_for(37, [&](std::size_t) { n.fetch_add(1, std::memory_order_relaxed); });
-    ASSERT_EQ(n.load(), 37);
+    const std::size_t n = sizes[round % 5];
+    std::vector<std::atomic<int>> hits(n);
+    ex.parallel_for(n, [&](std::size_t i) { hits.at(i).fetch_add(1, std::memory_order_relaxed); });
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "round " << round << " index " << i;
+    }
   }
 }
 

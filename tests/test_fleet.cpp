@@ -1,12 +1,12 @@
-// Fleet driver and aggregated audit pipeline: determinism, tenant isolation,
+// Fleet driver and aggregated audit merge: determinism, tenant isolation,
 // and churn bookkeeping. These suites are in the TSan CI leg (they fan
-// tenant lifecycles out over the executor and hammer the sharded CMAC
-// schedule memo from many workers at once).
+// tenant lifecycles out over the executor, each building its own CMAC
+// engines on its own worker).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/cmac.h"
@@ -23,7 +23,7 @@ fleet::FleetResult run_fleet(fleet::FleetConfig cfg, int jobs) {
   return fleet::Driver(cfg).run();
 }
 
-// ---- the aggregated audit pipeline in isolation ----
+// ---- the aggregated audit merge in isolation ----
 
 os::VerdictRecord rec(int pid, const std::string& detail) {
   os::VerdictRecord r;
@@ -34,39 +34,44 @@ os::VerdictRecord rec(int pid, const std::string& detail) {
   return r;
 }
 
-TEST(FleetAuditPipeline, MergesInAscendingTenantOrderRegardlessOfStreamOrder) {
-  fleet::AuditPipeline a(5);
-  fleet::AuditPipeline b(5);
-  // Stream the same slots in opposite orders (as racing workers would).
-  a.stream(4, "g4", {rec(1, "four")});
-  a.stream(0, "g0", {rec(1, "zero-a"), rec(2, "zero-b")});
-  a.stream(2, "g2", {rec(1, "two")});
-  b.stream(2, "g2", {rec(1, "two")});
-  b.stream(0, "g0", {rec(1, "zero-a"), rec(2, "zero-b")});
-  b.stream(4, "g4", {rec(1, "four")});
-
-  const auto ma = a.merge();
-  const auto mb = b.merge();
-  EXPECT_EQ(ma.lines, mb.lines);
-  EXPECT_EQ(ma.digest, mb.digest);
-  ASSERT_EQ(ma.records.size(), 4u);
-  EXPECT_EQ(ma.tenants_with_records, 3u);
-  // Tenant order, then log order within a tenant.
-  EXPECT_EQ(ma.records[0].detail, "zero-a");
-  EXPECT_EQ(ma.records[1].detail, "zero-b");
-  EXPECT_EQ(ma.records[2].detail, "two");
-  EXPECT_EQ(ma.records[3].detail, "four");
-  ASSERT_EQ(ma.lines.size(), 4u);
-  EXPECT_EQ(ma.lines[0].rfind("[t00000 g0] ", 0), 0u) << ma.lines[0];
-  EXPECT_EQ(ma.lines[3].rfind("[t00004 g4] ", 0), 0u) << ma.lines[3];
+fleet::TenantVerdict tenant(int t, const std::string& guest,
+                            std::vector<os::VerdictRecord> audit) {
+  fleet::TenantVerdict tv;
+  tv.tenant = t;
+  tv.guest = guest;
+  tv.audit = std::move(audit);
+  return tv;
 }
 
-TEST(FleetAuditPipeline, DigestChangesWhenAnyRecordChanges) {
-  fleet::AuditPipeline a(2);
-  fleet::AuditPipeline b(2);
-  a.stream(0, "g", {rec(1, "same")});
-  b.stream(0, "g", {rec(1, "tampered")});
-  EXPECT_NE(a.merge().digest, b.merge().digest);
+TEST(FleetAuditMerge, TagsRecordsInTenantThenLogOrder) {
+  std::vector<fleet::TenantVerdict> tvs;
+  tvs.push_back(tenant(0, "g0", {rec(1, "zero-a"), rec(2, "zero-b")}));
+  tvs.push_back(tenant(1, "g1", {}));
+  tvs.push_back(tenant(2, "g2", {rec(1, "two")}));
+  tvs.push_back(tenant(3, "g3", {}));
+  tvs.push_back(tenant(4, "g4", {rec(1, "four")}));
+
+  const fleet::FleetAudit m = fleet::merge_audit(tvs);
+  ASSERT_EQ(m.records.size(), 4u);
+  EXPECT_EQ(m.tenants_with_records, 3u);
+  // Tenant order, then log order within a tenant.
+  EXPECT_EQ(m.records[0].detail, "zero-a");
+  EXPECT_EQ(m.records[1].detail, "zero-b");
+  EXPECT_EQ(m.records[2].detail, "two");
+  EXPECT_EQ(m.records[3].detail, "four");
+  ASSERT_EQ(m.lines.size(), 4u);
+  EXPECT_EQ(m.lines[0], "[t00000 g0] " + m.records[0].to_string());
+  EXPECT_EQ(m.lines[2].rfind("[t00002 g2] ", 0), 0u) << m.lines[2];
+  EXPECT_EQ(m.lines[3].rfind("[t00004 g4] ", 0), 0u) << m.lines[3];
+  EXPECT_EQ(m.digest.size(), 16u);
+}
+
+TEST(FleetAuditMerge, DigestChangesWhenAnyRecordChanges) {
+  std::vector<fleet::TenantVerdict> a;
+  std::vector<fleet::TenantVerdict> b;
+  a.push_back(tenant(0, "g", {rec(1, "same")}));
+  b.push_back(tenant(0, "g", {rec(1, "tampered")}));
+  EXPECT_NE(fleet::merge_audit(a).digest, fleet::merge_audit(b).digest);
 }
 
 // ---- fleet determinism across executor widths ----
@@ -225,33 +230,31 @@ TEST(FleetDriver, InlineTierStateIsTornDownBetweenTenantRespawns) {
   EXPECT_EQ(r.audit.digest, r2.audit.digest);
 }
 
-// ---- the sharded CMAC schedule memo under concurrent construction ----
+// ---- per-tenant CMAC engines under concurrent construction ----
 
-// Regression test for the fleet's only cross-tenant shared state: many
-// workers constructing Cmac engines at once (per-lifecycle System setup +
-// staggered rotations) must be race-free -- the TSan CI leg runs this suite
-// -- and engines sharing a key must agree on every MAC.
-TEST(FleetCmacMemo, ConcurrentConstructionAndRotationIsCoherent) {
+// Tenant lifecycles build their CMAC engines concurrently (per-lifecycle
+// System setup plus staggered rotations). Each engine derives its own
+// schedule, so concurrent construction touches no common state -- the TSan
+// CI leg runs this suite -- and every engine's MAC equals the one an engine
+// built serially under the same key computes.
+TEST(FleetTenantKeys, ConcurrentConstructionMatchesSerial) {
   const auto msg = util::bytes_of("fleet tenant payload");
-  std::atomic<int> mismatches{0};
-  util::Executor exec(8);
-  exec.parallel_for(256, [&](std::size_t i) {
+  auto key_of = [](std::size_t i) {
     crypto::Key128 k{};
-    // 32 distinct keys, each hit by ~8 concurrent constructions, spread
-    // across the memo's shards.
     k[0] = static_cast<std::uint8_t>(i % 32);
     k[15] = static_cast<std::uint8_t>((i % 32) ^ 0xa5);
-    const crypto::Cmac a(k);
-    const crypto::Cmac b(k);  // second engine shares the memoized schedule
-    if (!crypto::Cmac::equal(a.compute(msg), b.compute(msg))) {
-      mismatches.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  EXPECT_EQ(mismatches.load(), 0);
-  // All 256 engines died at scope end; the memo stays bounded (at most one
-  // expired node per shard survives the per-construction sweep).
-  std::size_t retained = crypto::Cmac::schedule_memo_size();
-  EXPECT_LE(retained, 32u + crypto::Cmac::kMemoShards);
+    return k;
+  };
+  std::vector<crypto::Mac> serial;
+  for (std::size_t k = 0; k < 32; ++k) serial.push_back(crypto::Cmac(key_of(k)).compute(msg));
+
+  // 256 constructions over the 32 keys, each key built by ~8 workers.
+  util::Executor exec(8);
+  const std::vector<crypto::Mac> macs = exec.parallel_map<crypto::Mac>(
+      256, [&](std::size_t i) { return crypto::Cmac(key_of(i)).compute(msg); });
+  for (std::size_t i = 0; i < macs.size(); ++i) {
+    EXPECT_TRUE(crypto::Cmac::equal(macs[i], serial[i % 32])) << "construction " << i;
+  }
 }
 
 }  // namespace
