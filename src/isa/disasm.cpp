@@ -7,7 +7,9 @@ namespace asc::isa {
 namespace {
 std::string reg_name(Reg r) {
   if (r == kSp) return "sp";
-  return "r" + std::to_string(static_cast<int>(r));
+  std::string name = "r";
+  name += std::to_string(static_cast<int>(r));
+  return name;
 }
 std::string hex32(std::uint32_t v) {
   char buf[16];

@@ -1,6 +1,9 @@
 #include "os/checker.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
+#include <vector>
 
 #include "policy/authstring.h"
 #include "policy/pattern.h"
@@ -91,51 +94,38 @@ CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::u
       in.pred_set = pred_as;
       in.lb_ptr = lb_ptr;
     }
-    const auto encoded = policy::encode_policy(in);
+    policy::EncodedPolicy encoded_buf{};
+    const std::span<const std::uint8_t> encoded(encoded_buf.data(),
+                                                policy::encode_policy(in, encoded_buf));
     if (!p.mem.in_range(mac_ptr, 16)) {
       return fail(Violation::BadCallMac, "call MAC pointer out of range");
     }
     const crypto::Mac claimed = read_mac(p.mem, mac_ptr);
 
-    // Gather the static byte material up front: the cache comparison (hit
-    // path) and the content MACs (miss path) consume the same bytes. Every
-    // range was validated by read_as_header, so these reads cannot fault.
-    std::array<std::vector<std::uint8_t>, os::kMaxSyscallArgs> as_contents;
+    // ---- verified-call cache probe ----
+    // The material is the exact inputs of the AES-CMAC verifications the hit
+    // path skips; a hit requires byte equality with a previously fully
+    // verified trap of the same site. The probe compares the guest bytes in
+    // place: every range was validated by read_as_header, so it cannot fault.
+    TierTable::Material material(p.mem, encoded, claimed);
     for (int i = 0; i < sig.arity; ++i) {
       const auto idx = static_cast<std::size_t>(i);
-      if (!des.arg_is_authenticated_string(i)) continue;
-      as_contents[idx] = p.mem.read_bytes(in.as_args[idx].addr, in.as_args[idx].len);
+      if (des.arg_is_authenticated_string(i)) {
+        material.add_string(in.as_args[idx].addr, in.as_args[idx].len);
+      }
     }
-    std::vector<std::uint8_t> pred_blob;
-    if (des.control_flow_constrained()) {
-      pred_blob = p.mem.read_bytes(pred_as.addr, pred_as.len);
-    }
+    if (des.control_flow_constrained()) material.set_pred_set(pred_as.addr, pred_as.len);
 
-    // ---- verified-call cache probe ----
-    // The material is the exact concatenated inputs of the AES-CMAC
-    // verifications the hit path skips; a hit requires byte equality with a
-    // previously fully verified trap of the same site. Length prefixes keep
-    // the concatenation injective (bytes cannot migrate between fields).
-    std::vector<std::uint32_t> preds;
+    // On a hit `preds` borrows the record's decoded set: step 3.2 is its last
+    // use and comes before every guest write of this trap. The fd sources
+    // and patterns are copies (free while empty): steps 4 and 5 run after
+    // step 3.3's state write and the shadow write-back, either of which can
+    // drop the record through the write-watch spine.
+    std::span<const std::uint32_t> preds;
+    std::vector<std::uint32_t> decoded_preds;
     std::vector<std::uint32_t> fd_sources;
     std::vector<policy::PatternRef> patterns;
-    std::vector<std::uint8_t> material;
     if (use_cache) {
-      auto append = [&material](std::span<const std::uint8_t> bytes) {
-        const auto n = static_cast<std::uint32_t>(bytes.size());
-        for (int s = 0; s < 32; s += 8) {
-          material.push_back(static_cast<std::uint8_t>(n >> s));
-        }
-        material.insert(material.end(), bytes.begin(), bytes.end());
-      };
-      append(encoded);
-      append(claimed);
-      for (int i = 0; i < sig.arity; ++i) {
-        const auto idx = static_cast<std::size_t>(i);
-        if (!des.arg_is_authenticated_string(i)) continue;
-        append(as_contents[idx]);
-      }
-      append(pred_blob);
       if (const TierTable::SiteRecord* e = tiers.lookup(p.pid, call_site, material)) {
         // Hit: static trust established earlier; reuse the decoded pred set
         // and charge the reduced cost. Everything from step 3.1 on (the
@@ -151,12 +141,13 @@ CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::u
 
     if (!res.cache_hit) {
       // ---- steps 1 (cont.), 2, 3: verify every static MAC of the trap ----
-      // All the inputs are already in hand, so the call MAC, the AS content
-      // MACs, and the pred-set MAC go through ONE batched CMAC pass
-      // (4-lane interleaved AES, crypto/cmac.h). Modeled cycles and the
-      // fail-fast order below are charged/walked exactly as the sequential
-      // verifies were: a batch computes extra MACs only on a failing trap,
-      // where the process is being terminated anyway.
+      // The probe missed (or the cache is off): read the static bytes, then
+      // put the call MAC, the AS content MACs, and the pred-set MAC through
+      // ONE batched CMAC pass (4-lane interleaved AES, crypto/cmac.h).
+      // Modeled cycles and the fail-fast order below are charged/walked
+      // exactly as the sequential verifies were: a batch computes extra MACs
+      // only on a failing trap, where the process is being terminated anyway.
+      std::array<std::vector<std::uint8_t>, os::kMaxSyscallArgs> as_contents;
       std::vector<std::span<const std::uint8_t>> msgs;
       std::vector<crypto::Mac> expected;
       msgs.emplace_back(encoded);
@@ -164,10 +155,13 @@ CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::u
       for (int i = 0; i < sig.arity; ++i) {
         const auto idx = static_cast<std::size_t>(i);
         if (!des.arg_is_authenticated_string(i)) continue;
+        as_contents[idx] = p.mem.read_bytes(in.as_args[idx].addr, in.as_args[idx].len);
         msgs.emplace_back(as_contents[idx]);
         expected.push_back(in.as_args[idx].mac);
       }
+      std::vector<std::uint8_t> pred_blob;
       if (des.control_flow_constrained()) {
+        pred_blob = p.mem.read_bytes(pred_as.addr, pred_as.len);
         msgs.emplace_back(pred_blob);
         expected.push_back(pred_as.mac);
       }
@@ -204,18 +198,19 @@ CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::u
         if (!ok[v++]) {
           return fail(Violation::BadStringArg, "predecessor set was modified");
         }
-        if (!policy::decode_pred_set(pred_blob, preds, fd_sources, patterns)) {
+        if (!policy::decode_pred_set(pred_blob, decoded_preds, fd_sources, patterns)) {
           return fail(Violation::BadStringArg, "malformed predecessor set");
         }
       }
+      preds = decoded_preds;
 
       // Every static input verified under the key: remember this site. The
       // record's watch ranges make any guest write into the trusted bytes
       // drop it before the write lands.
       if (use_cache) {
         TierTable::SiteRecord entry;
-        entry.material = std::move(material);
-        entry.preds = preds;
+        entry.material = material.bytes();
+        entry.preds = decoded_preds;
         entry.fd_sources = fd_sources;
         entry.patterns = patterns;
         entry.ranges.emplace_back(mac_ptr, 16u);

@@ -1,8 +1,11 @@
 #include "os/tiertable.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "isa/isa.h"
+#include "util/error.h"
+#include "util/hex.h"
 
 namespace asc::os {
 
@@ -159,14 +162,72 @@ void TierTable::drop_sites(int pid, DemotionCause cause) {
   while (it != sites_.end() && it->first.first == pid) it = drop(it, cause);
 }
 
+// ---- the material ----
+
+TierTable::Material::Material(const vm::Memory& mem, std::span<const std::uint8_t> encoded_call,
+                              std::span<const std::uint8_t> call_mac)
+    : mem_(mem) {
+  fields_[0] = {encoded_call.data(), 0, static_cast<std::uint32_t>(encoded_call.size())};
+  fields_[1] = {call_mac.data(), 0, static_cast<std::uint32_t>(call_mac.size())};
+  count_ = 2;
+  size_ = (4 + encoded_call.size()) + (4 + call_mac.size()) + 4;  // + the empty pred-set field
+}
+
+void TierTable::Material::add_string(std::uint32_t addr, std::uint32_t len) {
+  if (count_ == kMaxFields) throw Error("TierTable::Material: too many string fields");
+  fields_[count_++] = {nullptr, addr, len};
+  size_ += 4 + std::size_t{len};
+}
+
+void TierTable::Material::set_pred_set(std::uint32_t addr, std::uint32_t len) {
+  size_ = size_ - pred_.len + len;
+  pred_ = {nullptr, addr, len};
+}
+
+bool TierTable::Material::matches(std::span<const std::uint8_t> stored) const {
+  // Equal total length first: a truncated or extended record misses here,
+  // and the walk below, whose prefixes must each equal a field length, then
+  // stays inside `stored`.
+  if (stored.size() != size_) return false;
+  std::size_t off = 0;
+  for (std::size_t i = 0; i <= count_; ++i) {
+    const Field& f = field(i);
+    if (util::get_u32(stored, off) != f.len) return false;
+    const std::span<const std::uint8_t> body = stored.subspan(off + 4, f.len);
+    off += 4 + body.size();
+    if (body.empty()) continue;
+    const bool same = f.host != nullptr ? std::memcmp(f.host, body.data(), body.size()) == 0
+                                        : mem_.equals(f.addr, body);
+    if (!same) return false;
+  }
+  return true;
+}
+
+std::vector<std::uint8_t> TierTable::Material::bytes() const {
+  std::vector<std::uint8_t> out;
+  out.reserve(size_);
+  for (std::size_t i = 0; i <= count_; ++i) {
+    const Field& f = field(i);
+    util::put_u32(out, f.len);
+    const std::size_t at = out.size();
+    out.resize(at + f.len);
+    if (f.len == 0) continue;
+    if (f.host != nullptr) {
+      std::memcpy(out.data() + at, f.host, f.len);
+    } else {
+      mem_.read_bytes(f.addr, f.len, out.data() + at);
+    }
+  }
+  return out;
+}
+
 const TierTable::SiteRecord* TierTable::lookup(int pid, std::uint32_t call_site,
-                                               std::span<const std::uint8_t> material) {
+                                               const Material& material) {
   const auto it = sites_.find({pid, call_site});
   // A hit demands exact byte equality with the verified material. A digest
   // here would make the fast path only as strong as the digest's collision
   // resistance; the bytes are small and bounded, so compare them outright.
-  if (it == sites_.end() || it->second.material.size() != material.size() ||
-      !std::equal(material.begin(), material.end(), it->second.material.begin())) {
+  if (it == sites_.end() || !material.matches(it->second.material)) {
     ++stats_.cache_misses;
     return nullptr;
   }

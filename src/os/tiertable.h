@@ -195,10 +195,55 @@ class TierTable {
     std::vector<std::pair<std::uint8_t, std::uint32_t>> const_args;
   };
 
-  /// One verified call site of one process. `material` is the concatenation
-  /// of the encoded call, the claimed call MAC, every static AS content and
-  /// the pred-set blob, each length-prefixed and bounded by kAsMaxLength;
-  /// `ranges` are the guest byte ranges backing it, each watched once.
+  /// One trap's cache material -- the exact inputs of the AES-CMAC
+  /// verifications a hit skips -- described where it lives instead of
+  /// copied out: the encoded call and the claimed call MAC in host buffers,
+  /// each authenticated-string body and the pred-set blob in guest memory.
+  /// The stored form a SiteRecord keeps is every field length-prefixed (u32
+  /// little-endian) in that order: encoded call, call MAC, AS bodies in
+  /// ascending argument order, pred-set blob. The prefixes keep the
+  /// concatenation injective (bytes cannot migrate between fields); a
+  /// descriptor without control flow leaves the pred-set field empty, a
+  /// bare 4-byte zero prefix. matches() compares a stored form in place,
+  /// prefix by prefix and field by field; bytes() writes one on a miss. Both
+  /// walk the same fields, so the layout is defined here once. The host
+  /// buffers and the Memory must outlive the description.
+  class Material {
+   public:
+    Material(const vm::Memory& mem, std::span<const std::uint8_t> encoded_call,
+             std::span<const std::uint8_t> call_mac);
+    /// The next authenticated-string body, in ascending argument order.
+    void add_string(std::uint32_t addr, std::uint32_t len);
+    /// The pred-set blob body (control-flow-constrained descriptors only).
+    void set_pred_set(std::uint32_t addr, std::uint32_t len);
+    /// Length of the stored form.
+    std::size_t size() const { return size_; }
+    /// True iff `stored` is byte for byte the stored form of this material.
+    /// Reads guest bytes through vm::Memory::equals; copies nothing.
+    bool matches(std::span<const std::uint8_t> stored) const;
+    /// The stored form.
+    std::vector<std::uint8_t> bytes() const;
+
+   private:
+    /// Host bytes at `host`, or guest bytes at `addr` when `host` is null.
+    struct Field {
+      const std::uint8_t* host = nullptr;
+      std::uint32_t addr = 0;
+      std::uint32_t len = 0;
+    };
+    static constexpr std::size_t kMaxFields = 2 + kMaxSyscallArgs;
+    /// Field `i` in stored order; the pred-set field is last (i == count_).
+    const Field& field(std::size_t i) const { return i < count_ ? fields_[i] : pred_; }
+    const vm::Memory& mem_;
+    std::array<Field, kMaxFields> fields_{};
+    std::size_t count_ = 0;
+    Field pred_;
+    std::size_t size_ = 0;
+  };
+
+  /// One verified call site of one process. `material` is the stored form of
+  /// the trap's Material (each field bounded by kAsMaxLength); `ranges` are
+  /// the guest byte ranges backing it, each watched once.
   struct SiteRecord {
     Tier tier = Tier::Cached;  // Cached or Inline
     std::vector<std::uint8_t> material;
@@ -255,10 +300,10 @@ class TierTable {
   bool serves_shadow(int pid) const;
 
   // ---- the Cached tier ----
-  /// The record for (pid, call_site) iff its material equals `material`,
-  /// else nullptr. Counts a hit or a miss either way.
-  const SiteRecord* lookup(int pid, std::uint32_t call_site,
-                           std::span<const std::uint8_t> material);
+  /// The record for (pid, call_site) iff its stored material is exactly
+  /// `material`'s stored form (compared in place), else nullptr. Counts a
+  /// hit or a miss either way.
+  const SiteRecord* lookup(int pid, std::uint32_t call_site, const Material& material);
   /// Populate after a full verification: watches the record's ranges and
   /// replaces any stale record of the site.
   void insert(Process& p, std::uint32_t call_site, SiteRecord rec);

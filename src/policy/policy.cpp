@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "util/error.h"
 #include "util/hex.h"
 
 namespace asc::policy {
@@ -77,40 +78,82 @@ std::string SyscallPolicy::to_string() const {
   }
   if (control_flow) {
     out += "  Possible predecessors";
-    for (auto p : predecessors) out += " " + std::to_string(p);
+    for (auto p : predecessors) {
+      out += ' ';
+      out += std::to_string(p);
+    }
     out += "\n";
   }
   if (!fd_sources.empty()) {
     out += "  Fd argument from open sites";
-    for (auto p : fd_sources) out += " " + std::to_string(p);
+    for (auto p : fd_sources) {
+      out += ' ';
+      out += std::to_string(p);
+    }
     out += "\n";
   }
   return out;
 }
 
-std::vector<std::uint8_t> encode_policy(const EncodedPolicyInputs& in) {
-  std::vector<std::uint8_t> out;
-  util::put_u16(out, in.sysno);
-  util::put_u32(out, in.descriptor.bits());
-  if (in.descriptor.site_constrained()) util::put_u32(out, in.call_site);
-  util::put_u32(out, in.block_id);
+namespace {
+
+/// Little-endian stores into a caller-sized buffer: the fixed-buffer
+/// counterpart of util::put_u*.
+class FixedWriter {
+ public:
+  explicit FixedWriter(std::uint8_t* out) : begin_(out), p_(out) {}
+  void u16(std::uint16_t v) {
+    *p_++ = static_cast<std::uint8_t>(v);
+    *p_++ = static_cast<std::uint8_t>(v >> 8);
+  }
+  void u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) *p_++ = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) *p_++ = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  void mac(const crypto::Mac& m) {
+    for (const std::uint8_t b : m) *p_++ = b;
+  }
+  std::size_t size() const { return static_cast<std::size_t>(p_ - begin_); }
+
+ private:
+  std::uint8_t* begin_;
+  std::uint8_t* p_;
+};
+
+}  // namespace
+
+std::size_t encode_policy(const EncodedPolicyInputs& in, EncodedPolicy& out) {
+  if (in.arity < 0 || in.arity > os::kMaxSyscallArgs) throw Error("encode_policy: bad arity");
+  FixedWriter w(out.data());
+  w.u16(in.sysno);
+  w.u32(in.descriptor.bits());
+  if (in.descriptor.site_constrained()) w.u32(in.call_site);
+  w.u32(in.block_id);
   for (int i = 0; i < in.arity; ++i) {
     const auto idx = static_cast<std::size_t>(i);
     if (in.descriptor.arg_is_authenticated_string(i)) {
-      util::put_u32(out, in.as_args[idx].addr);
-      util::put_u32(out, in.as_args[idx].len);
-      out.insert(out.end(), in.as_args[idx].mac.begin(), in.as_args[idx].mac.end());
+      w.u32(in.as_args[idx].addr);
+      w.u32(in.as_args[idx].len);
+      w.mac(in.as_args[idx].mac);
     } else if (in.descriptor.arg_constrained(i)) {
-      util::put_u32(out, in.const_values[idx]);
+      w.u32(in.const_values[idx]);
     }
   }
   if (in.descriptor.control_flow_constrained()) {
-    util::put_u32(out, in.pred_set.addr);
-    util::put_u32(out, in.pred_set.len);
-    out.insert(out.end(), in.pred_set.mac.begin(), in.pred_set.mac.end());
-    util::put_u32(out, in.lb_ptr);
+    w.u32(in.pred_set.addr);
+    w.u32(in.pred_set.len);
+    w.mac(in.pred_set.mac);
+    w.u32(in.lb_ptr);
   }
-  return out;
+  return w.size();
+}
+
+std::vector<std::uint8_t> encode_policy(const EncodedPolicyInputs& in) {
+  EncodedPolicy buf{};
+  const std::size_t n = encode_policy(in, buf);
+  return {buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n)};
 }
 
 std::vector<std::size_t> embedded_mac_offsets(const EncodedPolicyInputs& in) {
@@ -180,10 +223,12 @@ bool decode_pred_set(std::span<const std::uint8_t> blob, std::vector<std::uint32
   return off == blob.size();
 }
 
-std::vector<std::uint8_t> encode_policy_state(std::uint32_t last_block, std::uint64_t counter) {
-  std::vector<std::uint8_t> out;
-  util::put_u32(out, last_block);
-  util::put_u64(out, counter);
+std::array<std::uint8_t, kPolicyStateMessageSize> encode_policy_state(std::uint32_t last_block,
+                                                                      std::uint64_t counter) {
+  std::array<std::uint8_t, kPolicyStateMessageSize> out{};
+  FixedWriter w(out.data());
+  w.u32(last_block);
+  w.u64(counter);
   return out;
 }
 

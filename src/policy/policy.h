@@ -8,8 +8,9 @@
 // from the actual trap arguments -- so a MAC match proves the call complies
 // with the policy (§3.4).
 //
-// Both sides MUST agree on the layout, so the single serializer below is the
-// only place it is defined:
+// Both sides MUST agree on the layout, so the single serializer below
+// (encode_policy into a fixed EncodedPolicy buffer; its vector form wraps
+// it) is the only place it is defined:
 //
 //   u16 sysno
 //   u32 policy descriptor
@@ -108,7 +109,24 @@ struct EncodedPolicyInputs {
   std::uint32_t lb_ptr = 0;
 };
 
-/// Serialize the encoded policy / encoded call.
+/// Upper bound of the encoded policy / encoded call: sysno, descriptor, call
+/// site and block id, five authenticated-string arguments (24 B each), then
+/// the control-flow fields. The longest descriptor -- site, control flow and
+/// every argument an authenticated string -- encodes to exactly this many
+/// bytes; no descriptor and arity encodes to more.
+inline constexpr std::size_t kMaxEncodedPolicy =
+    2 + 4 + 4 + 4 + os::kMaxSyscallArgs * 24 + (4 + 4 + 16 + 4);
+
+/// A fixed buffer that holds any encoded policy / encoded call.
+using EncodedPolicy = std::array<std::uint8_t, kMaxEncodedPolicy>;
+
+/// The single serializer: write the encoded policy / encoded call for `in`
+/// into `out` and return its length. The kernel encodes every trap through
+/// this overload, so the hit path allocates nothing. Throws Error when
+/// `in.arity` is negative or exceeds kMaxSyscallArgs.
+std::size_t encode_policy(const EncodedPolicyInputs& in, EncodedPolicy& out);
+
+/// The same bytes as a vector (the installer's signing manifest keeps them).
 std::vector<std::uint8_t> encode_policy(const EncodedPolicyInputs& in);
 
 /// Byte offsets, within encode_policy's output for `in`, of every embedded
@@ -137,9 +155,14 @@ std::vector<std::uint8_t> encode_pred_set(const std::vector<std::uint32_t>& pred
 bool decode_pred_set(std::span<const std::uint8_t> blob, std::vector<std::uint32_t>& predecessors,
                      std::vector<std::uint32_t>& fd_sources, std::vector<PatternRef>& patterns);
 
+/// Size of the policy-state message: u32 lastBlock + u64 counter.
+inline constexpr std::size_t kPolicyStateMessageSize = 12;
+
 /// The policy-state record the kernel MACs: lastBlock then the per-process
-/// counter nonce (§3.2's online memory checker).
-std::vector<std::uint8_t> encode_policy_state(std::uint32_t last_block, std::uint64_t counter);
+/// counter nonce (§3.2's online memory checker). Returned by value, so the
+/// per-trap verify and re-MAC allocate nothing.
+std::array<std::uint8_t, kPolicyStateMessageSize> encode_policy_state(std::uint32_t last_block,
+                                                                      std::uint64_t counter);
 
 /// Size of the in-application policy state record: u32 lastBlock + 16B MAC.
 inline constexpr std::uint32_t kPolicyStateSize = 20;

@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 
 #include <cstdio>
+#include <cstring>
 #include <new>
 
 namespace asc::vm {
@@ -86,6 +87,12 @@ void Memory::read_bytes(std::uint32_t addr, std::uint32_t n, std::uint8_t* out) 
   check(addr, n);
   const std::size_t i = index_of(addr);
   std::copy(bytes_.get() + i, bytes_.get() + i + n, out);
+}
+
+bool Memory::equals(std::uint32_t addr, std::span<const std::uint8_t> bytes) const {
+  check(addr, static_cast<std::uint32_t>(bytes.size()));
+  return bytes.empty() ||
+         std::memcmp(bytes_.get() + index_of(addr), bytes.data(), bytes.size()) == 0;
 }
 
 void Memory::write_bytes(std::uint32_t addr, std::span<const std::uint8_t> bytes) {

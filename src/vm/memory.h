@@ -45,6 +45,11 @@ class Memory {
   /// this instead of n byte-at-a-time r8() calls.
   void read_bytes(std::uint32_t addr, std::uint32_t n, std::uint8_t* out) const;
   void write_bytes(std::uint32_t addr, std::span<const std::uint8_t> bytes);
+  /// True iff the guest bytes at [addr, addr + bytes.size()) equal `bytes`:
+  /// a bounds check plus one memcmp on the flat mapping, with no copy. The
+  /// checker's hit path compares verified material in place through this.
+  /// Throws GuestFault when any byte is out of range.
+  bool equals(std::uint32_t addr, std::span<const std::uint8_t> bytes) const;
 
   /// NUL-terminated string, at most `max_len` bytes (fault if unterminated).
   std::string read_cstr(std::uint32_t addr, std::uint32_t max_len = 4096) const;

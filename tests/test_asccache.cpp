@@ -5,13 +5,16 @@
 // process's verified record can never serve another.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <optional>
+#include <ostream>
 
 #include "apps/libtoy.h"
 #include "core/asc.h"
 #include "isa/isa.h"
 #include "os/tiertable.h"
 #include "tasm/assembler.h"
+#include "util/hex.h"
 #include "vm/memory.h"
 #include "workloads.h"
 
@@ -27,9 +30,19 @@ using Ranges = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
 constexpr std::uint32_t kBase = binary::kAddressSpaceBase + 0x1000;
 
-TierTable::SiteRecord record_with(Bytes material, Ranges ranges = {}) {
+const crypto::Mac kClaimedMac{0xc0, 0xde};
+
+// A trap's material as the checker describes it, with `call` standing in for
+// the encoded call under a fixed claimed MAC: no string arguments, no pred
+// set. Lookups take it through the production in-place comparison.
+TierTable::Material material(const os::Process& p, const Bytes& call) {
+  return {p.mem, call, kClaimedMac};
+}
+
+// A record whose material is the production stored form of `call`'s.
+TierTable::SiteRecord record_with(const os::Process& p, const Bytes& call, Ranges ranges = {}) {
   TierTable::SiteRecord r;
-  r.material = std::move(material);
+  r.material = material(p, call).bytes();
   r.ranges = std::move(ranges);
   return r;
 }
@@ -56,11 +69,11 @@ std::uint64_t live_refs(const os::Process& p) { return p.mem.watch_stats().live_
 TEST(AscCacheUnit, LookupRequiresByteIdenticalMaterial) {
   Lattice l;
   os::Process p = process(1);
-  EXPECT_EQ(l.table.lookup(1, 0x100, Bytes{42}), nullptr);  // cold
-  l.table.insert(p, 0x100, record_with({42}));
-  EXPECT_NE(l.table.lookup(1, 0x100, Bytes{42}), nullptr);
+  EXPECT_EQ(l.table.lookup(1, 0x100, material(p, Bytes{42})), nullptr);  // cold
+  l.table.insert(p, 0x100, record_with(p, {42}));
+  EXPECT_NE(l.table.lookup(1, 0x100, material(p, Bytes{42})), nullptr);
   // Same site, different bytes behind it: must be a miss, never a stale hit.
-  EXPECT_EQ(l.table.lookup(1, 0x100, Bytes{43}), nullptr);
+  EXPECT_EQ(l.table.lookup(1, 0x100, material(p, Bytes{43})), nullptr);
   EXPECT_EQ(l.table.stats().cached, 1u);
   EXPECT_EQ(l.table.stats().cache_misses, 2u);
   EXPECT_EQ(l.table.sites(), 1u);
@@ -74,30 +87,198 @@ TEST(AscCacheUnit, SameLengthDifferentBytesNeverHit) {
   Lattice l;
   os::Process p = process(1);
   const Bytes verified{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77};
-  l.table.insert(p, 0x100, record_with(verified));
+  l.table.insert(p, 0x100, record_with(p, verified));
   for (std::size_t byte = 0; byte < verified.size(); ++byte) {
     Bytes forged = verified;
     forged[byte] ^= 0x01;
-    EXPECT_EQ(l.table.lookup(1, 0x100, forged), nullptr)
+    EXPECT_EQ(l.table.lookup(1, 0x100, material(p, forged)), nullptr)
         << "byte " << byte << " differs but the record served a hit";
   }
   // Prefix/extension of the verified bytes must miss too.
-  EXPECT_EQ(l.table.lookup(1, 0x100, Bytes(verified.begin(), verified.end() - 1)), nullptr);
+  const Bytes prefix(verified.begin(), verified.end() - 1);
+  EXPECT_EQ(l.table.lookup(1, 0x100, material(p, prefix)), nullptr);
   Bytes extended = verified;
   extended.push_back(0x00);
-  EXPECT_EQ(l.table.lookup(1, 0x100, extended), nullptr);
-  EXPECT_NE(l.table.lookup(1, 0x100, verified), nullptr);
+  EXPECT_EQ(l.table.lookup(1, 0x100, material(p, extended)), nullptr);
+  EXPECT_NE(l.table.lookup(1, 0x100, material(p, verified)), nullptr);
+}
+
+// ---- the in-place material comparison ----
+// TierTable::Material describes a trap's material where it lives -- host
+// buffers for the encoded call and the call MAC, guest ranges for the string
+// bodies and the pred-set blob -- and compares a record's stored form against
+// it field by field. These cases pin the stored layout and every way a stored
+// form can differ from the live material.
+
+constexpr std::uint32_t kString0 = kBase + 0x40;
+constexpr std::uint32_t kString1 = kBase + 0x80;
+constexpr std::uint32_t kPredBlob = kBase + 0xc0;
+
+// A material with every kind of field: two string bodies and a pred-set blob
+// in `p`'s guest memory, the encoded call and the claimed MAC on the host.
+struct LiveMaterial {
+  explicit LiveMaterial(os::Process& p) : proc(p) {
+    p.mem.write_bytes(kString0, strings[0]);
+    p.mem.write_bytes(kString1, strings[1]);
+    p.mem.write_bytes(kPredBlob, pred);
+  }
+  TierTable::Material describe(bool control_flow = true) const {
+    TierTable::Material m(proc.mem, call, mac);
+    m.add_string(kString0, static_cast<std::uint32_t>(strings[0].size()));
+    m.add_string(kString1, static_cast<std::uint32_t>(strings[1].size()));
+    if (control_flow) m.set_pred_set(kPredBlob, static_cast<std::uint32_t>(pred.size()));
+    return m;
+  }
+  os::Process& proc;
+  Bytes call{0x05, 0x00, 0x0b, 0x01, 0x00, 0x00, 0x04, 0x80};
+  crypto::Mac mac{0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe, 1, 2, 3, 4, 5, 6, 7, 8};
+  std::array<Bytes, 2> strings{Bytes{'/', 'e', 't', 'c'}, Bytes{'x', 'y'}};
+  Bytes pred{1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0};
+};
+
+// The documented stored form, built independently of the production writer.
+Bytes join_fields(const std::vector<Bytes>& fields) {
+  Bytes out;
+  for (const Bytes& f : fields) {
+    util::put_u32(out, static_cast<std::uint32_t>(f.size()));
+    out.insert(out.end(), f.begin(), f.end());
+  }
+  return out;
+}
+
+std::vector<Bytes> split_fields(const Bytes& stored) {
+  std::vector<Bytes> fields;
+  for (std::size_t off = 0; off < stored.size();) {
+    const std::uint32_t len = util::get_u32(stored, off);
+    const auto body = stored.begin() + static_cast<std::ptrdiff_t>(off + 4);
+    fields.emplace_back(body, body + len);
+    off += 4 + len;
+  }
+  return fields;
+}
+
+TEST(AscCacheUnit, MaterialStoredFormIsTheLengthPrefixedLayout) {
+  os::Process p = process(1);
+  const LiveMaterial live(p);
+  const Bytes mac(live.mac.begin(), live.mac.end());
+  const Bytes with_cf = join_fields({live.call, mac, live.strings[0], live.strings[1], live.pred});
+  const TierTable::Material m = live.describe();
+  EXPECT_EQ(m.bytes(), with_cf);
+  EXPECT_EQ(m.size(), with_cf.size());
+  EXPECT_TRUE(m.matches(with_cf));
+  // No control flow: the pred-set field stays, empty -- a bare zero prefix.
+  const Bytes without_cf = join_fields({live.call, mac, live.strings[0], live.strings[1], {}});
+  EXPECT_EQ(live.describe(false).bytes(), without_cf);
+  EXPECT_TRUE(live.describe(false).matches(without_cf));
+}
+
+TEST(AscCacheUnit, MaterialRejectsAnyFlippedByteOfAnyField) {
+  os::Process p = process(1);
+  LiveMaterial live(p);
+  const Bytes stored = live.describe().bytes();
+  // The stored side: every prefix and body byte.
+  for (std::size_t i = 0; i < stored.size(); ++i) {
+    Bytes forged = stored;
+    forged[i] ^= 0x01;
+    EXPECT_FALSE(live.describe().matches(forged)) << "stored byte " << i;
+  }
+  // The live side: every guest byte behind a string or the pred-set blob...
+  const Ranges guest = {{kString0, static_cast<std::uint32_t>(live.strings[0].size())},
+                        {kString1, static_cast<std::uint32_t>(live.strings[1].size())},
+                        {kPredBlob, static_cast<std::uint32_t>(live.pred.size())}};
+  for (const auto& [addr, len] : guest) {
+    for (std::uint32_t a = addr; a < addr + len; ++a) {
+      const std::uint8_t b = p.mem.r8(a);
+      p.mem.w8(a, b ^ 0x01);
+      EXPECT_FALSE(live.describe().matches(stored)) << "guest byte 0x" << std::hex << a;
+      p.mem.w8(a, b);
+    }
+  }
+  // ...and every host byte of the encoded call and the claimed MAC.
+  for (std::size_t i = 0; i < live.call.size(); ++i) {
+    live.call[i] ^= 0x01;
+    EXPECT_FALSE(live.describe().matches(stored)) << "encoded-call byte " << i;
+    live.call[i] ^= 0x01;
+  }
+  for (std::size_t i = 0; i < live.mac.size(); ++i) {
+    live.mac[i] ^= 0x01;
+    EXPECT_FALSE(live.describe().matches(stored)) << "call-MAC byte " << i;
+    live.mac[i] ^= 0x01;
+  }
+  EXPECT_TRUE(live.describe().matches(stored));
+}
+
+// Same total length, same concatenated bytes, one field boundary moved:
+// only the length prefixes tell the two apart, and they must.
+TEST(AscCacheUnit, MaterialRejectsALengthPrefixMovedBetweenFields) {
+  os::Process p = process(1);
+  const LiveMaterial live(p);
+  const Bytes stored = live.describe().bytes();
+  const std::vector<Bytes> fields = split_fields(stored);
+  ASSERT_EQ(fields.size(), 5u);
+  int forgeries = 0;
+  for (std::size_t k = 0; k + 1 < fields.size(); ++k) {
+    if (!fields[k + 1].empty()) {  // first byte of field k+1 joins field k
+      std::vector<Bytes> moved = fields;
+      moved[k].push_back(moved[k + 1].front());
+      moved[k + 1].erase(moved[k + 1].begin());
+      const Bytes forged = join_fields(moved);
+      ASSERT_EQ(forged.size(), stored.size());
+      EXPECT_FALSE(live.describe().matches(forged)) << "boundary " << k << " moved right";
+      ++forgeries;
+    }
+    if (!fields[k].empty()) {  // last byte of field k joins field k+1
+      std::vector<Bytes> moved = fields;
+      moved[k + 1].insert(moved[k + 1].begin(), moved[k].back());
+      moved[k].pop_back();
+      EXPECT_FALSE(live.describe().matches(join_fields(moved)))
+          << "boundary " << k << " moved left";
+      ++forgeries;
+    }
+  }
+  EXPECT_EQ(forgeries, 8);
+}
+
+TEST(AscCacheUnit, MaterialRejectsATruncatedOrExtendedRecord) {
+  os::Process p = process(1);
+  const LiveMaterial live(p);
+  const Bytes stored = live.describe().bytes();
+  for (std::size_t cut = 0; cut < stored.size(); ++cut) {
+    const Bytes truncated(stored.begin(), stored.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_FALSE(live.describe().matches(truncated)) << "cut at " << cut;
+  }
+  Bytes extended = stored;
+  extended.push_back(0x00);
+  EXPECT_FALSE(live.describe().matches(extended));
+  // A trailing extra empty field: well formed, one field too many.
+  Bytes extra_field = stored;
+  extra_field.insert(extra_field.end(), 4, 0x00);
+  EXPECT_FALSE(live.describe().matches(extra_field));
+}
+
+TEST(AscCacheUnit, MaterialWithoutControlFlowRequiresTheZeroPrefix) {
+  os::Process p = process(1);
+  const LiveMaterial live(p);
+  const Bytes stored = live.describe(false).bytes();
+  ASSERT_GE(stored.size(), 4u);
+  EXPECT_EQ(Bytes(stored.end() - 4, stored.end()), Bytes(4, 0x00));
+  EXPECT_TRUE(live.describe(false).matches(stored));
+  const Bytes missing(stored.begin(), stored.end() - 4);
+  EXPECT_FALSE(live.describe(false).matches(missing));
+  // Neither form serves the other descriptor.
+  EXPECT_FALSE(live.describe(true).matches(stored));
+  EXPECT_FALSE(live.describe(false).matches(live.describe(true).bytes()));
 }
 
 TEST(AscCacheUnit, EntriesArePidIsolated) {
   Lattice l;
   os::Process a = process(1);
   os::Process b = process(2);
-  l.table.insert(a, 0x100, record_with({42}, {{kBase, 16}}));
+  l.table.insert(a, 0x100, record_with(a, {42}, {{kBase, 16}}));
   // Identical site and identical material -- but a different process.
   // Serving A's verification to B would let B ride on A's policy.
-  EXPECT_EQ(l.table.lookup(2, 0x100, Bytes{42}), nullptr);
-  EXPECT_NE(l.table.lookup(1, 0x100, Bytes{42}), nullptr);
+  EXPECT_EQ(l.table.lookup(2, 0x100, material(b, Bytes{42})), nullptr);
+  EXPECT_NE(l.table.lookup(1, 0x100, material(a, Bytes{42})), nullptr);
   EXPECT_EQ(l.table.sites(1), 1u);
   EXPECT_EQ(l.table.sites(2), 0u);
   // The record watches A's address space only.
@@ -109,17 +290,17 @@ TEST(AscCacheUnit, InvalidateWriteEvictsOnlyOverlappingEntries) {
   Lattice l;
   os::Process a = process(1);
   os::Process b = process(2);
-  l.table.insert(a, 0x100, record_with({1}, {{kBase, 16}}));
-  l.table.insert(a, 0x200, record_with({2}, {{kBase + 0x100, 16}}));
-  l.table.insert(b, 0x200, record_with({3}, {{kBase + 0x100, 16}}));
+  l.table.insert(a, 0x100, record_with(a, {1}, {{kBase, 16}}));
+  l.table.insert(a, 0x200, record_with(a, {2}, {{kBase + 0x100, 16}}));
+  l.table.insert(b, 0x200, record_with(b, {3}, {{kBase + 0x100, 16}}));
   a.mem.w32(kBase + 8, 0);  // inside the first record's range only
-  EXPECT_EQ(l.table.lookup(1, 0x100, Bytes{1}), nullptr);
-  EXPECT_NE(l.table.lookup(1, 0x200, Bytes{2}), nullptr);
+  EXPECT_EQ(l.table.lookup(1, 0x100, material(a, Bytes{1})), nullptr);
+  EXPECT_NE(l.table.lookup(1, 0x200, material(a, Bytes{2})), nullptr);
   // The same address written in another pid's address space touches
   // nothing of pid 1.
   b.mem.w8(kBase + 0x100, 0);
-  EXPECT_NE(l.table.lookup(1, 0x200, Bytes{2}), nullptr);
-  EXPECT_EQ(l.table.lookup(2, 0x200, Bytes{3}), nullptr);
+  EXPECT_NE(l.table.lookup(1, 0x200, material(a, Bytes{2})), nullptr);
+  EXPECT_EQ(l.table.lookup(2, 0x200, material(b, Bytes{3})), nullptr);
   EXPECT_EQ(l.table.sites(), 1u);
 }
 
@@ -127,9 +308,9 @@ TEST(AscCacheUnit, EvictPidAndClear) {
   Lattice l;
   os::Process a = process(1);
   os::Process b = process(2);
-  l.table.insert(a, 0x100, record_with({1}, {{kBase, 16}}));
-  l.table.insert(a, 0x200, record_with({2}, {{kBase + 0x20, 16}}));
-  l.table.insert(b, 0x100, record_with({3}, {{kBase, 16}}));
+  l.table.insert(a, 0x100, record_with(a, {1}, {{kBase, 16}}));
+  l.table.insert(a, 0x200, record_with(a, {2}, {{kBase + 0x20, 16}}));
+  l.table.insert(b, 0x100, record_with(b, {3}, {{kBase, 16}}));
   l.table.end_process(1);
   EXPECT_EQ(l.table.sites(), 1u);
   EXPECT_EQ(l.table.sites(2), 1u);
@@ -147,14 +328,14 @@ TEST(AscCacheUnit, EveryEvictionPathUnwatchesItsRanges) {
   os::Process p = process(1);
 
   // insert registers each range once; a guest-write drop unregisters.
-  l.table.insert(p, 0x100, record_with({1}, {{kBase, 16}, {kBase + 0x100, 32}}));
+  l.table.insert(p, 0x100, record_with(p, {1}, {{kBase, 16}, {kBase + 0x100, 32}}));
   EXPECT_EQ(live_refs(p), 2u);
   p.mem.w8(kBase, 0);
   EXPECT_EQ(live_refs(p), 0u);
 
   // Replacement on insert unregisters the stale record's ranges.
-  l.table.insert(p, 0x100, record_with({1}, {{kBase, 16}}));
-  l.table.insert(p, 0x100, record_with({2}, {{kBase + 0x200, 16}}));
+  l.table.insert(p, 0x100, record_with(p, {1}, {{kBase, 16}}));
+  l.table.insert(p, 0x100, record_with(p, {2}, {{kBase + 0x200, 16}}));
   EXPECT_EQ(live_refs(p), 1u);
   p.mem.w8(kBase, 0);  // the stale range no longer guards anything
   EXPECT_EQ(l.table.sites(), 1u);
@@ -164,19 +345,19 @@ TEST(AscCacheUnit, EveryEvictionPathUnwatchesItsRanges) {
   EXPECT_EQ(live_refs(p), 0u);
 
   // Health eviction and the fast-path flush unregister the pid's ranges.
-  l.table.insert(p, 0x100, record_with({1}, {{kBase, 16}}));
+  l.table.insert(p, 0x100, record_with(p, {1}, {{kBase, 16}}));
   l.table.evict_pid(1);
   EXPECT_EQ(live_refs(p), 0u);
-  l.table.insert(p, 0x100, record_with({1}, {{kBase, 16}}));
+  l.table.insert(p, 0x100, record_with(p, {1}, {{kBase, 16}}));
   l.table.flush_pid(1, os::DemotionCause::Disabled);
   EXPECT_EQ(live_refs(p), 0u);
 
   // Capacity eviction unregisters the victim's ranges.
   Lattice tiny(2);
   os::Process q = process(1);
-  tiny.table.insert(q, 0x100, record_with({1}, {{kBase, 16}}));
-  tiny.table.insert(q, 0x200, record_with({2}, {{kBase + 0x100, 16}}));
-  tiny.table.insert(q, 0x300, record_with({3}, {{kBase + 0x200, 16}}));
+  tiny.table.insert(q, 0x100, record_with(q, {1}, {{kBase, 16}}));
+  tiny.table.insert(q, 0x200, record_with(q, {2}, {{kBase + 0x100, 16}}));
+  tiny.table.insert(q, 0x300, record_with(q, {3}, {{kBase + 0x200, 16}}));
   EXPECT_EQ(tiny.table.sites(), 2u);
   EXPECT_EQ(live_refs(q), 2u);
 
@@ -196,20 +377,22 @@ TEST(AscCacheUnit, CapacityEvictionPrefersColdEntriesOverLowKeys) {
   os::Process a = process(1);
   os::Process b = process(2);
   for (std::uint32_t site = 1; site <= 4; ++site) {
-    l.table.insert(a, site, record_with({static_cast<std::uint8_t>(site)}));
+    l.table.insert(a, site, record_with(a, {static_cast<std::uint8_t>(site)}));
   }
   // Heat up the three lowest keys; site 4 stays cold.
   for (int round = 0; round < 3; ++round) {
     for (std::uint32_t site = 1; site <= 3; ++site) {
-      EXPECT_NE(l.table.lookup(1, site, Bytes{static_cast<std::uint8_t>(site)}), nullptr);
+      const Bytes call{static_cast<std::uint8_t>(site)};
+      EXPECT_NE(l.table.lookup(1, site, material(a, call)), nullptr);
     }
   }
-  l.table.insert(b, 0x500, record_with({5}));
+  l.table.insert(b, 0x500, record_with(b, {5}));
   EXPECT_EQ(l.table.sites(), 4u);
   // The cold record went; the hot low-key records survived.
-  EXPECT_EQ(l.table.lookup(1, 4, Bytes{4}), nullptr);
+  EXPECT_EQ(l.table.lookup(1, 4, material(a, Bytes{4})), nullptr);
   for (std::uint32_t site = 1; site <= 3; ++site) {
-    EXPECT_NE(l.table.lookup(1, site, Bytes{static_cast<std::uint8_t>(site)}), nullptr)
+    const Bytes call{static_cast<std::uint8_t>(site)};
+    EXPECT_NE(l.table.lookup(1, site, material(a, call)), nullptr)
         << "hot site " << site << " was victimized while a cold record existed";
   }
 }
@@ -359,7 +542,7 @@ TEST(AscCacheRun, GuestWriteIntoCachedRangeEvicts) {
 TEST(AscCacheRun, KeyRotationClearsTheCache) {
   System sys(kPers);
   os::Process p = process(1);
-  sys.kernel().tier_table().insert(p, 0x100, record_with({42}, {{kBase, 16}}));
+  sys.kernel().tier_table().insert(p, 0x100, record_with(p, {42}, {{kBase, 16}}));
   ASSERT_EQ(sys.kernel().tier_table().sites(), 1u);
   sys.kernel().set_key(test_key());  // rotation: old verifications are void
   EXPECT_EQ(sys.kernel().tier_table().sites(), 0u);
@@ -380,6 +563,125 @@ TEST(AscCacheRun, ProcessTeardownEvictsItsEntries) {
   EXPECT_EQ(sys.kernel().tier_table().sites(), 0u)
       << "teardown must drop every record of the dead pid";
 }
+
+// ---- tamper behind the watches: the in-place compare is the last line ----
+// The write watches drop a record before any guest write lands in its bytes.
+// Here a PreTrap hook clears every watch first, so a flipped byte reaches a
+// live record unannounced: only the probe's byte comparison stands between
+// the flip and a stale hit. The flip must turn the trap into a miss, and the
+// full verification behind it must fail-stop with the field's violation.
+
+/// `iters` rounds of open(kOpenPath, O_RDONLY) + close(fd). The open site's
+/// policy constrains its path to a constant, so its record carries an
+/// authenticated-string argument as well as the pred set.
+binary::Image build_open_loop(std::uint32_t iters) {
+  using namespace asc::apps;
+  tasm::Assembler a("openloop");
+  a.func("main");
+  a.subi(SP, 4);
+  a.movi(R11, iters);
+  a.store(SP, 0, R11);
+  a.label(".loop");
+  a.load(R11, SP, 0);
+  a.cmpi(R11, 0);
+  a.jz(".done");
+  a.lea(R1, "open_path");
+  a.movi(R2, O_RDONLY);
+  a.movi(R3, 0);
+  a.call("sys_open");
+  a.mov(R1, R0);
+  a.call("sys_close");
+  a.load(R11, SP, 0);
+  a.subi(R11, 1);
+  a.store(SP, 0, R11);
+  a.jmp(".loop");
+  a.label(".done");
+  a.addi(SP, 4);
+  a.movi(R0, 0);
+  a.ret();
+  a.rodata_cstr("open_path", "/lines.txt");
+  emit_libc(a, kPers);
+  return a.link();
+}
+
+enum class Flip { CallMac, StringBody, PredSetBody };
+
+struct FlipCase {
+  const char* name;
+  Flip target;
+  os::Violation expected;
+};
+
+/// ctest lists a case under its printed parameter: print the name, not the
+/// struct's bytes (which hold a pointer).
+void PrintTo(const FlipCase& fc, std::ostream* os) {
+  *os << fc.name;
+}
+
+/// The guest address of the byte `f` flips: the first byte of the call-MAC
+/// slot, of the path string's body, or of the pred-set blob.
+std::uint32_t flip_address(const os::Process& p, Flip f) {
+  switch (f) {
+    case Flip::CallMac: return p.cpu.regs[isa::kRegCallMac];
+    case Flip::StringBody: return p.cpu.regs[1];
+    case Flip::PredSetBody: return p.cpu.regs[isa::kRegPredSet];
+  }
+  return 0;
+}
+
+class AscCacheFlip : public ::testing::TestWithParam<FlipCase> {};
+
+TEST_P(AscCacheFlip, UnwatchedFlipMissesAndFailStops) {
+  const FlipCase& fc = GetParam();
+  constexpr int kFlipAtOpen = 4;
+  System sys(kPers);
+  testing::prepare_fs(sys.kernel().fs());
+  const auto inst = sys.install(build_open_loop(8));
+  const std::uint16_t open_no = apps::sysno(kPers, os::SysId::Open);
+
+  int opens = 0;
+  bool flipped = false;
+  bool string_arg = false;
+  os::Tier tier_at_flip = os::Tier::Eager;
+  std::uint64_t misses_before = 0;
+  testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t site) {
+    const auto& regs = p.cpu.regs;
+    if (regs[0] != open_no || ++opens != kFlipAtOpen) return;
+    const policy::Descriptor des(regs[isa::kRegPolicyDescriptor]);
+    string_arg = des.arg_is_authenticated_string(0);
+    tier_at_flip = sys.kernel().tier_table().tier(p.pid, site);
+    misses_before = sys.kernel().tier_stats().cache_misses;
+    const std::uint32_t addr = flip_address(p, fc.target);
+    p.mem.clear_watches();  // the flip below fires no watch: the record stays live
+    p.mem.w8(addr, static_cast<std::uint8_t>(p.mem.r8(addr) ^ 0x01));
+    flipped = true;
+  });
+  const auto r = sys.machine().run(inst.image);
+
+  ASSERT_TRUE(flipped) << "the loop never reached open #" << kFlipAtOpen;
+  ASSERT_TRUE(string_arg) << "the open site carries no authenticated-string argument";
+  EXPECT_EQ(tier_at_flip, os::Tier::Shadowed) << "the flip must strike a live record";
+  EXPECT_EQ(sys.kernel().tier_stats().cache_misses, misses_before + 1)
+      << "the flipped material must miss exactly once";
+  EXPECT_FALSE(r.completed);
+  EXPECT_EQ(r.violation, fc.expected) << r.violation_detail;
+  int alerts = 0;
+  for (const auto& rec : sys.kernel().audit_log()) {
+    if (rec.kind != os::AuditKind::Violation) continue;
+    ++alerts;
+    EXPECT_EQ(rec.violation, fc.expected);
+    EXPECT_TRUE(rec.killed);
+    EXPECT_EQ(rec.sysno, open_no);
+  }
+  EXPECT_EQ(alerts, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, AscCacheFlip,
+    ::testing::Values(FlipCase{"call_mac", Flip::CallMac, os::Violation::BadCallMac},
+                      FlipCase{"string_body", Flip::StringBody, os::Violation::BadStringArg},
+                      FlipCase{"pred_set_body", Flip::PredSetBody, os::Violation::BadStringArg}),
+    [](const ::testing::TestParamInfo<FlipCase>& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace asc

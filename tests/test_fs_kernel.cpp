@@ -1,5 +1,8 @@
-// Simulated filesystem and kernel syscall handler tests.
+// Simulated filesystem, syscall table and kernel syscall handler tests.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <vector>
 
 #include "apps/libtoy.h"
 #include "core/asc.h"
@@ -129,6 +132,37 @@ vm::RunResult run_guest(System& sys, const std::function<void(tasm::Assembler&)>
   body(a);
   apps::emit_libc(a, os::Personality::LinuxSim);
   return sys.machine().run(a.link(), {}, stdin_data);
+}
+
+// ---- the syscall tables ----
+// capture_trap resolves every trap's number through syscall_from_number, and
+// the checker reads its signature, both by direct table index. The indexed
+// tables must agree exactly with the number column they are built from.
+
+TEST(SyscallTable, NumberLookupInvertsSyscallNumberEverywhere) {
+  for (const auto pers : {os::Personality::LinuxSim, os::Personality::BsdSim}) {
+    std::vector<std::optional<os::SysId>> inverse(0x10000);
+    for (std::size_t i = 0; i < os::kNumSysIds; ++i) {
+      const auto id = static_cast<os::SysId>(i);
+      if (const auto n = os::syscall_number(pers, id)) {
+        ASSERT_FALSE(inverse[*n].has_value()) << "number " << *n << " names two calls";
+        inverse[*n] = id;
+      }
+    }
+    EXPECT_FALSE(inverse[0].has_value());
+    for (std::uint32_t n = 0; n <= 0xffff; ++n) {
+      const auto got = os::syscall_from_number(pers, static_cast<std::uint16_t>(n));
+      ASSERT_EQ(got, inverse[n]) << os::personality_name(pers) << " number " << n;
+    }
+  }
+}
+
+TEST(SyscallTable, SignatureIsIndexedBySysId) {
+  for (std::size_t i = 0; i < os::kNumSysIds; ++i) {
+    const auto id = static_cast<os::SysId>(i);
+    EXPECT_EQ(os::signature(id).id, id) << "SysId " << i;
+  }
+  EXPECT_THROW(os::signature(os::SysId::kCount), Error);
 }
 
 TEST(KernelTest, LseekSeekEndAndDup) {

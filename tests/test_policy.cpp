@@ -67,6 +67,35 @@ TEST(EncodedPolicy, LayoutIsDeterministicAndDescriptorSensitive) {
   EXPECT_EQ(encode_policy(in4).size(), e1.size() - 4);
 }
 
+// The fixed buffer is sized for the longest descriptor there is: the call
+// site, control flow, and every argument an authenticated string.
+TEST(EncodedPolicy, LongestDescriptorFillsTheBoundExactly) {
+  EncodedPolicyInputs in;
+  Descriptor d;
+  d.set_site();
+  d.set_control_flow();
+  for (int i = 0; i < os::kMaxSyscallArgs; ++i) d.set_arg_authenticated_string(i);
+  in.descriptor = d;
+  in.arity = os::kMaxSyscallArgs;
+  for (std::size_t i = 0; i < in.as_args.size(); ++i) {
+    in.as_args[i] = AsRef{0x08448000 + 0x40 * static_cast<std::uint32_t>(i), 7, {}};
+    in.as_args[i].mac.fill(static_cast<std::uint8_t>(0xa0 + i));
+  }
+  EncodedPolicy buf;
+  EXPECT_EQ(encode_policy(in, buf), kMaxEncodedPolicy);
+  EXPECT_EQ(kMaxEncodedPolicy, 162u);
+  // The vector form is the same bytes.
+  const std::vector<std::uint8_t> v = encode_policy(in);
+  EXPECT_EQ(v, std::vector<std::uint8_t>(buf.begin(), buf.end()));
+}
+
+TEST(EncodedPolicy, RejectsArityBeyondTheArgumentRegisters) {
+  EncodedPolicyInputs in;
+  in.arity = os::kMaxSyscallArgs + 1;
+  EncodedPolicy buf;
+  EXPECT_THROW(encode_policy(in, buf), Error);
+}
+
 TEST(PredSetBlob, RoundTripsWithCapsAndPatterns) {
   const std::vector<std::uint32_t> preds{0, 0x10004, 0x10009};
   const std::vector<std::uint32_t> caps{0x10002};
@@ -114,6 +143,12 @@ TEST(PolicyState, CounterActsAsNonce) {
   const auto a = encode_policy_state(7, 1);
   const auto b = encode_policy_state(7, 2);
   EXPECT_NE(a, b);
+}
+
+TEST(PolicyState, MessageIsLastBlockThenCounterLittleEndian) {
+  const auto msg = encode_policy_state(0x04030201u, 0x0c0b0a0908070605ull);
+  ASSERT_EQ(msg.size(), kPolicyStateMessageSize);
+  for (std::size_t i = 0; i < msg.size(); ++i) EXPECT_EQ(msg[i], i + 1) << "byte " << i;
 }
 
 TEST(BlockIds, FrankensteinComposition) {
