@@ -3,6 +3,8 @@
 // trap layer -- handlers never read kernel-global trap state, so nested
 // traps (Spawn running a child mid-call) are safe by construction.
 #include <algorithm>
+#include <span>
+#include <string_view>
 
 #include "os/kernel.h"
 
@@ -33,20 +35,21 @@ std::int64_t Kernel::sys_read(Process& p, TrapContext& ctx,
   FdEntry* e = p.fd(a[0]);
   if (e == nullptr) return SimFs::kErrBadf;
   const std::uint32_t n = a[2];
-  std::vector<std::uint8_t> buf;
+  // The bytes read, viewed where they lie: write_bytes copies them straight
+  // into the guest buffer, after the write watches fire.
+  std::span<const std::uint8_t> bytes;
   std::int64_t got = 0;
   switch (e->kind) {
     case FdEntry::Kind::Stdin: {
       const std::size_t avail = p.stdin_data.size() - p.stdin_pos;
       const std::size_t take = std::min<std::size_t>(n, avail);
-      buf.assign(p.stdin_data.begin() + static_cast<std::ptrdiff_t>(p.stdin_pos),
-                 p.stdin_data.begin() + static_cast<std::ptrdiff_t>(p.stdin_pos + take));
+      bytes = std::span(p.stdin_data).subspan(p.stdin_pos, take);
       p.stdin_pos += take;
       got = static_cast<std::int64_t>(take);
       break;
     }
     case FdEntry::Kind::File: {
-      got = fs_.read(e->inode, e->offset, n, buf);
+      got = fs_.read(e->inode, e->offset, n, bytes);
       if (got > 0) e->offset += static_cast<std::uint32_t>(got);
       break;
     }
@@ -57,7 +60,7 @@ std::int64_t Kernel::sys_read(Process& p, TrapContext& ctx,
     default:
       return SimFs::kErrBadf;
   }
-  if (got > 0) p.mem.write_bytes(a[1], buf);
+  if (got > 0) p.mem.write_bytes(a[1], bytes);
   ctx.charge(p, static_cast<std::uint64_t>(static_cast<double>(std::max<std::int64_t>(got, 0)) *
                                            cost_.read_per_byte));
   return got;
@@ -68,15 +71,17 @@ std::int64_t Kernel::sys_write(Process& p, TrapContext& ctx,
   FdEntry* e = p.fd(a[0]);
   if (e == nullptr) return SimFs::kErrBadf;
   const std::uint32_t n = a[2];
-  const std::vector<std::uint8_t> buf = p.mem.read_bytes(a[1], n);
+  // The guest buffer in place; no handler below writes guest memory.
+  const std::span<const std::uint8_t> buf = p.mem.view(a[1], n);
+  const std::string_view text(reinterpret_cast<const char*>(buf.data()), buf.size());
   std::int64_t wrote = 0;
   switch (e->kind) {
     case FdEntry::Kind::Stdout:
-      p.stdout_data.append(buf.begin(), buf.end());
+      p.stdout_data += text;
       wrote = n;
       break;
     case FdEntry::Kind::Stderr:
-      p.stderr_data.append(buf.begin(), buf.end());
+      p.stderr_data += text;
       wrote = n;
       break;
     case FdEntry::Kind::File: {

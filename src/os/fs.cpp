@@ -180,21 +180,19 @@ std::int64_t SimFs::open(const std::string& cwd, const std::string& path, std::u
 }
 
 std::int64_t SimFs::read(std::uint32_t inode, std::uint32_t offset, std::uint32_t n,
-                         std::vector<std::uint8_t>& out) {
+                         std::span<const std::uint8_t>& out) const {
   const Node* f = node(inode);
   if (f == nullptr || f->kind != NodeKind::File) return kErrBadf;
-  if (offset >= f->content.size()) {
-    out.clear();
-    return 0;
-  }
+  out = {};
+  if (offset >= f->content.size()) return 0;
   const std::uint32_t avail = static_cast<std::uint32_t>(f->content.size()) - offset;
   const std::uint32_t take = std::min(n, avail);
-  out.assign(f->content.begin() + offset, f->content.begin() + offset + take);
+  out = std::span(f->content).subspan(offset, take);
   return take;
 }
 
 std::int64_t SimFs::write(std::uint32_t inode, std::uint32_t offset,
-                          const std::vector<std::uint8_t>& bytes, bool append) {
+                          std::span<const std::uint8_t> bytes, bool append) {
   Node* f = node(inode);
   if (f == nullptr || f->kind != NodeKind::File) return kErrBadf;
   std::uint32_t pos = append ? static_cast<std::uint32_t>(f->content.size()) : offset;

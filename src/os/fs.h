@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,10 +37,13 @@ class SimFs {
   std::int64_t open(const std::string& cwd, const std::string& path, std::uint32_t flags,
                     std::uint32_t mode);
 
+  /// Up to `n` bytes at `offset`. `out` views the file's own content (no
+  /// copy), valid until the file next changes; empty at or past the end.
+  /// Returns the byte count or an error.
   std::int64_t read(std::uint32_t inode, std::uint32_t offset, std::uint32_t n,
-                    std::vector<std::uint8_t>& out);
+                    std::span<const std::uint8_t>& out) const;
   std::int64_t write(std::uint32_t inode, std::uint32_t offset,
-                     const std::vector<std::uint8_t>& bytes, bool append);
+                     std::span<const std::uint8_t> bytes, bool append);
   std::int64_t truncate(std::uint32_t inode, std::uint32_t len);
   std::optional<StatInfo> stat_inode(std::uint32_t inode) const;
 

@@ -23,21 +23,10 @@ Memory::Memory() : bytes_(map_space(kSpaceBytes)) {}
 
 void Memory::Unmap::operator()(std::uint8_t* p) const noexcept { ::munmap(p, kSpaceBytes); }
 
-std::size_t Memory::index_of(std::uint32_t addr) { return addr - binary::kAddressSpaceBase; }
-
-bool Memory::in_range(std::uint32_t addr, std::uint32_t n) const {
-  // addr may lie anywhere in the 32-bit space; guard the subtraction below
-  // against underflow for addresses past the end.
-  return addr >= binary::kAddressSpaceBase && addr <= binary::kAddressSpaceEnd &&
-         n <= binary::kAddressSpaceEnd - addr;
-}
-
-void Memory::check(std::uint32_t addr, std::uint32_t n) const {
-  if (!in_range(addr, n)) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "guest memory access out of range at 0x%08x", addr);
-    throw GuestFault(buf);
-  }
+void Memory::out_of_range(std::uint32_t addr) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "guest memory access out of range at 0x%08x", addr);
+  throw GuestFault(buf);
 }
 
 void Memory::load_image(const binary::Image& image) {
@@ -46,35 +35,6 @@ void Memory::load_image(const binary::Image& image) {
     check(s.vaddr(), static_cast<std::uint32_t>(s.bytes.size()));
     std::copy(s.bytes.begin(), s.bytes.end(), bytes_.get() + index_of(s.vaddr()));
   }
-}
-
-std::uint8_t Memory::r8(std::uint32_t addr) const {
-  check(addr, 1);
-  return bytes_[index_of(addr)];
-}
-
-void Memory::w8(std::uint32_t addr, std::uint8_t value) {
-  check(addr, 1);
-  notify_write(addr, 1);
-  bytes_[index_of(addr)] = value;
-}
-
-std::uint32_t Memory::r32(std::uint32_t addr) const {
-  check(addr, 4);
-  const std::size_t i = index_of(addr);
-  return static_cast<std::uint32_t>(bytes_[i]) | static_cast<std::uint32_t>(bytes_[i + 1]) << 8 |
-         static_cast<std::uint32_t>(bytes_[i + 2]) << 16 |
-         static_cast<std::uint32_t>(bytes_[i + 3]) << 24;
-}
-
-void Memory::w32(std::uint32_t addr, std::uint32_t value) {
-  check(addr, 4);
-  notify_write(addr, 4);
-  const std::size_t i = index_of(addr);
-  bytes_[i] = static_cast<std::uint8_t>(value);
-  bytes_[i + 1] = static_cast<std::uint8_t>(value >> 8);
-  bytes_[i + 2] = static_cast<std::uint8_t>(value >> 16);
-  bytes_[i + 3] = static_cast<std::uint8_t>(value >> 24);
 }
 
 std::vector<std::uint8_t> Memory::read_bytes(std::uint32_t addr, std::uint32_t n) const {
@@ -96,8 +56,9 @@ bool Memory::equals(std::uint32_t addr, std::span<const std::uint8_t> bytes) con
 }
 
 void Memory::write_bytes(std::uint32_t addr, std::span<const std::uint8_t> bytes) {
-  check(addr, static_cast<std::uint32_t>(bytes.size()));
-  notify_write(addr, static_cast<std::uint32_t>(bytes.size()));
+  const auto n = static_cast<std::uint32_t>(bytes.size());
+  check(addr, n);
+  if (notifies(addr, n)) notify_write(addr, n);
   std::copy(bytes.begin(), bytes.end(), bytes_.get() + index_of(addr));
 }
 
@@ -114,6 +75,7 @@ void Memory::watch(std::uint32_t addr, std::uint32_t len) {
   if (watches_.size() > watch_peak_) watch_peak_ = watches_.size();
   if (addr < watch_min_) watch_min_ = addr;
   if (addr + len > watch_max_) watch_max_ = addr + len;
+  update_notify_envelope();
 }
 
 void Memory::unwatch(std::uint32_t addr, std::uint32_t len) {
@@ -142,6 +104,7 @@ void Memory::clear_watches() {
   watches_.clear();
   watch_min_ = 0xffffffffu;
   watch_max_ = 0;
+  update_notify_envelope();
 }
 
 void Memory::recompute_watch_envelope() {
@@ -151,6 +114,7 @@ void Memory::recompute_watch_envelope() {
     if (w.addr < watch_min_) watch_min_ = w.addr;
     if (w.addr + w.len > watch_max_) watch_max_ = w.addr + w.len;
   }
+  update_notify_envelope();
 }
 
 void Memory::notify_write(std::uint32_t addr, std::uint32_t n) {

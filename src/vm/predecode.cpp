@@ -98,10 +98,8 @@ PredecodedBlock& PredecodeCache::lookup(std::uint32_t pc, Memory& mem,
   return build(pc, mem, cost);
 }
 
-PredecodedBlock& PredecodeCache::next_block(PredecodedBlock& from, std::uint32_t pc, Memory& mem,
-                                            const os::CostModel& cost) {
-  for (const auto& l : from.links)
-    if (l.gen == gen_ && l.pc == pc && l.block != nullptr) return *l.block;
+PredecodedBlock& PredecodeCache::link_miss(PredecodedBlock& from, std::uint32_t pc, Memory& mem,
+                                           const os::CostModel& cost) {
   // Capture the generation before lookup(): a size-valve flush inside it
   // frees every block including `from`, in which case the link refill below
   // must be skipped (gen_ is bumped by exactly the paths that free or

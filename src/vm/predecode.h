@@ -142,7 +142,8 @@ struct PredecodedBlock {
 
   /// Two-entry inline cache of successor blocks, validated against the
   /// cache generation so invalidations (which bump the generation) sever
-  /// every link at once without walking the link graph.
+  /// every link at once without walking the link graph. An empty link has
+  /// gen 0, which no live generation equals.
   struct Link {
     std::uint32_t pc = 0;
     PredecodedBlock* block = nullptr;
@@ -184,9 +185,14 @@ class PredecodeCache {
   PredecodedBlock& lookup(std::uint32_t pc, Memory& mem, const os::CostModel& cost);
 
   /// Successor dispatch: consult `from`'s inline link cache, falling back
-  /// to (and refilling from) a full lookup.
+  /// to (and refilling from) a full lookup. The hit is inline: the engine
+  /// takes it on every branch, call, return and syscall.
   PredecodedBlock& next_block(PredecodedBlock& from, std::uint32_t pc, Memory& mem,
-                              const os::CostModel& cost);
+                              const os::CostModel& cost) {
+    for (const auto& l : from.links)
+      if (l.gen == gen_ && l.pc == pc) return *l.block;
+    return link_miss(from, pc, mem, cost);
+  }
 
   const PredecodeStats& stats() const { return stats_; }
 
@@ -194,6 +200,8 @@ class PredecodeCache {
   std::size_t indexed_blocks() const { return index_.size(); }
 
  private:
+  PredecodedBlock& link_miss(PredecodedBlock& from, std::uint32_t pc, Memory& mem,
+                             const os::CostModel& cost);
   PredecodedBlock& build(std::uint32_t pc, Memory& mem, const os::CostModel& cost);
   void on_exec_write(std::uint32_t addr, std::uint32_t len);
   void flush();

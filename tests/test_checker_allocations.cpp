@@ -1,15 +1,16 @@
 // The trap hit path allocates nothing: a steady-state Cached- or
-// Shadowed-tier hit of os::check_authenticated_call makes no heap
-// allocation.
+// Shadowed-tier hit of os::check_authenticated_call, and the handler it
+// dispatches to, make no heap allocation.
 //
 // This file replaces the global operator new and operator delete -- every
 // form, so sanitizer builds see matched malloc/free pairs -- with versions
 // that count, and it builds into its own test binary so the replacement
 // touches no other suite. A stage hook arms the counter at TrapStage::Trap
-// and disarms it at TrapStage::Enforce, so only the enforcement stage is
-// counted (the dispatch layer's read/write buffer is not). Each loop runs at
-// N and at 2N iterations: equal counts mean zero allocations per extra hit,
-// and the tier counters prove the extra traps were hits.
+// and disarms it at TrapStage::Audit, so the enforcement and dispatch stages
+// are counted: read(4096) copies the file's bytes straight into the guest
+// buffer and write(4096) hands the guest buffer on in place. Each loop runs
+// at N and at 2N iterations: equal counts mean zero allocations per extra
+// hit, and the tier counters prove the extra traps were hits.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -140,7 +141,7 @@ namespace {
 
 const auto kPers = os::Personality::LinuxSim;
 
-enum class Call { Brk, Getpid, Read4k };
+enum class Call { Brk, Getpid, Read4k, Write4k };
 
 /// `iters` repetitions of one call in a guest loop, shaped like Table 4's.
 binary::Image build_loop(Call call, std::uint32_t iters) {
@@ -150,9 +151,9 @@ binary::Image build_loop(Call call, std::uint32_t iters) {
   a.subi(SP, 4);
   a.movi(R11, iters);
   a.store(SP, 0, R11);
-  if (call == Call::Read4k) {
+  if (call == Call::Read4k || call == Call::Write4k) {
     a.lea(R1, "loop_file");
-    a.movi(R2, O_RDONLY);
+    a.movi(R2, call == Call::Read4k ? O_RDONLY : O_WRONLY);
     a.movi(R3, 0);
     a.call("open_or_die");
     a.lea(R11, "loop_fd");
@@ -171,11 +172,12 @@ binary::Image build_loop(Call call, std::uint32_t iters) {
       a.call("sys_getpid");
       break;
     case Call::Read4k:
+    case Call::Write4k:
       a.lea(R11, "loop_fd");
       a.load(R1, R11, 0);
       a.lea(R2, "loop_buf");
       a.movi(R3, 4096);
-      a.call("sys_read");
+      a.call(call == Call::Read4k ? "sys_read" : "sys_write");
       break;
   }
   a.load(R11, SP, 0);
@@ -194,7 +196,7 @@ binary::Image build_loop(Call call, std::uint32_t iters) {
 }
 
 struct Sample {
-  std::uint64_t allocations = 0;  // inside the enforcement stage, whole run
+  std::uint64_t allocations = 0;  // inside enforcement and dispatch, whole run
   os::TierStats tiers;
 };
 
@@ -215,8 +217,9 @@ Sample run_loop(const Loop& loop, std::uint32_t iters) {
   System sys(kPers);
   sys.kernel().set_inline_tier(false);
   sys.kernel().set_policy_shadow(loop.shadow);
-  if (loop.call == Call::Read4k) {
-    // Every read returns a full 4096 bytes.
+  if (loop.call == Call::Read4k || loop.call == Call::Write4k) {
+    // Every read returns a full 4096 bytes; every write lands inside the
+    // file, so the file never grows.
     os::SimFs& fs = sys.kernel().fs();
     const std::uint32_t flags = os::SimFs::kWrOnly | os::SimFs::kCreat | os::SimFs::kTrunc;
     const auto ino = fs.open("/", "/loop.dat", flags, 0644);
@@ -226,7 +229,7 @@ Sample run_loop(const Loop& loop, std::uint32_t iters) {
   const auto inst = sys.install(build_loop(loop.call, iters));
   sys.kernel().set_stage_hook([](os::Process&, os::TrapContext&, os::TrapStage s) {
     if (s == os::TrapStage::Trap) g_armed = true;
-    if (s == os::TrapStage::Enforce) g_armed = false;
+    if (s == os::TrapStage::Audit) g_armed = false;
   });
   g_allocations = 0;
   const vm::RunResult r = sys.machine().run(inst.image);
@@ -247,7 +250,7 @@ TEST_P(CheckerAllocations, SteadyStateHitsAllocateNothing) {
   EXPECT_EQ(twice.tiers.shadowed - once.tiers.shadowed, loop.shadow ? kN : 0u);
   EXPECT_EQ(twice.tiers.cache_misses, once.tiers.cache_misses);
   EXPECT_EQ(twice.tiers.inline_hits, 0u);
-  // ...and none of them allocated inside the enforcement stage.
+  // ...and none of them allocated inside the enforcement or dispatch stage.
   EXPECT_EQ(twice.allocations, once.allocations)
       << (twice.allocations - once.allocations) / static_cast<double>(kN)
       << " allocations per steady-state hit";
@@ -258,7 +261,7 @@ TEST_P(CheckerAllocations, SteadyStateHitsAllocateNothing) {
 INSTANTIATE_TEST_SUITE_P(
     Loops, CheckerAllocations,
     ::testing::Values(Loop{"brk", Call::Brk, true}, Loop{"getpid", Call::Getpid, true},
-                      Loop{"read4k", Call::Read4k, true},
+                      Loop{"read4k", Call::Read4k, true}, Loop{"write4k", Call::Write4k, true},
                       Loop{"brk_shadow_off", Call::Brk, false}),
     [](const ::testing::TestParamInfo<Loop>& info) { return std::string(info.param.name); });
 

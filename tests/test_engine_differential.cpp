@@ -4,7 +4,11 @@
 // visible way -- final registers-derived results, stdout, modeled cycles,
 // instruction/syscall counts, violations, cycle-limit behavior -- across
 // superinstruction fusion on/off and across AES backends (scratch oracle vs
-// AES-NI when the host has it).
+// AES-NI when the host has it). The threaded engine keeps the cycle and
+// instruction counters in locals and writes them back around every call
+// that reads or charges them: GuestFaultsMatchReference pins the fault
+// path, WatchedStoresAndSyscallResumeMatchReference the watched stores and
+// the syscall resume.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,9 +18,12 @@
 
 #include "apps/libtoy.h"
 #include "core/asc.h"
+#include "os/tiertable.h"
+#include "policy/policy.h"
 #include "tasm/assembler.h"
 #include "util/error.h"
 #include "vm/cpu.h"
+#include "workloads.h"
 
 namespace asc {
 namespace {
@@ -429,6 +436,187 @@ TEST(EngineDifferential, SelfModifyingCodeUnderEnforcement) {
   const Outcome want = outcome_of(run_monitored(image, cfgs[0]));
   for (std::size_t c = 1; c < cfgs.size(); ++c) {
     EXPECT_EQ(outcome_of(run_monitored(image, cfgs[c])), want) << cfgs[c].name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Guest stores into the trap pipeline's own watched bytes, under the
+// verified-call cache and the policy-state shadow. A watch callback runs
+// inside the store and may charge cycles (a dirty shadow's write-back MACs
+// the state record), and a syscall that rewrites predecoded code must sever
+// the links the engine resumes through.
+
+/// `fn` (in writable data) is `movi r0, k; ret`: the RI encoding
+/// [op][rd][imm32 LE] followed by RET (see self_modifying_program).
+std::vector<std::uint8_t> movi_r0_ret(std::uint8_t k) {
+  return {0x10, 0x00, k, 0x00, 0x00, 0x00, 0x52};
+}
+
+constexpr std::uint8_t kPatches = 3;
+
+/// main calls getpid from one site in a loop; once the site is Cached and
+/// the shadow dirty, it
+///   (a) stores over its own dirty shadowed state record: lastBlock := r7,
+///       the block id of the last call, so the record stays the one the
+///       write-back materializes and the run goes on;
+///   (b) stores a call-MAC word of the site back over itself: the cached
+///       record drops and the next call there re-verifies.
+/// Then (c) it calls fn, read()s each variant of /fn.bin over fn and calls
+/// it again through the links the syscall resumed on, and repeats (a).
+/// Exit code: 42 + 1 + ... + kPatches.
+binary::Image watched_store_program() {
+  constexpr isa::Reg kBlockId = isa::kRegBlockId;
+  constexpr isa::Reg kStatePtr = isa::kRegStatePtr;
+  constexpr isa::Reg kCallMac = isa::kRegCallMac;
+  tasm::Assembler a("watched");
+  a.func("main");
+  a.lea(R1, "fn_file");
+  a.movi(R2, apps::O_RDONLY);
+  a.movi(R3, 0);
+  a.call("open_or_die");
+  a.mov(R14, R0);  // fd
+  a.lea(R13, "fn");
+
+  a.movi(R5, 8);
+  a.label(".getpid");
+  a.call("sys_getpid");
+  a.cmpi(R5, 5);
+  a.jnz(".not_a");
+  a.store(kStatePtr, 0, kBlockId);  // (a)
+  a.label(".not_a");
+  a.cmpi(R5, 3);
+  a.jnz(".not_b");
+  a.load(R12, kCallMac, 0);  // (b)
+  a.store(kCallMac, 0, R12);
+  a.label(".not_b");
+  a.subi(R5, 1);
+  a.cmpi(R5, 0);
+  a.jnz(".getpid");
+
+  a.callr(R13);  // (c): r0 = 42, and fn is predecoded
+  a.mov(R12, R0);
+  a.movi(R5, kPatches);
+  a.label(".patch");
+  a.mov(R1, R14);
+  a.mov(R2, R13);
+  a.movi(R3, 7);
+  a.call("sys_read");
+  a.callr(R13);
+  a.add(R12, R0);
+  a.subi(R5, 1);
+  a.cmpi(R5, 0);
+  a.jnz(".patch");
+
+  a.store(kStatePtr, 0, kBlockId);  // (a) again, after the reads
+  a.call("sys_getpid");
+  a.mov(R0, R12);
+  a.ret();
+  a.rodata_cstr("fn_file", "/fn.bin");
+  a.data_bytes("fn", movi_r0_ret(42));
+  apps::emit_libc(a, os::Personality::LinuxSim);
+  return a.link();
+}
+
+/// What the kernel and the guest looked like when one trap began.
+struct TrapState {
+  std::uint32_t call_site = 0;
+  std::uint64_t cycles = 0;
+  std::uint64_t instructions = 0;
+  std::array<std::uint32_t, isa::kNumRegs> regs{};
+  std::vector<std::uint8_t> state_record;
+  os::Tier tier = os::Tier::Eager;  // what the site's record could serve
+
+  bool operator==(const TrapState&) const = default;
+};
+
+/// True iff some trap found its site at tier `now` after an earlier trap at
+/// the same site had found it at `before`.
+bool fell(const std::vector<TrapState>& traps, os::Tier before, os::Tier now) {
+  for (std::size_t j = 0; j < traps.size(); ++j) {
+    for (std::size_t k = 0; k < j; ++k) {
+      if (traps[k].call_site == traps[j].call_site && traps[k].tier == before &&
+          traps[j].tier == now) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+struct WatchedRun {
+  Outcome outcome;
+  std::vector<TrapState> traps;
+  std::vector<std::string> audit;
+  os::TierStats tiers;
+  vm::PredecodeStats predecode;
+};
+
+WatchedRun run_watched(const binary::Image& image, const EngineConfig& cfg) {
+  BackendPolicyGuard aes(cfg.aes);
+  System sys(os::Personality::LinuxSim, test_key(), os::Enforcement::Asc);
+  sys.machine().set_dispatch(cfg.dispatch);
+  sys.machine().set_superinstructions(cfg.fuse);
+  sys.kernel().set_verified_call_cache(true);
+  sys.kernel().set_policy_shadow(true);
+  sys.kernel().set_inline_tier(false);
+  std::vector<std::uint8_t> variants;
+  for (std::uint8_t k = 1; k <= kPatches; ++k) {
+    const auto v = movi_r0_ret(k);
+    variants.insert(variants.end(), v.begin(), v.end());
+  }
+  os::SimFs& fs = sys.kernel().fs();
+  const auto ino =
+      fs.open("/", "/fn.bin", os::SimFs::kWrOnly | os::SimFs::kCreat | os::SimFs::kTrunc, 0644);
+  fs.write(static_cast<std::uint32_t>(ino), 0, variants, false);
+  const auto inst = sys.install(image);
+
+  WatchedRun run;
+  testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t call_site) {
+    TrapState t{call_site, p.cycles, p.instr_count, p.cpu.regs, {},
+                sys.kernel().tier_table().tier(p.pid, call_site)};
+    const std::uint32_t lb = p.cpu.regs[isa::kRegStatePtr];
+    if (p.mem.in_range(lb, policy::kPolicyStateSize)) {
+      t.state_record = p.mem.read_bytes(lb, policy::kPolicyStateSize);
+    }
+    run.traps.push_back(std::move(t));
+  });
+  const vm::RunResult r = sys.machine().run(inst.image);
+  run.outcome = outcome_of(r);
+  for (const auto& rec : sys.kernel().audit_log()) run.audit.push_back(rec.to_string());
+  run.tiers = sys.kernel().tier_stats();
+  run.predecode = r.predecode;
+  return run;
+}
+
+TEST(EngineDifferential, WatchedStoresAndSyscallResumeMatchReference) {
+  const binary::Image image = watched_store_program();
+  const auto cfgs = engine_configs();
+  const WatchedRun want = run_watched(image, cfgs[0]);
+  ASSERT_TRUE(want.outcome.completed) << want.outcome.violation_detail;
+  EXPECT_EQ(want.outcome.exit_code, 42 + kPatches * (kPatches + 1) / 2);
+  // The guest actions hit what they aim at: the stores over the dirty state
+  // record forced write-backs and dropped the shadow, the store over the
+  // call MAC dropped the cached site, and the other calls were served by
+  // the cache and the shadow.
+  EXPECT_GE(want.tiers.write_backs, 2u);
+  EXPECT_TRUE(fell(want.traps, os::Tier::Shadowed, os::Tier::Cached));
+  EXPECT_TRUE(fell(want.traps, os::Tier::Shadowed, os::Tier::Eager));
+  EXPECT_GT(want.tiers.cached, 0u);
+  EXPECT_GT(want.tiers.shadowed, 0u);
+  for (std::size_t c = 1; c < cfgs.size(); ++c) {
+    const WatchedRun got = run_watched(image, cfgs[c]);
+    EXPECT_EQ(got.outcome, want.outcome) << cfgs[c].name;
+    EXPECT_EQ(got.traps, want.traps) << cfgs[c].name;
+    EXPECT_EQ(got.audit, want.audit) << cfgs[c].name;
+    EXPECT_EQ(got.tiers.write_backs, want.tiers.write_backs) << cfgs[c].name;
+    EXPECT_EQ(got.tiers.cached, want.tiers.cached) << cfgs[c].name;
+    EXPECT_EQ(got.tiers.shadowed, want.tiers.shadowed) << cfgs[c].name;
+    EXPECT_EQ(got.tiers.cache_misses, want.tiers.cache_misses) << cfgs[c].name;
+    EXPECT_EQ(got.tiers.demotions, want.tiers.demotions) << cfgs[c].name;
+    if (cfgs[c].dispatch == vm::DispatchMode::Threaded) {
+      // Every read() rewrote predecoded code.
+      EXPECT_GE(got.predecode.invalidations, kPatches) << cfgs[c].name;
+    }
   }
 }
 

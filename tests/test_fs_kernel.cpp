@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "apps/libtoy.h"
@@ -15,7 +16,7 @@ namespace {
 std::string text_of(SimFs& fs, const std::string& path) {
   auto ino = fs.open("/", path, SimFs::kRdOnly, 0);
   if (ino < 0) return "<err>";
-  std::vector<std::uint8_t> out;
+  std::span<const std::uint8_t> out;
   fs.read(static_cast<std::uint32_t>(ino), 0, 1 << 20, out);
   return std::string(out.begin(), out.end());
 }
