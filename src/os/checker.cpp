@@ -44,13 +44,13 @@ crypto::Mac read_mac(const vm::Memory& mem, std::uint32_t addr) {
 CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::uint16_t sysno,
                                      SysId id, const SyscallSig& sig,
                                      const crypto::MacKey& key, const CostModel& cost,
-                                     bool capability_checking, TierTable& tiers) {
+                                     bool capability_checking, TierTable& tiers,
+                                     TierTable::PidRecord* owner) {
   // The gates decide only what each tier SERVES; the lattice's write-watch
   // spine (os/tiertable.h) invalidates every tier regardless.
-  const bool use_cache = tiers.serves_cache(p.pid);
-  const bool use_shadow = tiers.serves_shadow(p.pid);
+  const bool use_cache = tiers.serves_cache(owner);
+  const bool use_shadow = tiers.serves_shadow(owner);
   CheckResult res;
-  res.cycles = cost.check_fixed;
   auto fail = [&](Violation v, std::string detail) {
     res.violation = v;
     res.detail = std::move(detail);
@@ -60,62 +60,18 @@ CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::u
   const auto& regs = p.cpu.regs;
   const Descriptor des(regs[isa::kRegPolicyDescriptor]);
   const std::uint32_t block_id = regs[isa::kRegBlockId];
-  const std::uint32_t pred_body = regs[isa::kRegPredSet];
   const std::uint32_t lb_ptr = regs[isa::kRegStatePtr];
-  const std::uint32_t mac_ptr = regs[isa::kRegCallMac];
 
   try {
-    // ---- step 1: reconstruct the encoded call and verify the call MAC ----
-    policy::EncodedPolicyInputs in;
-    in.sysno = sysno;
-    in.descriptor = des;
-    in.call_site = call_site;
-    in.block_id = block_id;
-    in.arity = sig.arity;
-    for (int i = 0; i < sig.arity; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      if (des.arg_is_authenticated_string(i)) {
-        AsRef as;
-        if (!read_as_header(p.mem, regs[1 + idx], as)) {
-          return fail(Violation::BadCallMac, "unreadable AS header for argument " +
-                                                 std::to_string(i));
-        }
-        in.as_args[idx] = as;
-        res.cycles += cost.check_per_as_arg;
-      } else if (des.arg_constrained(i)) {
-        in.const_values[idx] = regs[1 + idx];
-      }
-    }
-    AsRef pred_as;
-    if (des.control_flow_constrained()) {
-      if (!read_as_header(p.mem, pred_body, pred_as)) {
-        return fail(Violation::BadCallMac, "unreadable predecessor-set header");
-      }
-      in.pred_set = pred_as;
-      in.lb_ptr = lb_ptr;
-    }
-    policy::EncodedPolicy encoded_buf{};
-    const std::span<const std::uint8_t> encoded(encoded_buf.data(),
-                                                policy::encode_policy(in, encoded_buf));
-    if (!p.mem.in_range(mac_ptr, 16)) {
-      return fail(Violation::BadCallMac, "call MAC pointer out of range");
-    }
-    const crypto::Mac claimed = read_mac(p.mem, mac_ptr);
-
-    // ---- verified-call cache probe ----
-    // The material is the exact inputs of the AES-CMAC verifications the hit
-    // path skips; a hit requires byte equality with a previously fully
-    // verified trap of the same site. The probe compares the guest bytes in
-    // place: every range was validated by read_as_header, so it cannot fault.
-    TierTable::Material material(p.mem, encoded, claimed);
-    for (int i = 0; i < sig.arity; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      if (des.arg_is_authenticated_string(i)) {
-        material.add_string(in.as_args[idx].addr, in.as_args[idx].len);
-      }
-    }
-    if (des.control_flow_constrained()) material.set_pred_set(pred_as.addr, pred_as.len);
-
+    // ---- the site record: a repeat of a trap that passed full verification ----
+    // A hit means every register the encoded call is built from and every
+    // watched byte (call MAC, AS headers and bodies, pred-set header and
+    // body) equals what a fully verified trap of this site presented: the
+    // encoded call and every static MAC input are the verified ones, so
+    // nothing of step 1 or 2 is re-derived. It charges the reduced cost;
+    // everything from step 3.1 on (the online memory checker, capabilities,
+    // patterns) still runs below.
+    //
     // On a hit `preds` borrows the record's decoded set: step 3.2 is its last
     // use and comes before every guest write of this trap. The fd sources
     // and patterns are copies (free while empty): steps 4 and 5 run after
@@ -125,28 +81,62 @@ CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::u
     std::vector<std::uint32_t> decoded_preds;
     std::vector<std::uint32_t> fd_sources;
     std::vector<policy::PatternRef> patterns;
-    if (use_cache) {
-      if (const TierTable::SiteRecord* e = tiers.lookup(p.pid, call_site, material)) {
-        // Hit: static trust established earlier; reuse the decoded pred set
-        // and charge the reduced cost. Everything from step 3.1 on (the
-        // online memory checker, capabilities, patterns) still runs below.
-        res.cache_hit = true;
-        res.cycles -= cost.check_fixed;
-        res.cycles += cost.cache_hit_cost(material.size());
-        preds = e->preds;
-        fd_sources = e->fd_sources;
-        patterns = e->patterns;
-      }
-    }
+    const TierTable::SiteRecord* hit = use_cache ? tiers.lookup(p, call_site) : nullptr;
+    if (hit != nullptr) {
+      res.cache_hit = true;
+      res.cycles = hit->hit_cost(cost);
+      preds = hit->preds;
+      fd_sources = hit->fd_sources;
+      patterns = hit->patterns;
+    } else {
+      res.cycles = cost.check_fixed;
 
-    if (!res.cache_hit) {
+      // ---- step 1: reconstruct the encoded call ----
+      policy::EncodedPolicyInputs in;
+      in.sysno = sysno;
+      in.descriptor = des;
+      in.call_site = call_site;
+      in.block_id = block_id;
+      in.arity = sig.arity;
+      for (int i = 0; i < sig.arity; ++i) {
+        const auto idx = static_cast<std::size_t>(i);
+        if (des.arg_is_authenticated_string(i)) {
+          AsRef as;
+          if (!read_as_header(p.mem, regs[1 + idx], as)) {
+            return fail(Violation::BadCallMac, "unreadable AS header for argument " +
+                                                   std::to_string(i));
+          }
+          in.as_args[idx] = as;
+          res.cycles += cost.check_per_as_arg;
+        } else if (des.arg_constrained(i)) {
+          in.const_values[idx] = regs[1 + idx];
+        }
+      }
+      AsRef pred_as;
+      if (des.control_flow_constrained()) {
+        if (!read_as_header(p.mem, regs[isa::kRegPredSet], pred_as)) {
+          return fail(Violation::BadCallMac, "unreadable predecessor-set header");
+        }
+        in.pred_set = pred_as;
+        in.lb_ptr = lb_ptr;
+      }
+      policy::EncodedPolicy encoded_buf{};
+      const std::span<const std::uint8_t> encoded(encoded_buf.data(),
+                                                  policy::encode_policy(in, encoded_buf));
+      const std::uint32_t mac_ptr = regs[isa::kRegCallMac];
+      if (!p.mem.in_range(mac_ptr, 16)) {
+        return fail(Violation::BadCallMac, "call MAC pointer out of range");
+      }
+      const crypto::Mac claimed = read_mac(p.mem, mac_ptr);
+      if (use_cache) tiers.count_miss();
+
       // ---- steps 1 (cont.), 2, 3: verify every static MAC of the trap ----
-      // The probe missed (or the cache is off): read the static bytes, then
-      // put the call MAC, the AS content MACs, and the pred-set MAC through
-      // ONE batched CMAC pass (4-lane interleaved AES, crypto/cmac.h).
-      // Modeled cycles and the fail-fast order below are charged/walked
-      // exactly as the sequential verifies were: a batch computes extra MACs
-      // only on a failing trap, where the process is being terminated anyway.
+      // Read the static bytes, then put the call MAC, the AS content MACs,
+      // and the pred-set MAC through ONE batched CMAC pass (4-lane
+      // interleaved AES, crypto/cmac.h). Modeled cycles and the fail-fast
+      // order below are charged/walked exactly as the sequential verifies
+      // were: a batch computes extra MACs only on a failing trap, where the
+      // process is being terminated anyway.
       std::array<std::vector<std::uint8_t>, os::kMaxSyscallArgs> as_contents;
       std::vector<std::span<const std::uint8_t>> msgs;
       std::vector<crypto::Mac> expected;
@@ -204,33 +194,38 @@ CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::u
       }
       preds = decoded_preds;
 
-      // Every static input verified under the key: remember this site. The
-      // record's watch ranges make any guest write into the trusted bytes
-      // drop it before the write lands.
+      // Every static input verified under the key: remember this site, as
+      // the snapshot of the registers the encoded call was built from and
+      // the bytes of every range the MACs covered. The ranges' watches make
+      // any guest write into the trusted bytes drop the record before the
+      // write lands. A hit is charged on the modeled compare length, the
+      // skipped MAC inputs each length-prefixed (TierTable::SiteRecord).
       if (use_cache) {
         TierTable::SiteRecord entry;
-        entry.material = material.bytes();
+        entry.snapshot = TierTable::Snapshot::of(regs, sig.arity);
+        entry.keep(p.mem, mac_ptr, 16);
+        entry.material_len = static_cast<std::uint32_t>((4 + encoded.size()) + (4 + 16) + 4);
+        for (int i = 0; i < sig.arity; ++i) {
+          if (!des.arg_is_authenticated_string(i)) continue;
+          const AsRef& as = in.as_args[static_cast<std::size_t>(i)];
+          entry.keep(p.mem, as.addr - policy::kAsHeaderSize, as.len + policy::kAsHeaderSize);
+          entry.material_len += 4 + as.len;
+          ++entry.as_args;
+        }
+        if (des.control_flow_constrained()) {
+          entry.keep(p.mem, pred_as.addr - policy::kAsHeaderSize,
+                     pred_as.len + policy::kAsHeaderSize);
+          entry.material_len += pred_as.len;
+        }
         entry.preds = decoded_preds;
         entry.fd_sources = fd_sources;
         entry.patterns = patterns;
-        entry.ranges.emplace_back(mac_ptr, 16u);
-        for (int i = 0; i < sig.arity; ++i) {
-          const auto idx = static_cast<std::size_t>(i);
-          if (!des.arg_is_authenticated_string(i)) continue;
-          const AsRef& as = in.as_args[idx];
-          entry.ranges.emplace_back(as.addr - policy::kAsHeaderSize,
-                                    as.len + policy::kAsHeaderSize);
-        }
-        if (des.control_flow_constrained()) {
-          entry.ranges.emplace_back(pred_as.addr - policy::kAsHeaderSize,
-                                    pred_as.len + policy::kAsHeaderSize);
-        }
         tiers.insert(p, call_site, std::move(entry));
       }
     }
 
     if (des.control_flow_constrained()) {
-      TierTable::Shadow* sh = use_shadow ? tiers.find_shadow(p.pid, lb_ptr) : nullptr;
+      TierTable::Shadow* sh = use_shadow ? tiers.find_shadow(owner, lb_ptr) : nullptr;
       if (sh != nullptr) {
         // Shadow fast path: the kernel's own {lastBlock, counter} copy is
         // trusted by construction (installed after a full 3.1 verification,
@@ -351,29 +346,14 @@ CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::u
     // served an eligible side-effect-light call whose every verified input
     // the probe can re-check from registers and the shadow. Sites with
     // authenticated-string, capability, or pattern obligations never qualify
-    // -- those checks must run on every call.
+    // -- those checks must run on every call. A shadow hit implies `owner`.
     if (res.cache_hit && res.shadow_hit && tiers.inline_enabled() && inline_eligible(id) &&
         patterns.empty() && fd_sources.empty()) {
       bool plain_args = true;
       for (int i = 0; i < sig.arity; ++i) {
         plain_args = plain_args && !des.arg_is_authenticated_string(i);
       }
-      if (plain_args) {
-        TierTable::InlineProbe probe;
-        probe.sysno = sysno;
-        probe.descriptor = des.bits();
-        probe.block_id = block_id;
-        probe.pred_body = pred_body;
-        probe.state_ptr = lb_ptr;
-        probe.mac_ptr = mac_ptr;
-        for (int i = 0; i < sig.arity; ++i) {
-          if (des.arg_constrained(i)) {
-            probe.const_args.emplace_back(static_cast<std::uint8_t>(1 + i),
-                                          regs[1 + static_cast<std::size_t>(i)]);
-          }
-        }
-        tiers.note_clean_site(p.pid, call_site, std::move(probe));
-      }
+      if (plain_args) tiers.note_clean_site(*owner, call_site);
     }
   } catch (const GuestFault& f) {
     return fail(Violation::GuestFaulted, f.what());

@@ -45,19 +45,21 @@ struct CheckResult {
 };
 
 /// The verification runs through the tier lattice (os/tiertable.h), which
-/// decides per pid what may serve it: the site record (static-input AES-CMAC
-/// verifications are skipped when the site's bytes are identical to a
-/// previously verified trap) and the policy-state shadow (step 3's
-/// verify-MAC/re-MAC pair over {lastBlock, lbMAC} is replaced by the
-/// kernel-resident copy while the guest record stays unwritten; the slow
-/// path installs the shadow after a full step-3.1 verification). A fully
-/// clean cache-hit + shadow-hit verification of an inline-eligible call is
-/// additionally reported to the lattice as promotion evidence for the
-/// trap-less Inline tier. Steps 4 (capabilities) and 5 (patterns) always
-/// run. `id` is the resolved identity of `sysno` (inline eligibility).
+/// decides per pid what may serve it: the site record (steps 1 and 2 and the
+/// pred-set MAC are skipped when the trap's registers and watched bytes are
+/// those of a previously verified trap of the site) and the policy-state
+/// shadow (step 3's verify-MAC/re-MAC pair over {lastBlock, lbMAC} is
+/// replaced by the kernel-resident copy while the guest record stays
+/// unwritten; the slow path installs the shadow after a full step-3.1
+/// verification). A fully clean cache-hit + shadow-hit verification of an
+/// inline-eligible call is additionally reported to the lattice as promotion
+/// evidence for the trap-less Inline tier. Steps 4 (capabilities) and 5
+/// (patterns) always run. `id` is the resolved identity of `sysno` (inline
+/// eligibility); `owner` is `tiers.find_pid(p.pid)`, resolved once per trap.
 CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::uint16_t sysno,
                                      SysId id, const SyscallSig& sig,
                                      const crypto::MacKey& key, const CostModel& cost,
-                                     bool capability_checking, TierTable& tiers);
+                                     bool capability_checking, TierTable& tiers,
+                                     TierTable::PidRecord* owner);
 
 }  // namespace asc::os

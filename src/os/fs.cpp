@@ -1,6 +1,9 @@
 #include "os/fs.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 
 #include "util/error.h"
 
@@ -25,12 +28,32 @@ std::vector<std::string> split_path(const std::string& path) {
   return parts;
 }
 
+void SimFs::Content::Free::operator()(std::uint8_t* p) const noexcept {
+  std::free(p);
+}
+
+void SimFs::Content::resize(std::size_t n) {
+  if (n > capacity_) {
+    const std::size_t cap = std::max(n, 2 * capacity_);
+    auto* grown = static_cast<std::uint8_t*>(std::realloc(bytes_.get(), cap));
+    if (grown == nullptr) throw std::bad_alloc();
+    (void)bytes_.release();  // realloc took ownership of the old block
+    bytes_.reset(grown);
+    capacity_ = cap;
+  }
+  // Zero every new byte, those the caller is about to overwrite included: a
+  // hole or a truncate-extended tail must read as zero, and one in-order
+  // pass touches the new pages before the copy does.
+  if (n > size_) std::memset(bytes_.get() + size_, 0, n - size_);
+  size_ = n;
+}
+
 SimFs::SimFs() {
   Node root;
   root.kind = NodeKind::Dir;
   root.mode = 0755;
   root.inode = next_inode_;
-  nodes_[next_inode_] = root;
+  nodes_[next_inode_] = std::move(root);
   ++next_inode_;
   // Conventional top-level directories used by guest programs.
   (void)mkdir("/", "/tmp", 0777);
@@ -187,7 +210,7 @@ std::int64_t SimFs::read(std::uint32_t inode, std::uint32_t offset, std::uint32_
   if (offset >= f->content.size()) return 0;
   const std::uint32_t avail = static_cast<std::uint32_t>(f->content.size()) - offset;
   const std::uint32_t take = std::min(n, avail);
-  out = std::span(f->content).subspan(offset, take);
+  out = {f->content.data() + offset, take};
   return take;
 }
 
@@ -196,15 +219,15 @@ std::int64_t SimFs::write(std::uint32_t inode, std::uint32_t offset,
   Node* f = node(inode);
   if (f == nullptr || f->kind != NodeKind::File) return kErrBadf;
   std::uint32_t pos = append ? static_cast<std::uint32_t>(f->content.size()) : offset;
-  if (pos + bytes.size() > f->content.size()) f->content.resize(pos + bytes.size(), 0);
-  std::copy(bytes.begin(), bytes.end(), f->content.begin() + pos);
+  if (pos + bytes.size() > f->content.size()) f->content.resize(pos + bytes.size());
+  if (!bytes.empty()) std::memcpy(f->content.data() + pos, bytes.data(), bytes.size());
   return static_cast<std::int64_t>(bytes.size());
 }
 
 std::int64_t SimFs::truncate(std::uint32_t inode, std::uint32_t len) {
   Node* f = node(inode);
   if (f == nullptr || f->kind != NodeKind::File) return kErrBadf;
-  f->content.resize(len, 0);
+  f->content.resize(len);
   return 0;
 }
 

@@ -92,11 +92,33 @@ class SimFs {
   static constexpr std::uint32_t kAppend = 0x400;
 
  private:
+  /// A regular file's bytes. Capacity doubles through realloc, which glibc
+  /// serves with mremap above its mmap threshold: a file grown by appends
+  /// moves its pages instead of copying them into a fresh mapping, and the
+  /// old and new buffers are never both resident. Move-only.
+  class Content {
+   public:
+    std::size_t size() const { return size_; }
+    const std::uint8_t* data() const { return bytes_.get(); }
+    std::uint8_t* data() { return bytes_.get(); }
+    /// Resize to `n` bytes; bytes past the old size read as zero.
+    void resize(std::size_t n);
+    void clear() { size_ = 0; }
+
+   private:
+    struct Free {
+      void operator()(std::uint8_t* p) const noexcept;
+    };
+    std::unique_ptr<std::uint8_t, Free> bytes_;
+    std::size_t size_ = 0;
+    std::size_t capacity_ = 0;
+  };
+
   struct Node {
     NodeKind kind = NodeKind::File;
     std::uint32_t mode = 0644;
     std::uint32_t inode = 0;
-    std::vector<std::uint8_t> content;          // File
+    Content content;                            // File
     std::string target;                         // Symlink
     std::map<std::string, std::uint32_t> entries;  // Dir: name -> inode
   };

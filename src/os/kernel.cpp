@@ -81,7 +81,9 @@ TrapContext Kernel::capture_trap(Process& p, std::uint32_t call_site) {
   ctx.args = {regs[1], regs[2], regs[3], regs[4], regs[5]};
   ctx.id = syscall_from_number(personality_, ctx.sysno);
   ctx.effective_sysno = ctx.sysno;
-  ctx.effective_args = ctx.args;
+  // From the registers, not from `args`: a 16-byte reload of the five 4-byte
+  // stores just made would stall on store forwarding, on every trap.
+  ctx.effective_args = {regs[1], regs[2], regs[3], regs[4], regs[5]};
   if (ctx.id.has_value()) ctx.effective_id = *ctx.id;
   return ctx;
 }
@@ -218,7 +220,6 @@ void Kernel::on_syscall(Process& p, std::uint32_t call_site) {
     if (stage_hook_) stage_hook_(p, ctx, TrapStage::Enforce);
     if (!verdict.allowed()) {
       ctx.verdict = verdict.violation;
-      ctx.verdict_detail = verdict.detail;
       if (tenant_.audit.deny(p, ctx, verdict.violation, verdict.detail, now_ns(p))) return;
     }
   }
@@ -255,8 +256,7 @@ void Kernel::on_syscall(Process& p, std::uint32_t call_site) {
     const auto& sig = signature(ctx.effective_id);
     if (sig.arity > 0 && sig.args[0] == ArgKind::PathIn) {
       try {
-        ctx.path = read_path(p, ctx.effective_args[0]);
-        t.path = ctx.path;
+        t.path = read_path(p, ctx.effective_args[0]);
       } catch (const GuestFault&) {
       }
     }
@@ -275,15 +275,17 @@ void Kernel::report_internal_fault(Process& p, const std::string& detail) {
   internal_fault(p, nullptr, detail);
 }
 
-void Kernel::health_self_check(Process& p, const TrapContext& ctx) {
-  // Already fully eager: nothing fast-path-resident left to distrust, and
-  // re-reporting the same inconsistency every trap would mask recovery.
-  if (tenant_.tiers.health(p.pid) == HealthState::Quarantined) return;
+void Kernel::health_self_check(Process& p, const TrapContext& ctx,
+                               const TierTable::PidRecord* owner) {
+  // Untracked: no fast-path state to distrust. Already fully eager: nothing
+  // fast-path-resident left either, and re-reporting the same inconsistency
+  // every trap would mask recovery.
+  if (owner == nullptr || owner->health.state == HealthState::Quarantined) return;
 
   // Shadow coherence: the kernel copy's nonce must equal the process's
   // authoritative counter (the checker updates both in lockstep), and the
   // shadowed record must still lie inside the address space.
-  if (const TierTable::Shadow* sh = tenant_.tiers.shadow(p.pid); sh != nullptr) {
+  if (const auto& sh = owner->shadow; sh.has_value()) {
     if (sh->counter != p.asc_counter) {
       internal_fault(p, &ctx,
                      "shadow nonce " + std::to_string(sh->counter) +
@@ -296,13 +298,14 @@ void Kernel::health_self_check(Process& p, const TrapContext& ctx) {
   }
 }
 
-void Kernel::note_verification(Process& p, const TrapContext& ctx, bool clean, bool eager) {
+void Kernel::note_verification(Process& p, const TrapContext& ctx, TierTable::PidRecord* owner,
+                               bool clean, bool eager) {
   // A violation verdict resets the pid's inline-promotion streaks: the
   // Inline tier is re-earned with consecutive CLEAN verifications only.
   if (!clean) tenant_.tiers.note_unclean(p.pid);
-  HealthRecord* rec = tenant_.tiers.health_record(p.pid);
-  if (rec == nullptr || rec->state == HealthState::Healthy) return;  // nothing to earn
-  HealthRecord& h = *rec;
+  // A record the verification created is Healthy: nothing to earn either.
+  if (owner == nullptr || owner->health.state == HealthState::Healthy) return;
+  HealthRecord& h = owner->health;
   if (!clean) {
     // A genuine violation verdict interrupts the probation streak; the
     // audit layer separately applies the failure mode to the guest.

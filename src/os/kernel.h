@@ -137,12 +137,15 @@ class Kernel {
   /// Cheap per-trap self-check of the fast-path bookkeeping (shadow nonce
   /// coherence), run by the ASC monitor before it gates the fast paths.
   /// Charges no modeled cycles and emits no records on clean runs. Demotes
-  /// on a mismatch.
-  void health_self_check(Process& p, const TrapContext& ctx);
-  /// Outcome of one ASC verification of `pid` (clean = no violation, eager =
+  /// on a mismatch. `owner` is the pid's lattice record
+  /// (TierTable::find_pid), which the verification resolves once.
+  void health_self_check(Process& p, const TrapContext& ctx, const TierTable::PidRecord* owner);
+  /// Outcome of one ASC verification of `p` (clean = no violation, eager =
   /// served by neither fast path); drives streak counting and the earned
-  /// re-promotions. Charges no modeled cycles.
-  void note_verification(Process& p, const TrapContext& ctx, bool clean, bool eager);
+  /// re-promotions. `owner` as for health_self_check. Charges no modeled
+  /// cycles.
+  void note_verification(Process& p, const TrapContext& ctx, TierTable::PidRecord* owner,
+                         bool clean, bool eager);
 
   // ---- live key rotation (differential rekey; installer/rekeyer.h) ----
   /// Move a live process onto `new_key` using the re-signed MAC bytes in

@@ -34,15 +34,19 @@ MonitorVerdict NullMonitor::inspect(Process& p, TrapContext& ctx) {
 MonitorVerdict AscMonitor::inspect(Process& p, TrapContext& ctx) {
   if (kernel_.key() == nullptr) throw Error("kernel: Asc enforcement without a key");
   if (!ctx.id.has_value()) return unknown_syscall(ctx);
+  // One lookup of the pid's lattice record serves the whole verification.
   // Self-check the fast-path bookkeeping BEFORE gating on it: a detected
   // inconsistency demotes the pid's health and evicts the suspect state, so
   // the gates below already reflect the demotion for this very trap.
-  kernel_.health_self_check(p, ctx);
-  const CheckResult r = check_authenticated_call(
-      p, ctx.call_site, ctx.sysno, *ctx.id, signature(*ctx.id), *kernel_.key(),
-      kernel_.cost(), kernel_.capability_checking(), kernel_.tier_table());
+  TierTable& tiers = kernel_.tier_table();
+  TierTable::PidRecord* owner = tiers.find_pid(p.pid);
+  kernel_.health_self_check(p, ctx, owner);
+  const CheckResult r = check_authenticated_call(p, ctx.call_site, ctx.sysno, *ctx.id,
+                                                 signature(*ctx.id), *kernel_.key(),
+                                                 kernel_.cost(), kernel_.capability_checking(),
+                                                 tiers, owner);
   ctx.charge(p, r.cycles);
-  kernel_.note_verification(p, ctx, r.violation == Violation::None,
+  kernel_.note_verification(p, ctx, owner, r.violation == Violation::None,
                             !r.cache_hit && !r.shadow_hit);
   return {r.violation, r.detail};
 }

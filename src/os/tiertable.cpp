@@ -1,11 +1,9 @@
 #include "os/tiertable.h"
 
 #include <algorithm>
-#include <cstring>
+#include <span>
 
 #include "isa/isa.h"
-#include "util/error.h"
-#include "util/hex.h"
 
 namespace asc::os {
 
@@ -86,15 +84,25 @@ void TierTable::set_inline_enabled(bool on) {
   inline_enabled_ = on;
 }
 
-bool TierTable::serves_cache(int pid) const {
-  return cache_enabled_ && health(pid) != HealthState::Quarantined;
+bool TierTable::serves_cache(const PidRecord* r) const {
+  return cache_enabled_ && (r == nullptr || r->health.state != HealthState::Quarantined);
 }
 
-bool TierTable::serves_shadow(int pid) const {
-  return shadow_enabled_ && health(pid) == HealthState::Healthy;
+bool TierTable::serves_shadow(const PidRecord* r) const {
+  return shadow_enabled_ && (r == nullptr || r->health.state == HealthState::Healthy);
 }
 
 // ---- per-pid records and the spine ----
+
+TierTable::PidRecord* TierTable::find_pid(int pid) {
+  const auto it = pids_.find(pid);
+  return it == pids_.end() ? nullptr : &it->second;
+}
+
+const TierTable::PidRecord* TierTable::find_pid(int pid) const {
+  const auto it = pids_.find(pid);
+  return it == pids_.end() ? nullptr : &it->second;
+}
 
 TierTable::PidRecord& TierTable::pid_record(Process& p) {
   const auto [it, inserted] = pids_.try_emplace(p.pid, p);
@@ -126,8 +134,8 @@ void TierTable::on_guest_write(int pid, std::uint32_t addr, std::uint32_t len) {
       continue;
     }
     // An Inline record also vouches for the state record its probe reads.
-    if (r.tier == Tier::Inline &&
-        overlaps(r.probe.state_ptr, policy::kPolicyStateSize, addr, len)) {
+    if (r.tier == Tier::Inline && overlaps(r.snapshot.value[isa::kRegStatePtr],
+                                           policy::kPolicyStateSize, addr, len)) {
       demote(r, DemotionCause::GuestWrite);
     }
     ++it;
@@ -140,7 +148,6 @@ void TierTable::demote(SiteRecord& r, DemotionCause cause) {
   if (r.tier == Tier::Inline) {
     ++stats_.demotions[static_cast<std::size_t>(cause)];
     r.tier = Tier::Cached;
-    r.probe = {};
   }
   r.streak = 0;
 }
@@ -162,75 +169,60 @@ void TierTable::drop_sites(int pid, DemotionCause cause) {
   while (it != sites_.end() && it->first.first == pid) it = drop(it, cause);
 }
 
-// ---- the material ----
+// ---- the snapshot and the record compare ----
 
-TierTable::Material::Material(const vm::Memory& mem, std::span<const std::uint8_t> encoded_call,
-                              std::span<const std::uint8_t> call_mac)
-    : mem_(mem) {
-  fields_[0] = {encoded_call.data(), 0, static_cast<std::uint32_t>(encoded_call.size())};
-  fields_[1] = {call_mac.data(), 0, static_cast<std::uint32_t>(call_mac.size())};
-  count_ = 2;
-  size_ = (4 + encoded_call.size()) + (4 + call_mac.size()) + 4;  // + the empty pred-set field
+TierTable::Snapshot TierTable::Snapshot::of(const Regs& regs, int arity) {
+  static_assert(kMaxSyscallArgs < isa::kRegPolicyDescriptor && isa::kRegBlockId < kRegs &&
+                    isa::kRegPredSet < kRegs && isa::kRegCallMac >= kRegs,
+                "the argument and operand registers lie below kRegs, the MAC pointer above");
+  const policy::Descriptor des(regs[isa::kRegPolicyDescriptor]);
+  Snapshot s;
+  s.mask[0] = 0xffffu;  // the trapping number is the low half of r0
+  s.mask[isa::kRegPolicyDescriptor] = ~0u;
+  s.mask[isa::kRegBlockId] = ~0u;
+  for (int i = 0; i < arity; ++i) {
+    if (des.arg_constrained(i) || des.arg_is_authenticated_string(i)) {
+      s.mask[1 + static_cast<std::size_t>(i)] = ~0u;
+    }
+  }
+  if (des.control_flow_constrained()) {
+    s.mask[isa::kRegPredSet] = ~0u;
+    s.mask[isa::kRegStatePtr] = ~0u;
+  }
+  for (std::size_t r = 0; r < kRegs; ++r) s.value[r] = regs[r] & s.mask[r];
+  s.mac_ptr = regs[isa::kRegCallMac];
+  return s;
 }
 
-void TierTable::Material::add_string(std::uint32_t addr, std::uint32_t len) {
-  if (count_ == kMaxFields) throw Error("TierTable::Material: too many string fields");
-  fields_[count_++] = {nullptr, addr, len};
-  size_ += 4 + std::size_t{len};
+void TierTable::SiteRecord::keep(const vm::Memory& mem, std::uint32_t addr, std::uint32_t len) {
+  ranges.emplace_back(addr, len);
+  const std::size_t at = bytes.size();
+  bytes.resize(at + len);
+  mem.read_bytes(addr, len, bytes.data() + at);
 }
 
-void TierTable::Material::set_pred_set(std::uint32_t addr, std::uint32_t len) {
-  size_ = size_ - pred_.len + len;
-  pred_ = {nullptr, addr, len};
-}
-
-bool TierTable::Material::matches(std::span<const std::uint8_t> stored) const {
-  // Equal total length first: a truncated or extended record misses here,
-  // and the walk below, whose prefixes must each equal a field length, then
-  // stays inside `stored`.
-  if (stored.size() != size_) return false;
+bool TierTable::SiteRecord::matches(const Regs& regs, const vm::Memory& mem) const {
+  if (!snapshot.operands_match(regs)) return false;
+  // Every register that places an AS or pred-set range matched, so those
+  // ranges sit where they were verified; the call MAC is compared where this
+  // trap points, which need not be the watched slot.
+  const std::span<const std::uint8_t> kept(bytes);
   std::size_t off = 0;
-  for (std::size_t i = 0; i <= count_; ++i) {
-    const Field& f = field(i);
-    if (util::get_u32(stored, off) != f.len) return false;
-    const std::span<const std::uint8_t> body = stored.subspan(off + 4, f.len);
-    off += 4 + body.size();
-    if (body.empty()) continue;
-    const bool same = f.host != nullptr ? std::memcmp(f.host, body.data(), body.size()) == 0
-                                        : mem_.equals(f.addr, body);
-    if (!same) return false;
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    const auto [addr, len] = ranges[i];
+    const std::uint32_t at = i == 0 ? regs[isa::kRegCallMac] : addr;
+    if (!mem.in_range(at, len) || !mem.equals(at, kept.subspan(off, len))) return false;
+    off += len;
   }
   return true;
 }
 
-std::vector<std::uint8_t> TierTable::Material::bytes() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(size_);
-  for (std::size_t i = 0; i <= count_; ++i) {
-    const Field& f = field(i);
-    util::put_u32(out, f.len);
-    const std::size_t at = out.size();
-    out.resize(at + f.len);
-    if (f.len == 0) continue;
-    if (f.host != nullptr) {
-      std::memcpy(out.data() + at, f.host, f.len);
-    } else {
-      mem_.read_bytes(f.addr, f.len, out.data() + at);
-    }
-  }
-  return out;
-}
-
-const TierTable::SiteRecord* TierTable::lookup(int pid, std::uint32_t call_site,
-                                               const Material& material) {
-  const auto it = sites_.find({pid, call_site});
-  // A hit demands exact byte equality with the verified material. A digest
-  // here would make the fast path only as strong as the digest's collision
-  // resistance; the bytes are small and bounded, so compare them outright.
-  if (it == sites_.end() || !material.matches(it->second.material)) {
-    ++stats_.cache_misses;
-    return nullptr;
-  }
+const TierTable::SiteRecord* TierTable::lookup(const Process& p, std::uint32_t call_site) {
+  const auto it = sites_.find({p.pid, call_site});
+  // A hit demands exact equality with what was verified. A digest here would
+  // make the fast path only as strong as the digest's collision resistance;
+  // the bytes are small and bounded, so compare them outright.
+  if (it == sites_.end() || !it->second.matches(p.cpu.regs, p.mem)) return nullptr;
   ++stats_.cached;
   ++it->second.hits;
   return &it->second;
@@ -240,8 +232,8 @@ void TierTable::insert(Process& p, std::uint32_t call_site, SiteRecord rec) {
   const SiteKey key{p.pid, call_site};
   PidRecord& owner = pid_record(p);
   if (const auto it = sites_.find(key); it != sites_.end()) {
-    // Replacement: only a trap whose material missed the record gets here,
-    // so the stale record's trust is void.
+    // Replacement: only a trap that missed the record gets here, so the
+    // stale record's trust is void.
     drop(it, DemotionCause::ProbeMismatch);
   } else if (sites_.size() >= capacity_) {
     // Capacity backstop: evict the least-hit Cached record, rotating the
@@ -269,14 +261,13 @@ void TierTable::insert(Process& p, std::uint32_t call_site, SiteRecord rec) {
 
 // ---- the shadow ----
 
-TierTable::Shadow* TierTable::find_shadow(int pid, std::uint32_t state_ptr) {
-  const auto it = pids_.find(pid);
-  if (it == pids_.end() || !it->second.shadow || it->second.shadow->state_ptr != state_ptr) {
+TierTable::Shadow* TierTable::find_shadow(PidRecord* r, std::uint32_t state_ptr) {
+  if (r == nullptr || !r->shadow || r->shadow->state_ptr != state_ptr) {
     ++stats_.shadow_misses;
     return nullptr;
   }
   ++stats_.shadowed;
-  return &*it->second.shadow;
+  return &*r->shadow;
 }
 
 void TierTable::install_shadow(Process& p, std::uint32_t state_ptr, std::uint32_t last_block,
@@ -288,8 +279,8 @@ void TierTable::install_shadow(Process& p, std::uint32_t state_ptr, std::uint32_
 }
 
 const TierTable::Shadow* TierTable::shadow(int pid) const {
-  const auto it = pids_.find(pid);
-  return it == pids_.end() || !it->second.shadow ? nullptr : &*it->second.shadow;
+  const PidRecord* r = find_pid(pid);
+  return r == nullptr || !r->shadow ? nullptr : &*r->shadow;
 }
 
 std::optional<TierTable::Shadow> TierTable::take_shadow(PidRecord& r) {
@@ -314,22 +305,22 @@ bool TierTable::try_inline(Process& p, std::uint32_t call_site) {
   const auto it = sites_.find({p.pid, call_site});
   if (it == sites_.end() || it->second.tier != Tier::Inline) return false;
   SiteRecord& r = it->second;
+  PidRecord* owner = find_pid(p.pid);
   // A pid below Healthy must never serve from the Inline tier. Health
   // demotion already drops its records; this gate is belt-and-braces against
   // any ordering where a record survives the transition.
-  if (health(p.pid) != HealthState::Healthy) {
+  if (owner != nullptr && owner->health.state != HealthState::Healthy) {
     demote(r, DemotionCause::HealthDemotion);
     return false;
   }
-  const InlineProbe& s = r.probe;
+  // The verifying trap's snapshot, the MAC pointer included: the probe
+  // trusts only the call-MAC slot the record watches.
+  const Snapshot& s = r.snapshot;
   const auto& regs = p.cpu.regs;
-  bool match = regs[0] == s.sysno && regs[isa::kRegPolicyDescriptor] == s.descriptor &&
-               regs[isa::kRegBlockId] == s.block_id && regs[isa::kRegPredSet] == s.pred_body &&
-               regs[isa::kRegStatePtr] == s.state_ptr && regs[isa::kRegCallMac] == s.mac_ptr;
-  for (const auto& [idx, val] : s.const_args) match = match && regs[idx] == val;
-  const auto pit = match && shadow_enabled_ ? pids_.find(p.pid) : pids_.end();
-  Shadow* sh = pit != pids_.end() && pit->second.shadow ? &*pit->second.shadow : nullptr;
-  match = match && sh != nullptr && sh->state_ptr == s.state_ptr &&
+  bool match = s.operands_match(regs) && regs[isa::kRegCallMac] == s.mac_ptr;
+  Shadow* sh = match && shadow_enabled_ && owner != nullptr && owner->shadow ? &*owner->shadow
+                                                                             : nullptr;
+  match = match && sh != nullptr && sh->state_ptr == s.value[isa::kRegStatePtr] &&
           sh->counter == p.asc_counter &&
           std::find(r.preds.begin(), r.preds.end(), sh->last_block) != r.preds.end();
   if (!match) {
@@ -340,24 +331,27 @@ bool TierTable::try_inline(Process& p, std::uint32_t call_site) {
   }
   // Advance the control-flow state exactly as a Shadowed-tier hit would.
   ++p.asc_counter;
-  sh->last_block = s.block_id;
+  sh->last_block = s.value[isa::kRegBlockId];
   sh->counter = p.asc_counter;
   sh->dirty = true;
   ++stats_.inline_hits;
   return true;
 }
 
-void TierTable::note_clean_site(int pid, std::uint32_t call_site, InlineProbe probe) {
+void TierTable::note_clean_site(const PidRecord& owner, std::uint32_t call_site) {
   if (!inline_enabled_) return;
-  const auto it = sites_.find({pid, call_site});
+  const auto it = sites_.find({owner.proc.pid, call_site});
   if (it == sites_.end() || it->second.tier == Tier::Inline) return;
   // Promotion is reserved for Healthy pids; anything below re-earns its
   // streak only after the health machine re-promotes the pid.
-  if (health(pid) != HealthState::Healthy) return;
+  if (owner.health.state != HealthState::Healthy) return;
   SiteRecord& r = it->second;
+  if (owner.proc.cpu.regs[isa::kRegCallMac] != r.snapshot.mac_ptr) {
+    r.streak = 0;
+    return;
+  }
   if (++r.streak < inline_threshold_) return;
   r.tier = Tier::Inline;
-  r.probe = std::move(probe);
   r.streak = 0;
   ++stats_.promotions;
 }
@@ -377,13 +371,8 @@ HealthState TierTable::health(int pid) const {
 }
 
 const HealthRecord* TierTable::health_record(int pid) const {
-  const auto it = pids_.find(pid);
-  return it == pids_.end() ? nullptr : &it->second.health;
-}
-
-HealthRecord* TierTable::health_record(int pid) {
-  const auto it = pids_.find(pid);
-  return it == pids_.end() ? nullptr : &it->second.health;
+  const PidRecord* r = find_pid(pid);
+  return r == nullptr ? nullptr : &r->health;
 }
 
 // ---- pid- and table-wide invalidation ----
@@ -445,11 +434,9 @@ Tier TierTable::tier(int pid, std::uint32_t call_site) const {
 std::size_t TierTable::approx_bytes() const {
   std::size_t n = pids_.size() * (sizeof(int) + sizeof(PidRecord));
   for (const auto& [key, r] : sites_) {
-    n += sizeof(key) + sizeof(r) + r.material.size() +
+    n += sizeof(key) + sizeof(r) + r.bytes.size() +
          (r.preds.size() + r.fd_sources.size()) * sizeof(std::uint32_t) +
-         r.patterns.size() * sizeof(policy::PatternRef) +
-         r.ranges.size() * sizeof(r.ranges[0]) +
-         r.probe.const_args.size() * sizeof(r.probe.const_args[0]);
+         r.patterns.size() * sizeof(policy::PatternRef) + r.ranges.size() * sizeof(r.ranges[0]);
   }
   return n;
 }

@@ -19,12 +19,16 @@
 // with AES-CMAC over *static* bytes is immutable between policy installs:
 // the encoded call (sysno, descriptor, site, block id, constant argument
 // values, AS headers, lbPtr), the 16-byte call MAC, the predecessor-set blob
-// and every static AS content. The record keeps those exact bytes (each
-// length-prefixed, so the concatenation is injective) as seen at the last
-// FULL verification. A later trap at the same site hits only when it
-// presents byte-identical material -- an exact compare, not a hash, so a
-// guest cannot engineer a collision -- and then skips the call-MAC,
-// AS-content and pred-set CMACs and the pred-set decode. What is never
+// and every static AS content. The encoded call is a function of the trap
+// registers and the AS and pred-set headers, so the record keeps, as seen at
+// the last FULL verification, one snapshot of those registers and the
+// verified bytes of every range it watches (call MAC, each AS header and
+// body, pred-set header and body). A later trap at the same site hits only
+// when every snapshot register equals the live one and every range's guest
+// bytes equal the kept bytes -- the call MAC read where this trap points --
+// an exact compare, not a hash, so a guest cannot engineer a collision. A
+// hit re-derives nothing: it skips the encode, the header reads, the
+// call-MAC, AS-content and pred-set CMACs and the pred-set decode. What is never
 // cached: the §3.2 state record (verified every call, by MAC or through the
 // shadow), fd capabilities (§5.3) and pattern arguments (§5.1), which depend
 // on the live fd table and dynamic strings. Records are inserted only after
@@ -36,9 +40,9 @@
 //   * key rotation drops every record;
 //   * teardown/exec drops every record of the pid, so a recycled pid or a
 //     re-exec never inherits stale trust;
-//   * a trap whose material differs in any byte is a miss (full
-//     re-verification), so even a missed invalidation cannot skip checking
-//     of changed bytes;
+//   * a trap that differs in any snapshot register or kept byte is a miss
+//     (full re-verification), so even a missed invalidation cannot skip
+//     checking of changed bytes;
 //   * at capacity the least-hit Cached record goes (a rotating cursor breaks
 //     ties, so no process's low-address sites are victimized forever).
 // Each range is watched exactly once per record and returned on every path
@@ -80,15 +84,16 @@
 // Shadowed verifications of a side-effect-light syscall
 // (getpid/gettimeofday-class: no authenticated-string arguments, no
 // patterns, no fd capabilities, a control-flow-constrained descriptor), and
-// only while its pid is Healthy. Promotion snapshots the policy operand
-// registers and constrained argument values; the record's decoded preds and
+// only while its pid is Healthy. Promotion takes nothing new: the probe reads
+// the snapshot the verifying trap left, and the record's decoded preds and
 // watched ranges already cover the rest, so promotion registers no watch.
 // Why inline execution cannot outlive a tamper (in full in DESIGN.md): the
-// probe requires the live registers to equal the snapshot, the shadow nonce
-// to equal the process's authoritative counter and the shadow's lastBlock
-// to be an allowed predecessor; a guest write into the call bytes drops the
-// record and a write into the state record (watched by the shadow) demotes
-// it, both before the write lands. Key rotation, teardown/exec, health
+// probe requires the live registers to equal the snapshot -- the MAC pointer
+// included, so the call MAC it trusts is the slot the record watches -- the
+// shadow nonce to equal the process's authoritative counter and the shadow's
+// lastBlock to be an allowed predecessor; a guest write into the call bytes
+// drops the record and a write into the state record (watched by the shadow)
+// demotes it, both before the write lands. Key rotation, teardown/exec, health
 // demotion, monitor swap and fast-path gate-off demote through the same
 // table. Any probe mismatch demotes and falls back to the full pipeline,
 // which re-verifies everything -- so the inline tier can buy cycles, never
@@ -113,12 +118,12 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "crypto/cmac.h"
+#include "isa/isa.h"
 #include "os/costmodel.h"
 #include "os/health.h"
 #include "os/process.h"
@@ -181,82 +186,67 @@ void write_policy_state(Process& p, std::uint32_t state_ptr, std::uint32_t last_
 /// One kernel's tier lattice. os::TenantState holds exactly one per tenant.
 class TierTable {
  public:
-  /// What the inline probe re-checks against live trap state, snapshotted
-  /// at promotion from a fully verified Shadowed-tier trap.
-  struct InlineProbe {
-    std::uint16_t sysno = 0;
-    std::uint32_t descriptor = 0;
-    std::uint32_t block_id = 0;
-    std::uint32_t pred_body = 0;
-    std::uint32_t state_ptr = 0;
+  using Regs = std::array<std::uint32_t, isa::kNumRegs>;
+
+  /// The trap registers the encoded call is built from, as the verifying
+  /// trap presented them. `mask[r]` selects the bits of register r that enter
+  /// the encoded call: r0's low half (the trapping number), the descriptor
+  /// and the block id always; each authenticated-string or constrained
+  /// argument; the pred-set and state pointers of a control-flow descriptor.
+  /// A register the encoded call ignores has mask 0 and never decides a hit.
+  /// `mac_ptr` is the call-MAC slot the record watches.
+  struct Snapshot {
+    static constexpr std::size_t kRegs = isa::kRegStatePtr + 1;  // r0..r9
+    std::array<std::uint32_t, kRegs> value{};
+    std::array<std::uint32_t, kRegs> mask{};
     std::uint32_t mac_ptr = 0;
-    /// {argument register index (1-based), expected value} for every
-    /// descriptor-constrained argument.
-    std::vector<std::pair<std::uint8_t, std::uint32_t>> const_args;
+
+    /// The snapshot of `regs` for a call of `arity` arguments.
+    static Snapshot of(const Regs& regs, int arity);
+    /// True iff every snapshot register but the MAC pointer equals the
+    /// live one: the trap encodes the call this snapshot's trap encoded,
+    /// given the same header bytes.
+    bool operands_match(const Regs& regs) const {
+      std::uint32_t diff = 0;
+      for (std::size_t r = 0; r < kRegs; ++r) diff |= (regs[r] ^ value[r]) & mask[r];
+      return diff == 0;
+    }
   };
 
-  /// One trap's cache material -- the exact inputs of the AES-CMAC
-  /// verifications a hit skips -- described where it lives instead of
-  /// copied out: the encoded call and the claimed call MAC in host buffers,
-  /// each authenticated-string body and the pred-set blob in guest memory.
-  /// The stored form a SiteRecord keeps is every field length-prefixed (u32
-  /// little-endian) in that order: encoded call, call MAC, AS bodies in
-  /// ascending argument order, pred-set blob. The prefixes keep the
-  /// concatenation injective (bytes cannot migrate between fields); a
-  /// descriptor without control flow leaves the pred-set field empty, a
-  /// bare 4-byte zero prefix. matches() compares a stored form in place,
-  /// prefix by prefix and field by field; bytes() writes one on a miss. Both
-  /// walk the same fields, so the layout is defined here once. The host
-  /// buffers and the Memory must outlive the description.
-  class Material {
-   public:
-    Material(const vm::Memory& mem, std::span<const std::uint8_t> encoded_call,
-             std::span<const std::uint8_t> call_mac);
-    /// The next authenticated-string body, in ascending argument order.
-    void add_string(std::uint32_t addr, std::uint32_t len);
-    /// The pred-set blob body (control-flow-constrained descriptors only).
-    void set_pred_set(std::uint32_t addr, std::uint32_t len);
-    /// Length of the stored form.
-    std::size_t size() const { return size_; }
-    /// True iff `stored` is byte for byte the stored form of this material.
-    /// Reads guest bytes through vm::Memory::equals; copies nothing.
-    bool matches(std::span<const std::uint8_t> stored) const;
-    /// The stored form.
-    std::vector<std::uint8_t> bytes() const;
-
-   private:
-    /// Host bytes at `host`, or guest bytes at `addr` when `host` is null.
-    struct Field {
-      const std::uint8_t* host = nullptr;
-      std::uint32_t addr = 0;
-      std::uint32_t len = 0;
-    };
-    static constexpr std::size_t kMaxFields = 2 + kMaxSyscallArgs;
-    /// Field `i` in stored order; the pred-set field is last (i == count_).
-    const Field& field(std::size_t i) const { return i < count_ ? fields_[i] : pred_; }
-    const vm::Memory& mem_;
-    std::array<Field, kMaxFields> fields_{};
-    std::size_t count_ = 0;
-    Field pred_;
-    std::size_t size_ = 0;
-  };
-
-  /// One verified call site of one process. `material` is the stored form of
-  /// the trap's Material (each field bounded by kAsMaxLength); `ranges` are
-  /// the guest byte ranges backing it, each watched once.
+  /// One verified call site of one process: the snapshot, and the verified
+  /// bytes of the guest ranges that back the trap's MACs, each watched once.
+  /// `ranges[0]` is the call-MAC slot, then each AS header and body in
+  /// ascending argument order, then the pred-set header and body; `bytes` is
+  /// their concatenation in that order (each range bounded by kAsMaxLength
+  /// plus the header).
   struct SiteRecord {
     Tier tier = Tier::Cached;  // Cached or Inline
-    std::vector<std::uint8_t> material;
+    Snapshot snapshot;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;  // {addr, len}
+    std::vector<std::uint8_t> bytes;
+    /// What a hit is charged: cache_hit_cost of `material_len`, the modeled
+    /// compare length -- the MAC inputs a hit skips, each length-prefixed:
+    /// (4 + encoded call) + (4 + 16) + each (4 + AS length) + (4 + pred-set
+    /// length) -- plus check_per_as_arg for each of `as_args` strings.
+    std::uint32_t material_len = 0;
+    std::uint32_t as_args = 0;
     std::vector<std::uint32_t> preds;
     std::vector<std::uint32_t> fd_sources;
     std::vector<policy::PatternRef> patterns;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;  // {addr, len}
     /// Cached-tier hits: the capacity victim order.
     std::uint64_t hits = 0;
     /// Consecutive clean Shadowed-tier verifications toward promotion.
     std::uint32_t streak = 0;
-    /// Meaningful while tier == Inline.
-    InlineProbe probe;
+
+    /// Append [addr, addr + len) to the ranges and keep its guest bytes.
+    void keep(const vm::Memory& mem, std::uint32_t addr, std::uint32_t len);
+    /// True iff the trap in `regs` and `mem` presents exactly what this
+    /// record verified: the snapshot registers, and every range's bytes,
+    /// the call MAC compared at the live MAC pointer. Copies nothing.
+    bool matches(const Regs& regs, const vm::Memory& mem) const;
+    std::uint64_t hit_cost(const CostModel& cost) const {
+      return cost.cache_hit_cost(material_len) + as_args * cost.check_per_as_arg;
+    }
   };
 
   /// The kernel's trusted copy of one process's control-flow state. `dirty`
@@ -267,6 +257,18 @@ class TierTable {
     std::uint32_t last_block = 0;
     std::uint64_t counter = 0;
     bool dirty = false;
+  };
+
+  /// One process's entry: the process itself (its memory handle, and the
+  /// cycle counter that write-backs charge), its shadow and its health. A
+  /// verified trap resolves it once (find_pid) and asks every per-pid
+  /// question of that pointer; null means the table tracks nothing of the
+  /// pid (Healthy, no shadow). Stable until end_process(pid).
+  struct PidRecord {
+    explicit PidRecord(Process& p) : proc(p) {}
+    Process& proc;
+    std::optional<Shadow> shadow;
+    HealthRecord health;
   };
 
   /// `key` and `cost` are the tenant's MAC key and the kernel's cost model,
@@ -293,17 +295,23 @@ class TierTable {
   /// promotion.
   void set_inline_threshold(std::uint32_t n) { inline_threshold_ = n == 0 ? 1 : n; }
   std::uint32_t inline_threshold() const { return inline_threshold_; }
-  /// What the checker may consult for `pid`: the gate, floored by the pid's
+  /// The pid's record, or nullptr when the table tracks nothing of it.
+  PidRecord* find_pid(int pid);
+  const PidRecord* find_pid(int pid) const;
+  /// What the checker may consult for a pid: the gate, floored by the pid's
   /// health (site records survive until Quarantined, the shadow only while
   /// Healthy).
-  bool serves_cache(int pid) const;
-  bool serves_shadow(int pid) const;
+  bool serves_cache(const PidRecord* r) const;
+  bool serves_shadow(const PidRecord* r) const;
+  bool serves_cache(int pid) const { return serves_cache(find_pid(pid)); }
+  bool serves_shadow(int pid) const { return serves_shadow(find_pid(pid)); }
 
   // ---- the Cached tier ----
-  /// The record for (pid, call_site) iff its stored material is exactly
-  /// `material`'s stored form (compared in place), else nullptr. Counts a
-  /// hit or a miss either way.
-  const SiteRecord* lookup(int pid, std::uint32_t call_site, const Material& material);
+  /// The record for (p.pid, call_site) iff it matches the trap `p` presents
+  /// (SiteRecord::matches), else nullptr. Counts a hit; the checker counts
+  /// a miss (count_miss) once the trap's headers proved readable.
+  const SiteRecord* lookup(const Process& p, std::uint32_t call_site);
+  void count_miss() { ++stats_.cache_misses; }
   /// Populate after a full verification: watches the record's ranges and
   /// replaces any stale record of the site.
   void insert(Process& p, std::uint32_t call_site, SiteRecord rec);
@@ -311,7 +319,10 @@ class TierTable {
   // ---- the Shadowed tier ----
   /// The pid's shadow iff it shadows exactly `state_ptr`, else nullptr.
   /// Counts a hit or a miss either way.
-  Shadow* find_shadow(int pid, std::uint32_t state_ptr);
+  Shadow* find_shadow(PidRecord* r, std::uint32_t state_ptr);
+  Shadow* find_shadow(int pid, std::uint32_t state_ptr) {
+    return find_shadow(find_pid(pid), state_ptr);
+  }
   /// Install after a slow-path verification left guest memory holding the
   /// freshly MACed {last_block, counter} record at `state_ptr`, and watch
   /// it. A shadow of another state_ptr (repointed lbPtr) is written back
@@ -332,10 +343,11 @@ class TierTable {
   /// genuine tamper fail-stops there.
   bool try_inline(Process& p, std::uint32_t call_site);
   /// The checker's promotion note: a fully clean cache-hit + shadow-hit
-  /// verification of an inline-eligible call at (pid, call_site). Counts
-  /// the site's clean streak and promotes at the threshold (Healthy pids
-  /// only).
-  void note_clean_site(int pid, std::uint32_t call_site, InlineProbe probe);
+  /// verification of an inline-eligible call at (owner's pid, call_site).
+  /// Counts the site's clean streak and promotes at the threshold (Healthy
+  /// pids only). A trap whose MAC pointer is not the watched slot is no
+  /// evidence -- the probe would refuse it -- and resets the streak.
+  void note_clean_site(const PidRecord& owner, std::uint32_t call_site);
   /// A verification of the pid ended in a violation verdict: every inline
   /// streak of the pid resets (promotion is re-earned from zero).
   void note_unclean(int pid);
@@ -347,7 +359,6 @@ class TierTable {
   HealthState health(int pid) const;
   /// The pid's record, or nullptr when the table has no record of the pid.
   const HealthRecord* health_record(int pid) const;
-  HealthRecord* health_record(int pid);
   /// The pid's record, created (Healthy) when absent.
   HealthRecord& track_health(Process& p) { return pid_record(p).health; }
   HealthStats& health_stats() { return health_stats_; }
@@ -403,20 +414,13 @@ class TierTable {
   using SiteKey = std::pair<int, std::uint32_t>;  // {pid, call_site}
   using SiteMap = std::map<SiteKey, SiteRecord>;
 
-  struct PidRecord {
-    explicit PidRecord(Process& p) : proc(p) {}
-    Process& proc;
-    std::optional<Shadow> shadow;
-    HealthRecord health;
-  };
-
   /// The pid's record, created on first use together with the process's
   /// ONE write-watch callback (the spine).
   PidRecord& pid_record(Process& p);
   /// The spine: a guest write of [addr, addr+len) is about to land in `pid`.
   void on_guest_write(int pid, std::uint32_t addr, std::uint32_t len);
   /// Inline -> Cached: the one counted demotion path. The record keeps its
-  /// verified material; promotion is re-earned from zero.
+  /// snapshot and verified bytes; promotion is re-earned from zero.
   void demote(SiteRecord& r, DemotionCause cause);
   void demote_all(DemotionCause cause);
   /// Drop one record (demoting it first when Inline) and unwatch its ranges.

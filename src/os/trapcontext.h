@@ -66,13 +66,8 @@ struct TrapContext {
   std::uint16_t effective_sysno = 0;
   std::array<std::uint32_t, kMaxSyscallArgs> effective_args{};
 
-  /// Resolved first PathIn argument, filled when a layer reads it (tracing,
-  /// baseline-monitor path policies).
-  std::string path;
-
   // ---- verdict of the enforcement layer ----
   Violation verdict = Violation::None;
-  std::string verdict_detail;
 
   /// Modeled cycles charged against the process during this trap.
   std::uint64_t charged = 0;

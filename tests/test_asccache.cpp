@@ -1,18 +1,23 @@
 // The Cached tier of the lattice (os/tiertable.h): a site record must buy
-// cycles without buying trust. Hits require byte-identical static material;
-// records die on guest writes into their backing ranges, on key rotation,
-// and on process teardown, returning their watches on every path; one
-// process's verified record can never serve another.
+// cycles without buying trust. Hits require the verifying trap's registers
+// and byte-identical watched bytes; records die on guest writes into their
+// backing ranges, on key rotation, and on process teardown, returning their
+// watches on every path; one process's verified record can never serve
+// another.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <initializer_list>
 #include <optional>
 #include <ostream>
 
 #include "apps/libtoy.h"
 #include "core/asc.h"
 #include "isa/isa.h"
+#include "os/checker.h"
 #include "os/tiertable.h"
+#include "policy/authstring.h"
+#include "policy/policy.h"
 #include "tasm/assembler.h"
 #include "util/hex.h"
 #include "vm/memory.h"
@@ -30,20 +35,22 @@ using Ranges = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
 constexpr std::uint32_t kBase = binary::kAddressSpaceBase + 0x1000;
 
-const crypto::Mac kClaimedMac{0xc0, 0xde};
-
-// A trap's material as the checker describes it, with `call` standing in for
-// the encoded call under a fixed claimed MAC: no string arguments, no pred
-// set. Lookups take it through the production in-place comparison.
-TierTable::Material material(const os::Process& p, const Bytes& call) {
-  return {p.mem, call, kClaimedMac};
+// The trap `p` presents, reduced to a block id and a call-MAC pointer: the
+// stand-in for a whole operand set in the record-semantics tests (no
+// arguments, no control flow).
+os::Process& at(os::Process& p, std::uint32_t block, std::uint32_t mac_ptr = kBase) {
+  p.cpu.regs[isa::kRegBlockId] = block;
+  p.cpu.regs[isa::kRegCallMac] = mac_ptr;
+  return p;
 }
 
-// A record whose material is the production stored form of `call`'s.
-TierTable::SiteRecord record_with(const os::Process& p, const Bytes& call, Ranges ranges = {}) {
+// The record the checker keeps for the trap `p` presents: the snapshot of its
+// registers and the bytes of `ranges`, the first being the call-MAC slot.
+TierTable::SiteRecord record_of(const os::Process& p, const Ranges& ranges = {},
+                                int arity = 0) {
   TierTable::SiteRecord r;
-  r.material = material(p, call).bytes();
-  r.ranges = std::move(ranges);
+  r.snapshot = TierTable::Snapshot::of(p.cpu.regs, arity);
+  for (const auto& [addr, len] : ranges) r.keep(p.mem, addr, len);
   return r;
 }
 
@@ -69,74 +76,139 @@ std::uint64_t live_refs(const os::Process& p) { return p.mem.watch_stats().live_
 TEST(AscCacheUnit, LookupRequiresByteIdenticalMaterial) {
   Lattice l;
   os::Process p = process(1);
-  EXPECT_EQ(l.table.lookup(1, 0x100, material(p, Bytes{42})), nullptr);  // cold
-  l.table.insert(p, 0x100, record_with(p, {42}));
-  EXPECT_NE(l.table.lookup(1, 0x100, material(p, Bytes{42})), nullptr);
-  // Same site, different bytes behind it: must be a miss, never a stale hit.
-  EXPECT_EQ(l.table.lookup(1, 0x100, material(p, Bytes{43})), nullptr);
+  EXPECT_EQ(l.table.lookup(at(p, 42), 0x100), nullptr);  // cold
+  l.table.insert(p, 0x100, record_of(at(p, 42)));
+  EXPECT_NE(l.table.lookup(at(p, 42), 0x100), nullptr);
+  // Same site, another operand behind it: must be a miss, never a stale hit.
+  EXPECT_EQ(l.table.lookup(at(p, 43), 0x100), nullptr);
   EXPECT_EQ(l.table.stats().cached, 1u);
-  EXPECT_EQ(l.table.stats().cache_misses, 2u);
+  // The checker counts a miss once the trap's headers proved readable.
+  EXPECT_EQ(l.table.stats().cache_misses, 0u);
   EXPECT_EQ(l.table.sites(), 1u);
 }
 
 // The hit check is an exact comparison of the verified bytes, not a hash: a
-// guest that engineers same-length material with a colliding digest (FNV-1a
-// and friends are invertible) must still miss. Any pair of distinct
-// equal-length byte strings stands in for such a collision here.
+// guest that engineers same-length bytes with a colliding digest (FNV-1a and
+// friends are invertible) must still miss. Any pair of distinct equal-length
+// byte strings stands in for such a collision here.
 TEST(AscCacheUnit, SameLengthDifferentBytesNeverHit) {
   Lattice l;
   os::Process p = process(1);
   const Bytes verified{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77};
-  l.table.insert(p, 0x100, record_with(p, verified));
-  for (std::size_t byte = 0; byte < verified.size(); ++byte) {
-    Bytes forged = verified;
-    forged[byte] ^= 0x01;
-    EXPECT_EQ(l.table.lookup(1, 0x100, material(p, forged)), nullptr)
-        << "byte " << byte << " differs but the record served a hit";
+  const std::uint32_t body = kBase + 0x40;
+  p.mem.write_bytes(body, verified);
+  l.table.insert(p, 0x100, record_of(at(p, 7), {{kBase, 16}, {body, 8}}));
+  p.mem.clear_watches();  // the forgeries below must reach the record unannounced
+  for (const auto& [addr, len] : Ranges{{kBase, 16}, {body, 8}}) {
+    for (std::uint32_t a = addr; a < addr + len; ++a) {
+      const std::uint8_t b = p.mem.r8(a);
+      p.mem.w8(a, b ^ 0x01);
+      EXPECT_EQ(l.table.lookup(p, 0x100), nullptr)
+          << "byte 0x" << std::hex << a << " differs but the record served a hit";
+      p.mem.w8(a, b);
+    }
   }
-  // Prefix/extension of the verified bytes must miss too.
-  const Bytes prefix(verified.begin(), verified.end() - 1);
-  EXPECT_EQ(l.table.lookup(1, 0x100, material(p, prefix)), nullptr);
-  Bytes extended = verified;
-  extended.push_back(0x00);
-  EXPECT_EQ(l.table.lookup(1, 0x100, material(p, extended)), nullptr);
-  EXPECT_NE(l.table.lookup(1, 0x100, material(p, verified)), nullptr);
+  EXPECT_NE(l.table.lookup(p, 0x100), nullptr);
 }
 
-// ---- the in-place material comparison ----
-// TierTable::Material describes a trap's material where it lives -- host
-// buffers for the encoded call and the call MAC, guest ranges for the string
-// bodies and the pred-set blob -- and compares a record's stored form against
-// it field by field. These cases pin the stored layout and every way a stored
-// form can differ from the live material.
+// ---- the in-place record comparison ----
+// A record keeps the registers the encoded call is built from and the bytes
+// of every range the trap's MACs cover, and compares both with the live trap
+// in place. These cases pin what the record keeps, what a hit is charged,
+// and every way a trap can differ from the one that was verified.
 
-constexpr std::uint32_t kString0 = kBase + 0x40;
-constexpr std::uint32_t kString1 = kBase + 0x80;
-constexpr std::uint32_t kPredBlob = kBase + 0xc0;
+constexpr std::uint32_t kSite = 0x00401230;
+constexpr std::uint32_t kMacSlot = kBase;
+constexpr std::uint32_t kMacCopy = kBase + 0x20;
+constexpr std::uint32_t kString0 = kBase + 0x60;
+constexpr std::uint32_t kString1 = kBase + 0xa0;
+constexpr std::uint32_t kPredBlob = kBase + 0xe0;
+constexpr std::uint32_t kState = kBase + 0x120;
+constexpr std::uint32_t kBlock = 0x77;
+constexpr std::uint32_t kHdr = policy::kAsHeaderSize;
 
-// A material with every kind of field: two string bodies and a pred-set blob
-// in `p`'s guest memory, the encoded call and the claimed MAC on the host.
-struct LiveMaterial {
-  explicit LiveMaterial(os::Process& p) : proc(p) {
-    p.mem.write_bytes(kString0, strings[0]);
-    p.mem.write_bytes(kString1, strings[1]);
-    p.mem.write_bytes(kPredBlob, pred);
+// A genuine trap with every kind of range: two authenticated-string
+// arguments, one constrained argument (the descriptor, not the syscall,
+// decides which arguments enter the encoded call), and a control-flow
+// descriptor with a pred set, its call MAC signed under `key`. The checker
+// verifies it and keeps the ranges record() keeps.
+struct LiveTrap {
+  LiveTrap(os::Process& p, const crypto::MacKey& key, bool control_flow = true) : proc(p) {
+    policy::Descriptor des;
+    des.set_site();
+    des.set_arg_authenticated_string(0);
+    des.set_arg_authenticated_string(1);
+    des.set_arg_constrained(2);
+    if (control_flow) des.set_control_flow();
+    const std::array<std::uint32_t, 2> bodies{kString0, kString1};
+    policy::EncodedPolicyInputs in;
+    in.sysno = apps::sysno(kPers, os::SysId::Open);
+    in.descriptor = des;
+    in.call_site = kSite;
+    in.block_id = kBlock;
+    in.arity = sig().arity;
+    for (std::size_t i = 0; i < 2; ++i) {
+      in.as_args[i] = put_string(key, bodies[i], strings[i]);
+      p.cpu.regs[1 + i] = bodies[i];
+    }
+    in.const_values[2] = 0x41;
+    p.cpu.regs[3] = 0x41;
+    if (control_flow) {
+      in.pred_set = put_string(key, kPredBlob, pred);
+      in.lb_ptr = kState;
+      p.mem.w32(kState, policy::kStartBlockLocal);
+      p.mem.write_bytes(kState + 4, key.mac(policy::encode_policy_state(
+                                        policy::kStartBlockLocal, p.asc_counter)));
+    }
+    encoded = policy::encode_policy(in);
+    const crypto::Mac mac = key.mac(encoded);
+    p.mem.write_bytes(kMacSlot, mac);
+    p.mem.write_bytes(kMacCopy, mac);
+    auto& regs = p.cpu.regs;
+    regs[0] = in.sysno;
+    regs[isa::kRegPolicyDescriptor] = des.bits();
+    regs[isa::kRegBlockId] = kBlock;
+    regs[isa::kRegPredSet] = kPredBlob;
+    regs[isa::kRegStatePtr] = kState;
+    regs[isa::kRegCallMac] = kMacSlot;
+    regs[4] = 0x1234;  // unconstrained: in no encoded call
   }
-  TierTable::Material describe(bool control_flow = true) const {
-    TierTable::Material m(proc.mem, call, mac);
-    m.add_string(kString0, static_cast<std::uint32_t>(strings[0].size()));
-    m.add_string(kString1, static_cast<std::uint32_t>(strings[1].size()));
-    if (control_flow) m.set_pred_set(kPredBlob, static_cast<std::uint32_t>(pred.size()));
-    return m;
+  static const os::SyscallSig& sig() { return os::signature(os::SysId::Open); }
+  // Write `body` at `addr` behind its {len, MAC} header.
+  policy::AsRef put_string(const crypto::MacKey& key, std::uint32_t addr, const Bytes& body) {
+    const policy::AsRef as{addr, static_cast<std::uint32_t>(body.size()), key.mac(body)};
+    proc.mem.w32(addr - kHdr, as.len);
+    proc.mem.write_bytes(addr - kHdr + 4, as.mac);
+    proc.mem.write_bytes(addr, body);
+    return as;
+  }
+  // The ranges a record of this trap watches, in the record's order.
+  Ranges ranges() const {
+    Ranges r{{kMacSlot, 16},
+             {kString0 - kHdr, kHdr + static_cast<std::uint32_t>(strings[0].size())},
+             {kString1 - kHdr, kHdr + static_cast<std::uint32_t>(strings[1].size())}};
+    if (control_flow()) {
+      r.emplace_back(kPredBlob - kHdr, kHdr + static_cast<std::uint32_t>(pred.size()));
+    }
+    return r;
+  }
+  bool control_flow() const {
+    return policy::Descriptor(proc.cpu.regs[isa::kRegPolicyDescriptor]).control_flow_constrained();
+  }
+  TierTable::SiteRecord record() const { return record_of(proc, ranges(), sig().arity); }
+  os::CheckResult check(TierTable& t, const crypto::MacKey& key, const os::CostModel& cost) {
+    return os::check_authenticated_call(proc, kSite, static_cast<std::uint16_t>(proc.cpu.regs[0]),
+                                        os::SysId::Open, sig(), key, cost, false, t,
+                                        t.find_pid(proc.pid));
   }
   os::Process& proc;
-  Bytes call{0x05, 0x00, 0x0b, 0x01, 0x00, 0x00, 0x04, 0x80};
-  crypto::Mac mac{0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe, 1, 2, 3, 4, 5, 6, 7, 8};
   std::array<Bytes, 2> strings{Bytes{'/', 'e', 't', 'c'}, Bytes{'x', 'y'}};
-  Bytes pred{1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0};
+  Bytes pred = policy::encode_pred_set({policy::kStartBlockLocal, kBlock}, {});
+  Bytes encoded;
 };
 
-// The documented stored form, built independently of the production writer.
+// The MAC inputs a hit skips, each length-prefixed, built independently: the
+// modeled compare length a hit is charged on is this string's length.
 Bytes join_fields(const std::vector<Bytes>& fields) {
   Bytes out;
   for (const Bytes& f : fields) {
@@ -146,139 +218,190 @@ Bytes join_fields(const std::vector<Bytes>& fields) {
   return out;
 }
 
-std::vector<Bytes> split_fields(const Bytes& stored) {
-  std::vector<Bytes> fields;
-  for (std::size_t off = 0; off < stored.size();) {
-    const std::uint32_t len = util::get_u32(stored, off);
-    const auto body = stored.begin() + static_cast<std::ptrdiff_t>(off + 4);
-    fields.emplace_back(body, body + len);
-    off += 4 + len;
-  }
-  return fields;
-}
-
+// The checker's record keeps the watched ranges in order -- call MAC, each AS
+// header and body, the pred-set header and body -- and their bytes, and a hit
+// is charged on the length of the skipped MAC inputs, each length-prefixed
+// (without control flow the pred-set field is a bare zero prefix).
 TEST(AscCacheUnit, MaterialStoredFormIsTheLengthPrefixedLayout) {
+  Lattice l;
   os::Process p = process(1);
-  const LiveMaterial live(p);
-  const Bytes mac(live.mac.begin(), live.mac.end());
-  const Bytes with_cf = join_fields({live.call, mac, live.strings[0], live.strings[1], live.pred});
-  const TierTable::Material m = live.describe();
-  EXPECT_EQ(m.bytes(), with_cf);
-  EXPECT_EQ(m.size(), with_cf.size());
-  EXPECT_TRUE(m.matches(with_cf));
+  LiveTrap live(p, *l.key);
+  const os::CheckResult first = live.check(l.table, *l.key, l.cost);
+  ASSERT_EQ(first.violation, os::Violation::None) << first.detail;
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_EQ(l.table.stats().cache_misses, 1u);
+
+  const TierTable::SiteRecord* rec = l.table.lookup(p, kSite);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->ranges, live.ranges());
+  Bytes kept;
+  for (const auto& [addr, len] : live.ranges()) {
+    const Bytes range = p.mem.read_bytes(addr, len);
+    kept.insert(kept.end(), range.begin(), range.end());
+  }
+  EXPECT_EQ(rec->bytes, kept);
+  EXPECT_EQ(rec->snapshot.value, live.record().snapshot.value);
+  EXPECT_EQ(rec->snapshot.mask, live.record().snapshot.mask);
+  EXPECT_EQ(rec->snapshot.mac_ptr, kMacSlot);
+  const Bytes mac = p.mem.read_bytes(kMacSlot, 16);
+  const Bytes stored =
+      join_fields({live.encoded, mac, live.strings[0], live.strings[1], live.pred});
+  EXPECT_EQ(rec->material_len, stored.size());
+  EXPECT_EQ(rec->as_args, 2u);
+
+  const os::CheckResult hit = live.check(l.table, *l.key, l.cost);
+  ASSERT_EQ(hit.violation, os::Violation::None) << hit.detail;
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_TRUE(hit.shadow_hit);
+  EXPECT_EQ(hit.cycles, l.cost.cache_hit_cost(stored.size()) + 2 * l.cost.check_per_as_arg +
+                            l.cost.shadow_hit_cost());
   // No control flow: the pred-set field stays, empty -- a bare zero prefix.
-  const Bytes without_cf = join_fields({live.call, mac, live.strings[0], live.strings[1], {}});
-  EXPECT_EQ(live.describe(false).bytes(), without_cf);
-  EXPECT_TRUE(live.describe(false).matches(without_cf));
+  os::Process q = process(2);
+  LiveTrap flat(q, *l.key, /*control_flow=*/false);
+  ASSERT_EQ(flat.check(l.table, *l.key, l.cost).violation, os::Violation::None);
+  const TierTable::SiteRecord* flat_rec = l.table.lookup(q, kSite);
+  ASSERT_NE(flat_rec, nullptr);
+  EXPECT_EQ(flat_rec->ranges, flat.ranges());
+  EXPECT_EQ(flat_rec->material_len,
+            join_fields({flat.encoded, mac, flat.strings[0], flat.strings[1], {}}).size());
 }
 
 TEST(AscCacheUnit, MaterialRejectsAnyFlippedByteOfAnyField) {
   os::Process p = process(1);
-  LiveMaterial live(p);
-  const Bytes stored = live.describe().bytes();
-  // The stored side: every prefix and body byte.
-  for (std::size_t i = 0; i < stored.size(); ++i) {
-    Bytes forged = stored;
-    forged[i] ^= 0x01;
-    EXPECT_FALSE(live.describe().matches(forged)) << "stored byte " << i;
-  }
-  // The live side: every guest byte behind a string or the pred-set blob...
-  const Ranges guest = {{kString0, static_cast<std::uint32_t>(live.strings[0].size())},
-                        {kString1, static_cast<std::uint32_t>(live.strings[1].size())},
-                        {kPredBlob, static_cast<std::uint32_t>(live.pred.size())}};
-  for (const auto& [addr, len] : guest) {
+  const crypto::MacKey key(test_key());
+  LiveTrap live(p, key);
+  const TierTable::SiteRecord rec = live.record();
+  ASSERT_TRUE(rec.matches(p.cpu.regs, p.mem));
+  // Every guest byte of every kept range: call MAC, AS headers and bodies,
+  // pred-set header and body.
+  for (const auto& [addr, len] : live.ranges()) {
     for (std::uint32_t a = addr; a < addr + len; ++a) {
       const std::uint8_t b = p.mem.r8(a);
       p.mem.w8(a, b ^ 0x01);
-      EXPECT_FALSE(live.describe().matches(stored)) << "guest byte 0x" << std::hex << a;
+      EXPECT_FALSE(rec.matches(p.cpu.regs, p.mem)) << "guest byte 0x" << std::hex << a;
       p.mem.w8(a, b);
     }
   }
-  // ...and every host byte of the encoded call and the claimed MAC.
-  for (std::size_t i = 0; i < live.call.size(); ++i) {
-    live.call[i] ^= 0x01;
-    EXPECT_FALSE(live.describe().matches(stored)) << "encoded-call byte " << i;
-    live.call[i] ^= 0x01;
+  // Every bit of every register the encoded call is built from: the
+  // trapping number, both string pointers, the constrained argument, the
+  // descriptor, the block id, the pred-set and state pointers.
+  using RegList = std::initializer_list<std::size_t>;
+  for (const std::size_t r : RegList{0, 1, 2, 3, isa::kRegPolicyDescriptor, isa::kRegBlockId,
+                                  isa::kRegPredSet, isa::kRegStatePtr}) {
+    const int bits = r == 0 ? 16 : 32;
+    for (int bit = 0; bit < bits; ++bit) {
+      p.cpu.regs[r] ^= 1u << bit;
+      EXPECT_FALSE(rec.matches(p.cpu.regs, p.mem)) << "r" << r << " bit " << bit;
+      p.cpu.regs[r] ^= 1u << bit;
+    }
   }
-  for (std::size_t i = 0; i < live.mac.size(); ++i) {
-    live.mac[i] ^= 0x01;
-    EXPECT_FALSE(live.describe().matches(stored)) << "call-MAC byte " << i;
-    live.mac[i] ^= 0x01;
+  // What no encoded call holds never decides a hit: r0's high half, an
+  // unconstrained argument, the registers past the state pointer.
+  for (const std::size_t r : RegList{4, 5, isa::kRegHintPtr}) {
+    p.cpu.regs[r] ^= 0xffffffffu;
+    EXPECT_TRUE(rec.matches(p.cpu.regs, p.mem)) << "r" << r;
+    p.cpu.regs[r] ^= 0xffffffffu;
   }
-  EXPECT_TRUE(live.describe().matches(stored));
+  p.cpu.regs[0] ^= 0xffff0000u;
+  EXPECT_TRUE(rec.matches(p.cpu.regs, p.mem)) << "r0 high half";
+  p.cpu.regs[0] ^= 0xffff0000u;
+  // The call MAC is compared where the trap points: an identical copy hits,
+  // a copy one bit off misses.
+  p.cpu.regs[isa::kRegCallMac] = kMacCopy;
+  EXPECT_TRUE(rec.matches(p.cpu.regs, p.mem));
+  p.mem.w8(kMacCopy + 15, p.mem.r8(kMacCopy + 15) ^ 0x80);
+  EXPECT_FALSE(rec.matches(p.cpu.regs, p.mem));
+  p.cpu.regs[isa::kRegCallMac] = kMacSlot;
+  EXPECT_TRUE(rec.matches(p.cpu.regs, p.mem));
 }
 
-// Same total length, same concatenated bytes, one field boundary moved:
-// only the length prefixes tell the two apart, and they must.
+// Bytes cannot migrate between fields: a string header whose length moved
+// the boundary between body and the bytes behind it, or two string pointers
+// swapped, present another trap.
 TEST(AscCacheUnit, MaterialRejectsALengthPrefixMovedBetweenFields) {
   os::Process p = process(1);
-  const LiveMaterial live(p);
-  const Bytes stored = live.describe().bytes();
-  const std::vector<Bytes> fields = split_fields(stored);
-  ASSERT_EQ(fields.size(), 5u);
+  const crypto::MacKey key(test_key());
+  LiveTrap live(p, key);
+  const TierTable::SiteRecord rec = live.record();
   int forgeries = 0;
-  for (std::size_t k = 0; k + 1 < fields.size(); ++k) {
-    if (!fields[k + 1].empty()) {  // first byte of field k+1 joins field k
-      std::vector<Bytes> moved = fields;
-      moved[k].push_back(moved[k + 1].front());
-      moved[k + 1].erase(moved[k + 1].begin());
-      const Bytes forged = join_fields(moved);
-      ASSERT_EQ(forged.size(), stored.size());
-      EXPECT_FALSE(live.describe().matches(forged)) << "boundary " << k << " moved right";
+  for (const std::uint32_t body : {kString0, kString1, kPredBlob}) {
+    const std::uint32_t len = p.mem.r32(body - kHdr);
+    for (const std::uint32_t moved : {len - 1, len + 1}) {
+      p.mem.w32(body - kHdr, moved);
+      EXPECT_FALSE(rec.matches(p.cpu.regs, p.mem)) << "body 0x" << std::hex << body;
       ++forgeries;
     }
-    if (!fields[k].empty()) {  // last byte of field k joins field k+1
-      std::vector<Bytes> moved = fields;
-      moved[k + 1].insert(moved[k + 1].begin(), moved[k].back());
-      moved[k].pop_back();
-      EXPECT_FALSE(live.describe().matches(join_fields(moved)))
-          << "boundary " << k << " moved left";
-      ++forgeries;
-    }
+    p.mem.w32(body - kHdr, len);
   }
-  EXPECT_EQ(forgeries, 8);
+  std::swap(p.cpu.regs[1], p.cpu.regs[2]);
+  EXPECT_FALSE(rec.matches(p.cpu.regs, p.mem)) << "strings swapped";
+  std::swap(p.cpu.regs[1], p.cpu.regs[2]);
+  EXPECT_EQ(forgeries, 6);
+  EXPECT_TRUE(rec.matches(p.cpu.regs, p.mem));
 }
 
+// A string truncated or extended in place (its header length shortened or
+// grown, the body bytes kept) misses, and so does a call-MAC pointer whose
+// 16 bytes run off the end of the address space -- without faulting.
 TEST(AscCacheUnit, MaterialRejectsATruncatedOrExtendedRecord) {
   os::Process p = process(1);
-  const LiveMaterial live(p);
-  const Bytes stored = live.describe().bytes();
-  for (std::size_t cut = 0; cut < stored.size(); ++cut) {
-    const Bytes truncated(stored.begin(), stored.begin() + static_cast<std::ptrdiff_t>(cut));
-    EXPECT_FALSE(live.describe().matches(truncated)) << "cut at " << cut;
+  const crypto::MacKey key(test_key());
+  LiveTrap live(p, key);
+  const TierTable::SiteRecord rec = live.record();
+  const std::uint32_t len = p.mem.r32(kPredBlob - kHdr);
+  for (std::uint32_t cut = 0; cut < len; ++cut) {
+    p.mem.w32(kPredBlob - kHdr, cut);
+    EXPECT_FALSE(rec.matches(p.cpu.regs, p.mem)) << "pred set cut to " << cut;
   }
-  Bytes extended = stored;
-  extended.push_back(0x00);
-  EXPECT_FALSE(live.describe().matches(extended));
-  // A trailing extra empty field: well formed, one field too many.
-  Bytes extra_field = stored;
-  extra_field.insert(extra_field.end(), 4, 0x00);
-  EXPECT_FALSE(live.describe().matches(extra_field));
+  p.mem.w32(kPredBlob - kHdr, len + 4);
+  EXPECT_FALSE(rec.matches(p.cpu.regs, p.mem)) << "pred set extended";
+  p.mem.w32(kPredBlob - kHdr, len);
+  for (const std::uint32_t off : {16u, 15u, 1u}) {
+    p.cpu.regs[isa::kRegCallMac] = binary::kAddressSpaceEnd - off;
+    EXPECT_FALSE(rec.matches(p.cpu.regs, p.mem)) << "MAC slot " << off << " bytes from the end";
+  }
+  p.cpu.regs[isa::kRegCallMac] = 0;  // below the address space
+  EXPECT_FALSE(rec.matches(p.cpu.regs, p.mem));
+  p.cpu.regs[isa::kRegCallMac] = kMacSlot;
+  EXPECT_TRUE(rec.matches(p.cpu.regs, p.mem));
 }
 
+// A descriptor without control flow puts neither the pred-set nor the state
+// pointer in the encoded call, so its record ignores both; and neither
+// descriptor's record serves the other.
 TEST(AscCacheUnit, MaterialWithoutControlFlowRequiresTheZeroPrefix) {
   os::Process p = process(1);
-  const LiveMaterial live(p);
-  const Bytes stored = live.describe(false).bytes();
-  ASSERT_GE(stored.size(), 4u);
-  EXPECT_EQ(Bytes(stored.end() - 4, stored.end()), Bytes(4, 0x00));
-  EXPECT_TRUE(live.describe(false).matches(stored));
-  const Bytes missing(stored.begin(), stored.end() - 4);
-  EXPECT_FALSE(live.describe(false).matches(missing));
-  // Neither form serves the other descriptor.
-  EXPECT_FALSE(live.describe(true).matches(stored));
-  EXPECT_FALSE(live.describe(false).matches(live.describe(true).bytes()));
+  const crypto::MacKey key(test_key());
+  LiveTrap flat(p, key, /*control_flow=*/false);
+  const TierTable::SiteRecord rec = flat.record();
+  EXPECT_EQ(rec.ranges.size(), 3u) << "no pred-set range";
+  EXPECT_EQ(rec.snapshot.mask[isa::kRegPredSet], 0u);
+  EXPECT_EQ(rec.snapshot.mask[isa::kRegStatePtr], 0u);
+  p.cpu.regs[isa::kRegPredSet] ^= 0x10;
+  p.cpu.regs[isa::kRegStatePtr] ^= 0x10;
+  EXPECT_TRUE(rec.matches(p.cpu.regs, p.mem));
+  p.cpu.regs[isa::kRegPredSet] ^= 0x10;
+  p.cpu.regs[isa::kRegStatePtr] ^= 0x10;
+
+  os::Process q = process(2);
+  LiveTrap cf(q, key);
+  const TierTable::SiteRecord cf_rec = cf.record();
+  // Each trap under the other's descriptor bits.
+  p.cpu.regs[isa::kRegPolicyDescriptor] = q.cpu.regs[isa::kRegPolicyDescriptor];
+  EXPECT_FALSE(rec.matches(p.cpu.regs, p.mem));
+  q.cpu.regs[isa::kRegPolicyDescriptor] ^= 2u;  // control flow off
+  EXPECT_FALSE(cf_rec.matches(q.cpu.regs, q.mem));
 }
 
 TEST(AscCacheUnit, EntriesArePidIsolated) {
   Lattice l;
   os::Process a = process(1);
   os::Process b = process(2);
-  l.table.insert(a, 0x100, record_with(a, {42}, {{kBase, 16}}));
-  // Identical site and identical material -- but a different process.
-  // Serving A's verification to B would let B ride on A's policy.
-  EXPECT_EQ(l.table.lookup(2, 0x100, material(b, Bytes{42})), nullptr);
-  EXPECT_NE(l.table.lookup(1, 0x100, material(a, Bytes{42})), nullptr);
+  l.table.insert(a, 0x100, record_of(at(a, 42), {{kBase, 16}}));
+  // Identical site and identical trap -- but a different process. Serving
+  // A's verification to B would let B ride on A's policy.
+  EXPECT_EQ(l.table.lookup(at(b, 42), 0x100), nullptr);
+  EXPECT_NE(l.table.lookup(at(a, 42), 0x100), nullptr);
   EXPECT_EQ(l.table.sites(1), 1u);
   EXPECT_EQ(l.table.sites(2), 0u);
   // The record watches A's address space only.
@@ -290,17 +413,17 @@ TEST(AscCacheUnit, InvalidateWriteEvictsOnlyOverlappingEntries) {
   Lattice l;
   os::Process a = process(1);
   os::Process b = process(2);
-  l.table.insert(a, 0x100, record_with(a, {1}, {{kBase, 16}}));
-  l.table.insert(a, 0x200, record_with(a, {2}, {{kBase + 0x100, 16}}));
-  l.table.insert(b, 0x200, record_with(b, {3}, {{kBase + 0x100, 16}}));
+  l.table.insert(a, 0x100, record_of(at(a, 1), {{kBase, 16}}));
+  l.table.insert(a, 0x200, record_of(at(a, 2, kBase + 0x100), {{kBase + 0x100, 16}}));
+  l.table.insert(b, 0x200, record_of(at(b, 3, kBase + 0x100), {{kBase + 0x100, 16}}));
   a.mem.w32(kBase + 8, 0);  // inside the first record's range only
-  EXPECT_EQ(l.table.lookup(1, 0x100, material(a, Bytes{1})), nullptr);
-  EXPECT_NE(l.table.lookup(1, 0x200, material(a, Bytes{2})), nullptr);
+  EXPECT_EQ(l.table.lookup(at(a, 1), 0x100), nullptr);
+  EXPECT_NE(l.table.lookup(at(a, 2, kBase + 0x100), 0x200), nullptr);
   // The same address written in another pid's address space touches
   // nothing of pid 1.
   b.mem.w8(kBase + 0x100, 0);
-  EXPECT_NE(l.table.lookup(1, 0x200, material(a, Bytes{2})), nullptr);
-  EXPECT_EQ(l.table.lookup(2, 0x200, material(b, Bytes{3})), nullptr);
+  EXPECT_NE(l.table.lookup(at(a, 2, kBase + 0x100), 0x200), nullptr);
+  EXPECT_EQ(l.table.lookup(at(b, 3, kBase + 0x100), 0x200), nullptr);
   EXPECT_EQ(l.table.sites(), 1u);
 }
 
@@ -308,9 +431,9 @@ TEST(AscCacheUnit, EvictPidAndClear) {
   Lattice l;
   os::Process a = process(1);
   os::Process b = process(2);
-  l.table.insert(a, 0x100, record_with(a, {1}, {{kBase, 16}}));
-  l.table.insert(a, 0x200, record_with(a, {2}, {{kBase + 0x20, 16}}));
-  l.table.insert(b, 0x100, record_with(b, {3}, {{kBase, 16}}));
+  l.table.insert(a, 0x100, record_of(at(a, 1), {{kBase, 16}}));
+  l.table.insert(a, 0x200, record_of(at(a, 2, kBase + 0x20), {{kBase + 0x20, 16}}));
+  l.table.insert(b, 0x100, record_of(at(b, 3), {{kBase, 16}}));
   l.table.end_process(1);
   EXPECT_EQ(l.table.sites(), 1u);
   EXPECT_EQ(l.table.sites(2), 1u);
@@ -328,14 +451,14 @@ TEST(AscCacheUnit, EveryEvictionPathUnwatchesItsRanges) {
   os::Process p = process(1);
 
   // insert registers each range once; a guest-write drop unregisters.
-  l.table.insert(p, 0x100, record_with(p, {1}, {{kBase, 16}, {kBase + 0x100, 32}}));
+  l.table.insert(p, 0x100, record_of(at(p, 1), {{kBase, 16}, {kBase + 0x100, 32}}));
   EXPECT_EQ(live_refs(p), 2u);
   p.mem.w8(kBase, 0);
   EXPECT_EQ(live_refs(p), 0u);
 
   // Replacement on insert unregisters the stale record's ranges.
-  l.table.insert(p, 0x100, record_with(p, {1}, {{kBase, 16}}));
-  l.table.insert(p, 0x100, record_with(p, {2}, {{kBase + 0x200, 16}}));
+  l.table.insert(p, 0x100, record_of(at(p, 1), {{kBase, 16}}));
+  l.table.insert(p, 0x100, record_of(at(p, 2, kBase + 0x200), {{kBase + 0x200, 16}}));
   EXPECT_EQ(live_refs(p), 1u);
   p.mem.w8(kBase, 0);  // the stale range no longer guards anything
   EXPECT_EQ(l.table.sites(), 1u);
@@ -345,19 +468,19 @@ TEST(AscCacheUnit, EveryEvictionPathUnwatchesItsRanges) {
   EXPECT_EQ(live_refs(p), 0u);
 
   // Health eviction and the fast-path flush unregister the pid's ranges.
-  l.table.insert(p, 0x100, record_with(p, {1}, {{kBase, 16}}));
+  l.table.insert(p, 0x100, record_of(at(p, 1), {{kBase, 16}}));
   l.table.evict_pid(1);
   EXPECT_EQ(live_refs(p), 0u);
-  l.table.insert(p, 0x100, record_with(p, {1}, {{kBase, 16}}));
+  l.table.insert(p, 0x100, record_of(at(p, 1), {{kBase, 16}}));
   l.table.flush_pid(1, os::DemotionCause::Disabled);
   EXPECT_EQ(live_refs(p), 0u);
 
   // Capacity eviction unregisters the victim's ranges.
   Lattice tiny(2);
   os::Process q = process(1);
-  tiny.table.insert(q, 0x100, record_with(q, {1}, {{kBase, 16}}));
-  tiny.table.insert(q, 0x200, record_with(q, {2}, {{kBase + 0x100, 16}}));
-  tiny.table.insert(q, 0x300, record_with(q, {3}, {{kBase + 0x200, 16}}));
+  tiny.table.insert(q, 0x100, record_of(at(q, 1), {{kBase, 16}}));
+  tiny.table.insert(q, 0x200, record_of(at(q, 2, kBase + 0x100), {{kBase + 0x100, 16}}));
+  tiny.table.insert(q, 0x300, record_of(at(q, 3, kBase + 0x200), {{kBase + 0x200, 16}}));
   EXPECT_EQ(tiny.table.sites(), 2u);
   EXPECT_EQ(live_refs(q), 2u);
 
@@ -377,22 +500,20 @@ TEST(AscCacheUnit, CapacityEvictionPrefersColdEntriesOverLowKeys) {
   os::Process a = process(1);
   os::Process b = process(2);
   for (std::uint32_t site = 1; site <= 4; ++site) {
-    l.table.insert(a, site, record_with(a, {static_cast<std::uint8_t>(site)}));
+    l.table.insert(a, site, record_of(at(a, site)));
   }
   // Heat up the three lowest keys; site 4 stays cold.
   for (int round = 0; round < 3; ++round) {
     for (std::uint32_t site = 1; site <= 3; ++site) {
-      const Bytes call{static_cast<std::uint8_t>(site)};
-      EXPECT_NE(l.table.lookup(1, site, material(a, call)), nullptr);
+      EXPECT_NE(l.table.lookup(at(a, site), site), nullptr);
     }
   }
-  l.table.insert(b, 0x500, record_with(b, {5}));
+  l.table.insert(b, 0x500, record_of(at(b, 5)));
   EXPECT_EQ(l.table.sites(), 4u);
   // The cold record went; the hot low-key records survived.
-  EXPECT_EQ(l.table.lookup(1, 4, material(a, Bytes{4})), nullptr);
+  EXPECT_EQ(l.table.lookup(at(a, 4), 4), nullptr);
   for (std::uint32_t site = 1; site <= 3; ++site) {
-    const Bytes call{static_cast<std::uint8_t>(site)};
-    EXPECT_NE(l.table.lookup(1, site, material(a, call)), nullptr)
+    EXPECT_NE(l.table.lookup(at(a, site), site), nullptr)
         << "hot site " << site << " was victimized while a cold record existed";
   }
 }
@@ -542,7 +663,7 @@ TEST(AscCacheRun, GuestWriteIntoCachedRangeEvicts) {
 TEST(AscCacheRun, KeyRotationClearsTheCache) {
   System sys(kPers);
   os::Process p = process(1);
-  sys.kernel().tier_table().insert(p, 0x100, record_with(p, {42}, {{kBase, 16}}));
+  sys.kernel().tier_table().insert(p, 0x100, record_of(at(p, 42), {{kBase, 16}}));
   ASSERT_EQ(sys.kernel().tier_table().sites(), 1u);
   sys.kernel().set_key(test_key());  // rotation: old verifications are void
   EXPECT_EQ(sys.kernel().tier_table().sites(), 0u);
@@ -566,14 +687,16 @@ TEST(AscCacheRun, ProcessTeardownEvictsItsEntries) {
 
 // ---- tamper behind the watches: the in-place compare is the last line ----
 // The write watches drop a record before any guest write lands in its bytes.
-// Here a PreTrap hook clears every watch first, so a flipped byte reaches a
-// live record unannounced: only the probe's byte comparison stands between
-// the flip and a stale hit. The flip must turn the trap into a miss, and the
-// full verification behind it must fail-stop with the field's violation.
+// Here a PreTrap hook strikes where no watch fires: it clears every watch
+// before flipping a guest byte, or flips a register, which nothing watches.
+// Only the record compare stands between the strike and a stale hit. The
+// strike must turn the trap into a miss, and the full verification behind
+// it must fail-stop with the verdict an Eager-only run gives the same strike.
 
 /// `iters` rounds of open(kOpenPath, O_RDONLY) + close(fd). The open site's
-/// policy constrains its path to a constant, so its record carries an
-/// authenticated-string argument as well as the pred set.
+/// policy constrains its path to a constant and its flags to O_RDONLY, so
+/// its record carries an authenticated-string argument, a constrained
+/// argument and the pred set.
 binary::Image build_open_loop(std::uint32_t iters) {
   using namespace asc::apps;
   tasm::Assembler a("openloop");
@@ -604,7 +727,16 @@ binary::Image build_open_loop(std::uint32_t iters) {
   return a.link();
 }
 
-enum class Flip { CallMac, StringBody, PredSetBody };
+enum class Flip {
+  CallMac,
+  StringBody,
+  PredSetBody,  // guest bytes, behind cleared watches
+  Descriptor,
+  BlockId,
+  ConstArg,
+  PredPtr,
+  StatePtr,  // registers
+};
 
 struct FlipCase {
   const char* name;
@@ -618,55 +750,101 @@ void PrintTo(const FlipCase& fc, std::ostream* os) {
   *os << fc.name;
 }
 
-/// The guest address of the byte `f` flips: the first byte of the call-MAC
-/// slot, of the path string's body, or of the pred-set blob.
+/// The guest address of the byte a memory strike flips -- the first byte of
+/// the call-MAC slot, of the path string's body, or of the pred-set blob --
+/// or the register a register strike flips.
 std::uint32_t flip_address(const os::Process& p, Flip f) {
   switch (f) {
     case Flip::CallMac: return p.cpu.regs[isa::kRegCallMac];
     case Flip::StringBody: return p.cpu.regs[1];
     case Flip::PredSetBody: return p.cpu.regs[isa::kRegPredSet];
+    default: return 0;
   }
-  return 0;
+}
+
+bool flip_address_is_memory(Flip f) {
+  return f == Flip::CallMac || f == Flip::StringBody || f == Flip::PredSetBody;
+}
+
+std::size_t flip_register(Flip f) {
+  switch (f) {
+    case Flip::Descriptor: return isa::kRegPolicyDescriptor;
+    case Flip::BlockId: return isa::kRegBlockId;
+    case Flip::ConstArg: return 2;  // open's flags
+    case Flip::PredPtr: return isa::kRegPredSet;
+    case Flip::StatePtr: return isa::kRegStatePtr;
+    default: return 0;
+  }
+}
+
+struct Struck {
+  vm::RunResult result;
+  os::TierStats before;  // at the struck trap's PreTrap
+  os::TierStats after;
+  os::Tier tier_at_flip = os::Tier::Eager;
+  bool flipped = false;
+  bool operands_constrained = false;
+  std::vector<os::VerdictRecord> audit;
+};
+
+/// The open loop with `f` struck at the 4th open; `eager` turns the cache
+/// and the shadow off.
+Struck strike_open(Flip f, bool eager) {
+  constexpr int kFlipAtOpen = 4;
+  System sys(kPers);
+  if (eager) {
+    sys.kernel().set_verified_call_cache(false);
+    sys.kernel().set_policy_shadow(false);
+  }
+  testing::prepare_fs(sys.kernel().fs());
+  const auto inst = sys.install(build_open_loop(8));
+  const std::uint16_t open_no = apps::sysno(kPers, os::SysId::Open);
+
+  Struck st;
+  int opens = 0;
+  testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t site) {
+    auto& regs = p.cpu.regs;
+    if (regs[0] != open_no || ++opens != kFlipAtOpen) return;
+    const policy::Descriptor des(regs[isa::kRegPolicyDescriptor]);
+    st.operands_constrained = des.arg_is_authenticated_string(0) && des.arg_constrained(1) &&
+                              des.control_flow_constrained();
+    st.tier_at_flip = sys.kernel().tier_table().tier(p.pid, site);
+    st.before = sys.kernel().tier_stats();
+    if (flip_address_is_memory(f)) {
+      const std::uint32_t addr = flip_address(p, f);
+      p.mem.clear_watches();  // the flip below fires no watch: the record stays live
+      p.mem.w8(addr, static_cast<std::uint8_t>(p.mem.r8(addr) ^ 0x01));
+    } else {
+      regs[flip_register(f)] ^= 0x4;
+    }
+    st.flipped = true;
+  });
+  st.result = sys.machine().run(inst.image);
+  st.after = sys.kernel().tier_stats();
+  st.audit = sys.kernel().audit_log();
+  return st;
 }
 
 class AscCacheFlip : public ::testing::TestWithParam<FlipCase> {};
 
 TEST_P(AscCacheFlip, UnwatchedFlipMissesAndFailStops) {
   const FlipCase& fc = GetParam();
-  constexpr int kFlipAtOpen = 4;
-  System sys(kPers);
-  testing::prepare_fs(sys.kernel().fs());
-  const auto inst = sys.install(build_open_loop(8));
   const std::uint16_t open_no = apps::sysno(kPers, os::SysId::Open);
+  const Struck st = strike_open(fc.target, /*eager=*/false);
 
-  int opens = 0;
-  bool flipped = false;
-  bool string_arg = false;
-  os::Tier tier_at_flip = os::Tier::Eager;
-  std::uint64_t misses_before = 0;
-  testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t site) {
-    const auto& regs = p.cpu.regs;
-    if (regs[0] != open_no || ++opens != kFlipAtOpen) return;
-    const policy::Descriptor des(regs[isa::kRegPolicyDescriptor]);
-    string_arg = des.arg_is_authenticated_string(0);
-    tier_at_flip = sys.kernel().tier_table().tier(p.pid, site);
-    misses_before = sys.kernel().tier_stats().cache_misses;
-    const std::uint32_t addr = flip_address(p, fc.target);
-    p.mem.clear_watches();  // the flip below fires no watch: the record stays live
-    p.mem.w8(addr, static_cast<std::uint8_t>(p.mem.r8(addr) ^ 0x01));
-    flipped = true;
-  });
-  const auto r = sys.machine().run(inst.image);
-
-  ASSERT_TRUE(flipped) << "the loop never reached open #" << kFlipAtOpen;
-  ASSERT_TRUE(string_arg) << "the open site carries no authenticated-string argument";
-  EXPECT_EQ(tier_at_flip, os::Tier::Shadowed) << "the flip must strike a live record";
-  EXPECT_EQ(sys.kernel().tier_stats().cache_misses, misses_before + 1)
-      << "the flipped material must miss exactly once";
-  EXPECT_FALSE(r.completed);
-  EXPECT_EQ(r.violation, fc.expected) << r.violation_detail;
+  ASSERT_TRUE(st.flipped) << "the loop never reached the struck open";
+  ASSERT_TRUE(st.operands_constrained)
+      << "the open site's policy lacks a string argument, constrained flags or a pred set";
+  EXPECT_EQ(st.tier_at_flip, os::Tier::Shadowed) << "the flip must strike a live record";
+  EXPECT_EQ(st.after.cached, st.before.cached) << "the struck trap was served a hit";
+  if (flip_address_is_memory(fc.target)) {
+    EXPECT_EQ(st.after.cache_misses, st.before.cache_misses + 1)
+        << "the flipped bytes must miss exactly once";
+  }
+  EXPECT_FALSE(st.result.completed);
+  EXPECT_EQ(st.result.violation, fc.expected) << st.result.violation_detail;
   int alerts = 0;
-  for (const auto& rec : sys.kernel().audit_log()) {
+  for (const auto& rec : st.audit) {
     if (rec.kind != os::AuditKind::Violation) continue;
     ++alerts;
     EXPECT_EQ(rec.violation, fc.expected);
@@ -674,13 +852,24 @@ TEST_P(AscCacheFlip, UnwatchedFlipMissesAndFailStops) {
     EXPECT_EQ(rec.sysno, open_no);
   }
   EXPECT_EQ(alerts, 1);
+
+  // The verdict is the one full verification gives without any fast path.
+  const Struck eager = strike_open(fc.target, /*eager=*/true);
+  EXPECT_EQ(eager.after.cached, 0u);
+  EXPECT_EQ(st.result.violation, eager.result.violation);
+  EXPECT_EQ(st.result.violation_detail, eager.result.violation_detail);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Fields, AscCacheFlip,
     ::testing::Values(FlipCase{"call_mac", Flip::CallMac, os::Violation::BadCallMac},
                       FlipCase{"string_body", Flip::StringBody, os::Violation::BadStringArg},
-                      FlipCase{"pred_set_body", Flip::PredSetBody, os::Violation::BadStringArg}),
+                      FlipCase{"pred_set_body", Flip::PredSetBody, os::Violation::BadStringArg},
+                      FlipCase{"descriptor", Flip::Descriptor, os::Violation::BadCallMac},
+                      FlipCase{"block_id", Flip::BlockId, os::Violation::BadCallMac},
+                      FlipCase{"const_arg", Flip::ConstArg, os::Violation::BadCallMac},
+                      FlipCase{"pred_ptr", Flip::PredPtr, os::Violation::BadCallMac},
+                      FlipCase{"state_ptr", Flip::StatePtr, os::Violation::BadCallMac}),
     [](const ::testing::TestParamInfo<FlipCase>& info) { return std::string(info.param.name); });
 
 }  // namespace

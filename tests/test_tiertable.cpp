@@ -343,6 +343,52 @@ TEST(TierTableRun, TamperAtPromotedSiteFailStops) {
   EXPECT_GE(lr.stats.demotions[static_cast<std::size_t>(DemotionCause::GuestWrite)], 1u);
 }
 
+// The record watches only the call-MAC slot its verifying trap presented. A
+// trap may point its MAC register at an unwatched copy of the same 16 bytes
+// and still be a Cached hit -- the bytes are compared where the trap points
+// -- but the Inline probe trusts only the watched slot, and a hit through a
+// copy earns no promotion. So a copy, redirected to before or after the site
+// was promoted, cannot carry a later flip past verification: the flipped copy
+// misses and fail-stops, as it does with the inline tier off.
+TEST(TierTableRun, PromotionThroughRedirectedMacPointerFailStops) {
+  constexpr int kFlipAt = 40;
+  const std::uint32_t copy = binary::kStackTop + 0x100;  // above the stack: never watched
+  const std::uint16_t getpid_no = apps::sysno(kPers, os::SysId::Getpid);
+  for (const bool after_promotion : {false, true}) {
+    SCOPED_TRACE(after_promotion ? "redirected once promoted" : "redirected before promotion");
+    int calls = 0;
+    bool redirected = false;
+    std::uint64_t cached_at_flip = 0;
+    const LoopRun lr = run_pidloop(
+        true, /*threshold=*/3, {}, [&](System& sys, os::Process& p, std::uint32_t site) {
+          auto& regs = p.cpu.regs;
+          // The first getpid verifies, and its record watches, the real slot.
+          if (regs[0] != getpid_no || ++calls == 1) return;
+          if (!redirected) {
+            if (after_promotion && sys.kernel().tier_table().tier(p.pid, site) != Tier::Inline) {
+              return;
+            }
+            p.mem.write_bytes(copy, p.mem.read_bytes(regs[isa::kRegCallMac], 16));
+            redirected = true;
+          }
+          regs[isa::kRegCallMac] = copy;
+          if (calls == kFlipAt) {
+            cached_at_flip = sys.kernel().tier_stats().cached;
+            p.mem.w8(copy, p.mem.r8(copy) ^ 0x01);
+          }
+        });
+    ASSERT_TRUE(redirected);
+    ASSERT_GE(calls, kFlipAt);
+    EXPECT_GE(cached_at_flip, static_cast<std::uint64_t>(kFlipAt - 2))
+        << "a trap pointing at an identical copy must stay a Cached hit";
+    EXPECT_EQ(lr.stats.promotions, after_promotion ? 1u : 0u)
+        << "a hit through an unwatched copy earned promotion";
+    EXPECT_FALSE(lr.result.completed) << "a flipped call MAC ran trap-less";
+    EXPECT_EQ(lr.result.violation, os::Violation::BadCallMac) << lr.result.violation_detail;
+    EXPECT_EQ(calls, kFlipAt) << "the struck trap did not end the run";
+  }
+}
+
 TEST(TierTableRun, KeyRotationAndMonitorSwapDemote) {
   int rotated = 0;
   int swapped = 0;
