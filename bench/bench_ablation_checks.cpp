@@ -6,8 +6,6 @@
 // ones. Run on getpid (no args) and on an open with a constant path (one
 // authenticated string). All of the cost decomposed here is enforcement-
 // layer work: what AscMonitor::inspect charges per trap (os/sysmonitor.h).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "apps/libtoy.h"
@@ -68,10 +66,7 @@ double per_call(bool with_open, bool enforce, bool control_flow) {
     run_img = sys.install(img, opts).image;
   }
   auto r = sys.machine().run(run_img);
-  if (!r.completed) {
-    std::fprintf(stderr, "ablation run failed: %s\n", r.violation_detail.c_str());
-    return 0;
-  }
+  if (!r.completed) throw Error("ablation run failed: " + r.violation_detail);
   return static_cast<double>(r.cycles) / static_cast<double>(r.syscalls);
 }
 
@@ -93,22 +88,14 @@ void run_table() {
               " the open row additionally pays one AS content MAC)\n");
 }
 
-void BM_CheckBreakdown(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        per_call(state.range(0) != 0, state.range(1) != 0, state.range(2) != 0));
-  }
-}
-BENCHMARK(BM_CheckBreakdown)
-    ->ArgsProduct({{0, 1}, {1}, {0, 1}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  run_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  try {
+    run_table();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_ablation_checks: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

@@ -13,10 +13,9 @@
 // Each row is one SyscallMonitor implementation installed behind the same
 // kernel (os/sysmonitor.h); labels come from SyscallMonitor::name() so the
 // table reflects what is actually installed.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/asc.h"
 #include "monitor/ktable.h"
@@ -39,7 +38,13 @@ constexpr Config kConfigs[] = {
     {"asc+ktable", os::Enforcement::Asc, true},
 };
 
-double run_once(const Config& cfg, std::uint64_t* syscalls, std::string* label) {
+struct Run {
+  std::string label;  // SyscallMonitor::name() of the installed monitor
+  double cycles = 0;
+  std::uint64_t syscalls = 0;
+};
+
+Run run_once(const Config& cfg) {
   System sys(os::Personality::LinuxSim, test_key(), cfg.mode);
   binary::Image img = apps::build_pyramid(os::Personality::LinuxSim);
   binary::Image run_img = img;
@@ -58,46 +63,35 @@ double run_once(const Config& cfg, std::uint64_t* syscalls, std::string* label) 
     chain->add(os::make_monitor(os::Enforcement::KernelTable, sys.kernel()));
     sys.kernel().install_monitor(std::move(chain));
   }
-  if (label != nullptr) *label = sys.kernel().monitor().name();
   auto r = sys.machine().run(run_img, {"500"});
-  if (!r.completed) {
-    std::fprintf(stderr, "%s run failed: %s\n", cfg.name, r.violation_detail.c_str());
-    return 0;
-  }
-  if (syscalls != nullptr) *syscalls = r.syscalls;
-  return static_cast<double>(r.cycles);
+  if (!r.completed) throw Error(std::string(cfg.name) + " run failed: " + r.violation_detail);
+  return {sys.kernel().monitor().name(), static_cast<double>(r.cycles), r.syscalls};
 }
 
 void run_table() {
   std::printf("\n=== Ablation: enforcement mechanism cost (pyramid, syscall-dense) ===\n");
   std::printf("%-22s %14s %12s %16s\n", "monitor", "Mcycles", "overhead", "extra cyc/call");
-  std::uint64_t syscalls = 0;
-  const double base = run_once(kConfigs[0], &syscalls, nullptr);
-  for (const Config& cfg : kConfigs) {
-    std::string label;
-    const double c = run_once(cfg, nullptr, &label);
-    std::printf("%-22s %14.2f %11.2f%% %16.0f\n", label.c_str(), c / 1e6,
-                (c - base) / base * 100.0, (c - base) / static_cast<double>(syscalls));
+  std::vector<Run> runs;
+  for (const Config& cfg : kConfigs) runs.push_back(run_once(cfg));
+  const Run& base = runs.front();  // kConfigs[0]: unmonitored
+  for (const Run& run : runs) {
+    const double extra = run.cycles - base.cycles;
+    std::printf("%-22s %14.2f %11.2f%% %16.0f\n", run.label.c_str(), run.cycles / 1e6,
+                extra / base.cycles * 100.0, extra / static_cast<double>(base.syscalls));
   }
   std::printf("(per-call: asc ~ one trap-time verification; daemon ~ two context\n"
               " switches + lookup; chain = sum of its links; paper's argument:\n"
               " daemon >> asc > table >> off)\n");
 }
 
-void BM_Monitors(benchmark::State& state) {
-  const Config& cfg = kConfigs[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_once(cfg, nullptr, nullptr));
-  }
-  state.SetLabel(cfg.name);
-}
-BENCHMARK(BM_Monitors)->DenseRange(0, 4)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  run_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  try {
+    run_table();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_ablation_monitors: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

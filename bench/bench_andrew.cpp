@@ -8,12 +8,9 @@
 // tool binaries (259.66s -> 262.14s). Spawn-heavy by design: every tool
 // invocation nests a child run inside the parent's trap, exercising the
 // stacked TrapContexts of the pipeline (see vm/machine.cpp).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/asc.h"
-#include "util/stats.h"
 
 namespace {
 
@@ -29,7 +26,8 @@ void seed_files(os::SimFs& fs) {
   };
   std::string doc;
   for (int i = 0; i < 1600; ++i) {
-    doc += "line " + std::to_string((i * 37) % 100) + " of the corpus, padded with prose to a realistic width\n";
+    doc += "line " + std::to_string((i * 37) % 100) +
+           " of the corpus, padded with prose to a realistic width\n";
   }
   put("/src.txt", doc);  // ~100KB working document
   std::string names;
@@ -42,16 +40,11 @@ void seed_files(os::SimFs& fs) {
 std::uint64_t run_iteration(vm::Machine& m, int round) {
   const std::string dir = "/job" + std::to_string(round);
   std::uint64_t cycles = 0;
-  std::uint64_t syscalls = 0;
   auto step = [&](const std::string& tool, const std::vector<std::string>& argv,
                   const std::string& stdin_data = "") {
     auto r = m.run_path("/bin/" + tool, argv, stdin_data);
-    if (!r.completed) {
-      std::fprintf(stderr, "andrew step %s failed: %s\n", tool.c_str(),
-                   r.violation_detail.c_str());
-    }
+    if (!r.completed) throw Error("andrew step " + tool + " failed: " + r.violation_detail);
     cycles += r.cycles;
-    syscalls += r.syscalls;
   };
   step("mkdir", {dir, dir + "/sub"});
   for (int i = 0; i < 6; ++i) {
@@ -65,17 +58,18 @@ std::uint64_t run_iteration(vm::Machine& m, int round) {
   step("sort", {"/names.txt"});
   step("gzip", {"-d", dir + "/arch.tarz"});
   step("rm", {dir + "/f4.txt", dir + "/f5.txt", dir + "/arch.tar"});
-  (void)syscalls;
   return cycles;
 }
-
 
 struct Result {
   double cycles = 0;
   std::uint64_t syscalls = 0;
 };
 
-Result run_suite(bool authenticated, int iterations) {
+// Rounds of the task series per suite; each works in its own directory.
+constexpr int kIters = 3;
+
+Result run_suite(bool authenticated) {
   System sys(os::Personality::LinuxSim, test_key(),
              authenticated ? os::Enforcement::Asc : os::Enforcement::Off);
   seed_files(sys.kernel().fs());
@@ -94,7 +88,7 @@ Result run_suite(bool authenticated, int iterations) {
   }
   Result res;
   sys.kernel().set_tracing(true);
-  for (int i = 0; i < iterations; ++i) {
+  for (int i = 0; i < kIters; ++i) {
     res.cycles += static_cast<double>(run_iteration(sys.machine(), i));
   }
   res.syscalls = sys.kernel().trace().size();
@@ -103,9 +97,8 @@ Result run_suite(bool authenticated, int iterations) {
 
 void run_table() {
   std::printf("\n=== §4.3 multiprogram (Andrew-style) benchmark ===\n");
-  constexpr int kIters = 3;
-  const Result orig = run_suite(false, kIters);
-  const Result auth = run_suite(true, kIters);
+  const Result orig = run_suite(false);
+  const Result auth = run_suite(true);
   const double ovh = (auth.cycles - orig.cycles) / orig.cycles * 100.0;
   std::printf("iterations: %d, syscalls/iteration: ~%llu\n", kIters,
               static_cast<unsigned long long>(orig.syscalls / kIters));
@@ -114,23 +107,14 @@ void run_table() {
   std::printf("overhead:      %.2f%%   (paper: 259.66s -> 262.14s = 0.96%%)\n", ovh);
 }
 
-void BM_Andrew(benchmark::State& state) {
-  const bool auth = state.range(0) != 0;
-  for (auto _ : state) {
-    const Result r = run_suite(auth, 1);
-    benchmark::DoNotOptimize(r.cycles);
-    state.counters["Mcycles"] = r.cycles / 1e6;
-    state.counters["syscalls"] = static_cast<double>(r.syscalls);
-  }
-  state.SetLabel(auth ? "authenticated" : "original");
-}
-BENCHMARK(BM_Andrew)->Arg(0)->Arg(1)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  run_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  try {
+    run_table();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_andrew: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

@@ -7,8 +7,6 @@
 // The training column depends on the trace/audit split of the pipeline:
 // train_policy clears the kernel trace between sample runs while the audit
 // log (AuditLog::reset is separate) survives. See os/auditlog.h.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <set>
 
@@ -90,21 +88,9 @@ void run_table() {
               " Linux and Bsd policy sets differ for the same program)\n");
 }
 
-void BM_PolicyGeneration(benchmark::State& state) {
-  const Row& row = kRows[static_cast<std::size_t>(state.range(0))];
-  auto img = build(row.program, os::Personality::LinuxSim);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(asc_policy_size(os::Personality::LinuxSim, img));
-  }
-  state.SetLabel(row.program);
-}
-BENCHMARK(BM_PolicyGeneration)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

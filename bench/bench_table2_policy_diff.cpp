@@ -13,8 +13,6 @@
 //     defeats the disassembler (and is reported),
 //   * fs calls the program never makes that Systrace nevertheless permits
 //     through fsread/fswrite.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <map>
 #include <set>
@@ -88,20 +86,9 @@ void run_table() {
   for (const auto& w : gp.warnings) std::printf("  %s\n", w.c_str());
 }
 
-void BM_Table2(benchmark::State& state) {
-  for (auto _ : state) {
-    installer::Installer inst(test_key(), os::Personality::BsdSim);
-    auto gp = inst.analyze(apps::build_bison(os::Personality::BsdSim));
-    benchmark::DoNotOptimize(gp.policies.size());
-  }
-}
-BENCHMARK(BM_Table2)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

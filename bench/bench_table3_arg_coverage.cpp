@@ -6,8 +6,6 @@
 // arguments traceable to fd-returning calls (fds). Pure installer-side
 // analysis: measures policy CONTENT, independent of which SyscallMonitor
 // later enforces it.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "analysis/argclass.h"
@@ -58,22 +56,9 @@ void run_table() {
               measured_ratio_sum / 4 * 100.0);
 }
 
-void BM_ArgCoverage(benchmark::State& state) {
-  const Row& row = kRows[static_cast<std::size_t>(state.range(0))];
-  auto img = build(row.program, os::Personality::LinuxSim);
-  for (auto _ : state) {
-    auto gp = installer::generate_policies(img, os::Personality::LinuxSim);
-    benchmark::DoNotOptimize(analysis::compute_arg_coverage(gp.scan).auth);
-  }
-  state.SetLabel(row.program);
-}
-BENCHMARK(BM_ArgCoverage)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,5 +1,5 @@
-// Table 5 companion: host-side installer & fault-campaign throughput under
-// the thread-pool executor (util/executor.h), at jobs = 1, 2, 8.
+// Table 5 companion: installer & fault-campaign parallelism under the
+// thread-pool executor (util/executor.h), at jobs = 1, 2, 8.
 //
 // Three workloads:
 //   install_fleet   -- analyze+rewrite every bundled app (explicit program
@@ -24,8 +24,6 @@
 //
 // Machine-readable copy in BENCH_table5.json
 // (scripts/check_bench_regression.py knows the schema).
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
@@ -275,42 +273,9 @@ void run_table() {
   std::printf("(the determinism and modeled-speedup columns are gated -- BENCH_table5.json)\n");
 }
 
-void BM_InstallFleet(benchmark::State& state) {
-  const int jobs = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const Images images = install_fleet(jobs);
-    benchmark::DoNotOptimize(images.size());
-  }
-  state.SetLabel("jobs=" + std::to_string(jobs));
-}
-BENCHMARK(BM_InstallFleet)->Arg(1)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_RekeyFleet(benchmark::State& state) {
-  const int jobs = static_cast<int>(state.range(0));
-  const std::vector<installer::InstallResult> installed = install_all_keep_manifests();
-  for (auto _ : state) {
-    const RekeyRun rr = rekey_fleet(installed, jobs);
-    benchmark::DoNotOptimize(rr.images.size());
-  }
-  state.SetLabel("jobs=" + std::to_string(jobs));
-}
-BENCHMARK(BM_RekeyFleet)->Arg(1)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_FaultCampaign(benchmark::State& state) {
-  const int jobs = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const fault::CampaignResult cr = run_campaign(jobs);
-    benchmark::DoNotOptimize(cr.verdicts.size());
-  }
-  state.SetLabel("jobs=" + std::to_string(jobs));
-}
-BENCHMARK(BM_FaultCampaign)->Arg(1)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,18 +3,17 @@
 //
 // Programs (Table 5): CPU-bound SPECint-2000 stand-ins (gzip-spec, crafty,
 // mcf, vpr, twolf), syscall+CPU (gcc, vortex), syscall-intensive (pyramid,
-// gzip). Protocol (Table 6): each measurement repeated 4 times; mean and
-// standard deviation of MODELED cycles reported (the deterministic analog
-// of the paper's `time` measurements -- identical across repetitions here,
-// so stddev reflects only workload-state differences). The authenticated
+// gzip). Protocol (Table 6): one run per cell, in MODELED cycles (the
+// deterministic analog of the paper's `time` measurements, which it repeats
+// 4 times; a modeled run reads the same every time). The authenticated
 // column runs with the AscMonitor installed in the kernel's enforcement
-// layer; the baseline column with the NullMonitor.
-#include <benchmark/benchmark.h>
-
+// layer; the baseline column with the NullMonitor. A guest run that does
+// not complete, or an unmonitored run whose threaded and switch engines
+// disagree on modeled cycles, fails the bench (exit status 1).
 #include <cstdio>
+#include <string>
 
 #include "core/asc.h"
-#include "util/stats.h"
 
 namespace {
 
@@ -58,11 +57,11 @@ void prepare(os::SimFs& fs) {
   for (int i = 0; i < 800; ++i) src += "void f" + std::to_string(i) + "() { /* body */ }\n";
   put("/in.c", src);
   std::string big;
-  for (int i = 0; i < 4000; ++i) big += "the quick brown fox jumps over the lazy dog " + std::to_string(i % 7) + "\n";
+  for (int i = 0; i < 4000; ++i) {
+    big += "the quick brown fox jumps over the lazy dog " + std::to_string(i % 7) + "\n";
+  }
   put("/big.txt", big);
 }
-
-constexpr int kReps = 4;
 
 /// Unmonitored baseline, full per-trap verification, verification with the
 /// kernel's verified-call cache, cache plus the policy-state shadow, and the
@@ -70,31 +69,25 @@ constexpr int kReps = 4;
 /// of os/tiertable.h).
 enum class Mode { Off, Auth, AuthCached, AuthShadow, AuthInline };
 
-/// `dispatch` selects the execution engine -- byte-identical modeled
-/// results either way.
-util::Summary measure(const Bench& b, Mode mode,
-                      vm::DispatchMode dispatch = vm::default_dispatch_mode()) {
+/// Modeled cycles of one run. `dispatch` selects the execution engine --
+/// byte-identical modeled results either way. Throws if the guest run does
+/// not complete.
+double measure(const Bench& b, Mode mode,
+               vm::DispatchMode dispatch = vm::default_dispatch_mode()) {
   const bool authenticated = mode != Mode::Off;
-  std::vector<double> samples;
-  for (int rep = 0; rep < kReps; ++rep) {
-    System sys(os::Personality::LinuxSim, test_key(),
-               authenticated ? os::Enforcement::Asc : os::Enforcement::Off);
-    sys.machine().set_dispatch(dispatch);
-    sys.kernel().set_verified_call_cache(mode == Mode::AuthCached || mode == Mode::AuthShadow ||
-                                         mode == Mode::AuthInline);
-    sys.kernel().set_policy_shadow(mode == Mode::AuthShadow || mode == Mode::AuthInline);
-    sys.kernel().set_inline_tier(mode == Mode::AuthInline);
-    prepare(sys.kernel().fs());
-    binary::Image img = build(b.program, os::Personality::LinuxSim);
-    if (authenticated) img = sys.install(img).image;
-    auto r = sys.machine().run(img, b.argv);
-    if (!r.completed) {
-      std::fprintf(stderr, "%s failed: %s\n", b.program, r.violation_detail.c_str());
-      return {};
-    }
-    samples.push_back(static_cast<double>(r.cycles));
-  }
-  return util::summarize(samples);
+  System sys(os::Personality::LinuxSim, test_key(),
+             authenticated ? os::Enforcement::Asc : os::Enforcement::Off);
+  sys.machine().set_dispatch(dispatch);
+  sys.kernel().set_verified_call_cache(mode == Mode::AuthCached || mode == Mode::AuthShadow ||
+                                       mode == Mode::AuthInline);
+  sys.kernel().set_policy_shadow(mode == Mode::AuthShadow || mode == Mode::AuthInline);
+  sys.kernel().set_inline_tier(mode == Mode::AuthInline);
+  prepare(sys.kernel().fs());
+  binary::Image img = build(b.program, os::Personality::LinuxSim);
+  if (authenticated) img = sys.install(img).image;
+  auto r = sys.machine().run(img, b.argv);
+  if (!r.completed) throw Error(std::string(b.program) + " failed: " + r.violation_detail);
+  return static_cast<double>(r.cycles);
 }
 
 void run_table() {
@@ -115,28 +108,26 @@ void run_table() {
   for (const Bench& b : kSuite) {
     // The unmonitored runs go through both the threaded engine and the
     // reference interpreter, which must agree on modeled cycles.
-    const auto orig = measure(b, Mode::Off, vm::DispatchMode::Threaded);
-    const auto orig_switch = measure(b, Mode::Off, vm::DispatchMode::Switch);
-    if (orig_switch.mean != orig.mean) {
-      std::fprintf(stderr, "%s: dispatch modes disagree on modeled cycles!\n", b.program);
+    const double orig = measure(b, Mode::Off, vm::DispatchMode::Threaded);
+    if (measure(b, Mode::Off, vm::DispatchMode::Switch) != orig) {
+      throw Error(std::string(b.program) + ": dispatch modes disagree on modeled cycles");
     }
-    const auto auth = measure(b, Mode::Auth);
-    const auto cached = measure(b, Mode::AuthCached);
-    const auto shadowed = measure(b, Mode::AuthShadow);
-    const auto inl = measure(b, Mode::AuthInline);
-    const double ovh = orig.mean > 0 ? (auth.mean - orig.mean) / orig.mean * 100.0 : 0;
-    const double ovh_c = orig.mean > 0 ? (cached.mean - orig.mean) / orig.mean * 100.0 : 0;
-    const double ovh_s = orig.mean > 0 ? (shadowed.mean - orig.mean) / orig.mean * 100.0 : 0;
-    const double ovh_i = orig.mean > 0 ? (inl.mean - orig.mean) / orig.mean * 100.0 : 0;
+    const double auth = measure(b, Mode::Auth);
+    const double cached = measure(b, Mode::AuthCached);
+    const double shadowed = measure(b, Mode::AuthShadow);
+    const double inl = measure(b, Mode::AuthInline);
+    const double ovh = orig > 0 ? (auth - orig) / orig * 100.0 : 0;
+    const double ovh_c = orig > 0 ? (cached - orig) / orig * 100.0 : 0;
+    const double ovh_s = orig > 0 ? (shadowed - orig) / orig * 100.0 : 0;
+    const double ovh_i = orig > 0 ? (inl - orig) / orig * 100.0 : 0;
     sum += ovh;
     sum_cached += ovh_c;
     sum_shadow += ovh_s;
     sum_inline += ovh_i;
     std::printf("%-10s %-12s %12.2f %12.2f %12.2f %12.2f %12.2f %7.2f%% %7.2f%% %7.2f%% "
                 "%7.2f%% | %7.2f%%\n",
-                b.program, b.type, orig.mean / 1e6, auth.mean / 1e6, cached.mean / 1e6,
-                shadowed.mean / 1e6, inl.mean / 1e6, ovh, ovh_c, ovh_s, ovh_i,
-                b.paper_overhead_pct);
+                b.program, b.type, orig / 1e6, auth / 1e6, cached / 1e6, shadowed / 1e6,
+                inl / 1e6, ovh, ovh_c, ovh_s, ovh_i, b.paper_overhead_pct);
     if (json != nullptr) {
       std::fprintf(json,
                    "%s    {\"name\": \"%s\", \"type\": \"%s\", \"orig\": %.3f, "
@@ -144,9 +135,8 @@ void run_table() {
                    "\"auth_inline\": %.3f, "
                    "\"overhead_pct\": %.3f, \"overhead_cached_pct\": %.3f, "
                    "\"overhead_shadow_pct\": %.3f, \"overhead_inline_pct\": %.3f}",
-                   first ? "" : ",\n", b.program, b.type, orig.mean / 1e6, auth.mean / 1e6,
-                   cached.mean / 1e6, shadowed.mean / 1e6, inl.mean / 1e6, ovh, ovh_c, ovh_s,
-                   ovh_i);
+                   first ? "" : ",\n", b.program, b.type, orig / 1e6, auth / 1e6,
+                   cached / 1e6, shadowed / 1e6, inl / 1e6, ovh, ovh_c, ovh_s, ovh_i);
       first = false;
     }
   }
@@ -166,31 +156,14 @@ void run_table() {
               sum / n, sum_cached / n, sum_shadow / n, sum_inline / n);
 }
 
-void BM_Macro(benchmark::State& state) {
-  const Bench& b = kSuite[static_cast<std::size_t>(state.range(0))];
-  const auto mode = static_cast<Mode>(state.range(1));
-  for (auto _ : state) {
-    const auto s = measure(b, mode);
-    benchmark::DoNotOptimize(s.mean);
-    state.counters["Mcycles"] = s.mean / 1e6;
-  }
-  const char* suffix = mode == Mode::Off      ? "/orig"
-                       : mode == Mode::Auth   ? "/auth"
-                       : mode == Mode::AuthCached ? "/cached"
-                       : mode == Mode::AuthShadow ? "/shadow"
-                                                  : "/inline";
-  state.SetLabel(std::string(b.program) + suffix);
-}
-BENCHMARK(BM_Macro)
-    ->ArgsProduct({{0, 7}, {0, 1, 2, 3, 4}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  run_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  try {
+    run_table();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_table6_macro: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

@@ -21,8 +21,6 @@
 //
 // Machine-readable copy in BENCH_table7.json
 // (scripts/check_bench_regression.py knows the schema).
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -141,26 +139,9 @@ void run_table() {
               "BENCH_table7.json)\n");
 }
 
-void BM_Fleet(benchmark::State& state) {
-  const int tenants = static_cast<int>(state.range(0));
-  const int jobs = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    const fleet::FleetResult fr = run_fleet(tenants, jobs);
-    benchmark::DoNotOptimize(fr.total_syscalls);
-  }
-  state.SetLabel("tenants=" + std::to_string(tenants) + " jobs=" + std::to_string(jobs));
-}
-BENCHMARK(BM_Fleet)
-    ->Args({1000, 1})
-    ->Args({1000, 8})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

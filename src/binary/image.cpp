@@ -94,7 +94,8 @@ std::optional<std::string> Image::cstring_at(std::uint32_t addr) const {
   return std::nullopt;
 }
 
-std::optional<std::vector<std::uint8_t>> Image::bytes_at(std::uint32_t addr, std::uint32_t n) const {
+std::optional<std::vector<std::uint8_t>> Image::bytes_at(std::uint32_t addr,
+                                                         std::uint32_t n) const {
   for (const auto& s : sections) {
     if (s.kind == SectionKind::Bss) continue;
     if (addr < s.vaddr() || addr + n > s.vaddr() + s.size()) continue;

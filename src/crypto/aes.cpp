@@ -52,7 +52,8 @@ struct Tables {
     }
     for (int i = 0; i < 256; ++i) {
       std::uint8_t inv = 0;
-      if (i != 0) inv = alog[static_cast<std::size_t>((255 - log[static_cast<std::size_t>(i)]) % 255)];
+      if (i != 0)
+        inv = alog[static_cast<std::size_t>((255 - log[static_cast<std::size_t>(i)]) % 255)];
       // Affine transform: s = inv ^ rot(inv,1) ^ rot(inv,2) ^ rot(inv,3)
       //                     ^ rot(inv,4) ^ 0x63.
       std::uint8_t s = 0x63;
@@ -115,7 +116,8 @@ Aes128::Aes128(const Key128& key) {
   backend_ = backend_policy() == BackendPolicy::Auto && aesni::supported() ? Backend::Aesni
                                                                            : Backend::Scratch;
   // Key expansion (FIPS-197 §5.2).
-  for (int i = 0; i < 16; ++i) round_keys_[static_cast<std::size_t>(i)] = key[static_cast<std::size_t>(i)];
+  for (int i = 0; i < 16; ++i)
+    round_keys_[static_cast<std::size_t>(i)] = key[static_cast<std::size_t>(i)];
   std::uint8_t rcon = 1;
   for (int i = 16; i < 176; i += 4) {
     std::uint8_t t0 = round_keys_[static_cast<std::size_t>(i - 4)];
@@ -131,10 +133,14 @@ Aes128::Aes128(const Key128& key) {
       t3 = sub(tmp);
       rcon = gmul(rcon, 2);
     }
-    round_keys_[static_cast<std::size_t>(i + 0)] = static_cast<std::uint8_t>(round_keys_[static_cast<std::size_t>(i - 16)] ^ t0);
-    round_keys_[static_cast<std::size_t>(i + 1)] = static_cast<std::uint8_t>(round_keys_[static_cast<std::size_t>(i - 15)] ^ t1);
-    round_keys_[static_cast<std::size_t>(i + 2)] = static_cast<std::uint8_t>(round_keys_[static_cast<std::size_t>(i - 14)] ^ t2);
-    round_keys_[static_cast<std::size_t>(i + 3)] = static_cast<std::uint8_t>(round_keys_[static_cast<std::size_t>(i - 13)] ^ t3);
+    round_keys_[static_cast<std::size_t>(i + 0)] =
+        static_cast<std::uint8_t>(round_keys_[static_cast<std::size_t>(i - 16)] ^ t0);
+    round_keys_[static_cast<std::size_t>(i + 1)] =
+        static_cast<std::uint8_t>(round_keys_[static_cast<std::size_t>(i - 15)] ^ t1);
+    round_keys_[static_cast<std::size_t>(i + 2)] =
+        static_cast<std::uint8_t>(round_keys_[static_cast<std::size_t>(i - 14)] ^ t2);
+    round_keys_[static_cast<std::size_t>(i + 3)] =
+        static_cast<std::uint8_t>(round_keys_[static_cast<std::size_t>(i - 13)] ^ t3);
   }
 }
 

@@ -44,8 +44,7 @@ crypto::Mac read_mac(const vm::Memory& mem, std::uint32_t addr) {
 CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::uint16_t sysno,
                                      SysId id, const SyscallSig& sig,
                                      const crypto::MacKey& key, const CostModel& cost,
-                                     bool capability_checking, TierTable& tiers,
-                                     TierTable::PidRecord* owner) {
+                                     TierTable& tiers, TierTable::PidRecord* owner) {
   // The gates decide only what each tier SERVES; the lattice's write-watch
   // spine (os/tiertable.h) invalidates every tier regardless.
   const bool use_cache = tiers.serves_cache(owner);
@@ -282,7 +281,7 @@ CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::u
     }
 
     // ---- step 4 (§5.3): fd capability provenance ----
-    if (capability_checking && !fd_sources.empty()) {
+    if (!fd_sources.empty()) {
       for (int i = 0; i < sig.arity; ++i) {
         if (sig.args[static_cast<std::size_t>(i)] != ArgKind::Fd) continue;
         const std::uint32_t fdnum = regs[1 + static_cast<std::size_t>(i)];

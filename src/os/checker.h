@@ -18,7 +18,8 @@
 //      the predecessor set),
 //   3. verify and update the control-flow policy state
 //      (lastBlock/lbMAC/counter -- the online memory checker),
-//   4. (§5.3 extension) verify fd capability provenance,
+//   4. (§5.3 extension) verify fd capability provenance, when the policy
+//      carries an fd-source set (installed with capability tracking),
 //   5. (§5.1 extension) verify pattern matches using the supplied hints.
 //
 // Any failure yields a Violation; the kernel then terminates the process,
@@ -59,7 +60,6 @@ struct CheckResult {
 CheckResult check_authenticated_call(Process& p, std::uint32_t call_site, std::uint16_t sysno,
                                      SysId id, const SyscallSig& sig,
                                      const crypto::MacKey& key, const CostModel& cost,
-                                     bool capability_checking, TierTable& tiers,
-                                     TierTable::PidRecord* owner);
+                                     TierTable& tiers, TierTable::PidRecord* owner);
 
 }  // namespace asc::os

@@ -133,7 +133,8 @@ std::int64_t SimFs::walk(const std::string& cwd, const std::string& path, bool p
       // (We track it explicitly for simplicity.)
       {
         std::string acc;
-        std::vector<std::string> consumed(parts.begin(), parts.begin() + static_cast<std::ptrdiff_t>(i));
+        std::vector<std::string> consumed(parts.begin(),
+                                          parts.begin() + static_cast<std::ptrdiff_t>(i));
         // Remove "."/".." effects by replaying them.
         std::vector<std::string> norm;
         for (const auto& c : consumed) {

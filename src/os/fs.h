@@ -51,12 +51,14 @@ class SimFs {
   std::int64_t rmdir(const std::string& cwd, const std::string& path);
   std::int64_t unlink(const std::string& cwd, const std::string& path);
   std::int64_t rename(const std::string& cwd, const std::string& from, const std::string& to);
-  std::int64_t symlink(const std::string& cwd, const std::string& target, const std::string& linkpath);
+  std::int64_t symlink(const std::string& cwd, const std::string& target,
+                       const std::string& linkpath);
   std::int64_t chmod(const std::string& cwd, const std::string& path, std::uint32_t mode);
   std::int64_t access(const std::string& cwd, const std::string& path);
   std::optional<StatInfo> stat(const std::string& cwd, const std::string& path) const;
   std::optional<std::string> readlink(const std::string& cwd, const std::string& path) const;
-  std::optional<std::vector<std::string>> list_dir(const std::string& cwd, const std::string& path) const;
+  std::optional<std::vector<std::string>> list_dir(const std::string& cwd,
+                                                   const std::string& path) const;
 
   /// True if `path` resolves to an existing directory (used by chdir).
   bool is_dir(const std::string& cwd, const std::string& path) const;

@@ -90,9 +90,6 @@ class Kernel {
   void set_monitor_policy(const std::string& program, MonitorPolicy policy);
   /// The installed policy for a program, or nullptr.
   const MonitorPolicy* find_monitor_policy(const std::string& program) const;
-  /// Enable kernel-side fd capability checking (§5.3).
-  void set_capability_checking(bool on) { capability_checking_ = on; }
-  bool capability_checking() const { return capability_checking_; }
   /// Normalize path arguments before checking baseline-monitor path
   /// policies (§5.4).
   void set_normalize_paths(bool on) { normalize_paths_ = on; }
@@ -272,7 +269,6 @@ class Kernel {
   /// The per-tenant shard: key, tier lattice, audit (os/tenant.h).
   TenantState tenant_;
   std::map<std::string, MonitorPolicy> monitor_policies_;
-  bool capability_checking_ = false;
   bool normalize_paths_ = false;
   bool tracing_ = false;
   std::vector<TraceEntry> trace_;

@@ -41,10 +41,9 @@ MonitorVerdict AscMonitor::inspect(Process& p, TrapContext& ctx) {
   TierTable& tiers = kernel_.tier_table();
   TierTable::PidRecord* owner = tiers.find_pid(p.pid);
   kernel_.health_self_check(p, ctx, owner);
-  const CheckResult r = check_authenticated_call(p, ctx.call_site, ctx.sysno, *ctx.id,
-                                                 signature(*ctx.id), *kernel_.key(),
-                                                 kernel_.cost(), kernel_.capability_checking(),
-                                                 tiers, owner);
+  const CheckResult r =
+      check_authenticated_call(p, ctx.call_site, ctx.sysno, *ctx.id, signature(*ctx.id),
+                               *kernel_.key(), kernel_.cost(), tiers, owner);
   ctx.charge(p, r.cycles);
   kernel_.note_verification(p, ctx, owner, r.violation == Violation::None,
                             !r.cache_hit && !r.shadow_hit);

@@ -173,6 +173,7 @@ struct TierStats {
     for (const auto d : demotions) n += d;
     return n;
   }
+  bool operator==(const TierStats&) const = default;
 };
 
 /// The one writer of the §3.2 policy-state record: stores {last_block,

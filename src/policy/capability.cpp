@@ -13,7 +13,8 @@ std::size_t AuthenticatedFdSet::blob_size(std::size_t capacity) {
 
 crypto::Mac AuthenticatedFdSet::mac_of(std::span<const std::uint8_t> blob, std::size_t capacity,
                                        const crypto::MacKey& key, std::uint64_t counter) {
-  std::vector<std::uint8_t> msg(blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(4 + 4 * capacity));
+  std::vector<std::uint8_t> msg(blob.begin(),
+                                blob.begin() + static_cast<std::ptrdiff_t>(4 + 4 * capacity));
   util::put_u64(msg, counter);
   return key.mac(msg);
 }

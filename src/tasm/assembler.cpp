@@ -181,7 +181,8 @@ binary::Image Assembler::link(const std::string& entry) {
       if (addr_of.count(lbl) != 0) throw Error("tasm: duplicate label " + lbl);
       addr_of[lbl] = item_addr[idx];
     }
-    img.symbols.push_back(binary::Symbol{f.name, fstart, pc - fstart, binary::SymbolKind::Function});
+    img.symbols.push_back(
+        binary::Symbol{f.name, fstart, pc - fstart, binary::SymbolKind::Function});
   }
   if (pc - binary::section_base(binary::SectionKind::Text) >
       binary::section_limit(binary::SectionKind::Text)) {

@@ -75,7 +75,8 @@ std::uint64_t get_u64(std::span<const std::uint8_t> buf, std::size_t offset) {
 
 void set_u32(std::span<std::uint8_t> buf, std::size_t offset, std::uint32_t value) {
   check_bounds(buf.size(), offset, 4);
-  for (int i = 0; i < 4; ++i) buf[offset + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(value >> (8 * i));
+  for (int i = 0; i < 4; ++i)
+    buf[offset + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(value >> (8 * i));
 }
 
 void put_bytes(std::vector<std::uint8_t>& out, std::span<const std::uint8_t> bytes) {

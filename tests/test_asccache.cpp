@@ -198,8 +198,7 @@ struct LiveTrap {
   TierTable::SiteRecord record() const { return record_of(proc, ranges(), sig().arity); }
   os::CheckResult check(TierTable& t, const crypto::MacKey& key, const os::CostModel& cost) {
     return os::check_authenticated_call(proc, kSite, static_cast<std::uint16_t>(proc.cpu.regs[0]),
-                                        os::SysId::Open, sig(), key, cost, false, t,
-                                        t.find_pid(proc.pid));
+                                        os::SysId::Open, sig(), key, cost, t, t.find_pid(proc.pid));
   }
   os::Process& proc;
   std::array<Bytes, 2> strings{Bytes{'/', 'e', 't', 'c'}, Bytes{'x', 'y'}};

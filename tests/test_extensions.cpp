@@ -182,7 +182,6 @@ TEST(Capability, FdProvenanceEnforced) {
   installer::InstallOptions opts;
   opts.capability_tracking = true;
   auto inst = sys.install(build_two_file_reader(), opts);
-  sys.kernel().set_capability_checking(true);
 
   // The read's policy must carry the open site as the allowed fd source.
   const policy::SyscallPolicy* read_pol = nullptr;

@@ -105,7 +105,8 @@ TEST(Image, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(back.relocatable, img.relocatable);
   EXPECT_EQ(back.program_id, img.program_id);
   ASSERT_EQ(back.sections.size(), img.sections.size());
-  EXPECT_EQ(back.find_section(binary::SectionKind::Text)->bytes, std::vector<std::uint8_t>({1, 2, 3, 4, 5}));
+  EXPECT_EQ(back.find_section(binary::SectionKind::Text)->bytes,
+            std::vector<std::uint8_t>({1, 2, 3, 4, 5}));
   EXPECT_EQ(back.find_section(binary::SectionKind::Bss)->bss_size, 128u);
   ASSERT_EQ(back.symbols.size(), 2u);
   EXPECT_EQ(back.symbols[0].name, "main");

@@ -4,7 +4,10 @@
 #include <sys/resource.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
 #include <type_traits>
+#include <utility>
 
 #include "apps/libtoy.h"
 #include "core/asc.h"
@@ -273,6 +276,92 @@ TEST(Vm, CyclesAreDeterministic) {
   EXPECT_EQ(r1.cycles, r2.cycles);
   EXPECT_EQ(r1.instructions, r2.instructions);
 }
+
+// The paper tables measure each cell once (bench_table4_microbench,
+// bench_table6_macro). That relies on a trapping run repeating exactly on a
+// fresh System: cycles, instructions, syscalls and tier counters, under every
+// monitor configuration the tables measure.
+struct TierConfig {
+  const char* name;
+  os::Enforcement enforcement;
+  bool cache;
+  bool shadow;
+  bool inline_tier;
+};
+
+// gtest prints the parameter into the test name ctest lists: print the
+// configuration's name, not the struct's bytes (which hold a pointer).
+void PrintTo(const TierConfig& c, std::ostream* os) { *os << c.name; }
+
+class VmTierDeterminism : public ::testing::TestWithParam<TierConfig> {};
+
+TEST_P(VmTierDeterminism, TrappingRunRepeatsExactly) {
+  const TierConfig& cfg = GetParam();
+  tasm::Assembler a("trapdet");
+  a.func("main");
+  a.movi(R11, 64);
+  a.label(".loop");
+  a.push(R11);
+  a.call("sys_getpid");
+  a.movi(R1, 0);
+  a.call("sys_brk");
+  a.lea(R1, "det_path");
+  a.movi(R2, apps::O_RDONLY);
+  a.movi(R3, 0);
+  a.call("sys_open");
+  a.mov(R1, R0);
+  a.call("sys_close");
+  a.pop(R11);
+  a.subi(R11, 1);
+  a.cmpi(R11, 0);
+  a.jnz(".loop");
+  a.movi(R0, 0);
+  a.ret();
+  a.rodata_cstr("det_path", "/det.txt");
+  apps::emit_libc(a, os::Personality::LinuxSim);
+  const binary::Image img = a.link();
+
+  auto run = [&] {
+    System sys(os::Personality::LinuxSim, test_key(), cfg.enforcement);
+    sys.kernel().set_verified_call_cache(cfg.cache);
+    sys.kernel().set_policy_shadow(cfg.shadow);
+    sys.kernel().set_inline_tier(cfg.inline_tier);
+    sys.kernel().fs().open("/", "/det.txt", os::SimFs::kWrOnly | os::SimFs::kCreat, 0644);
+    const binary::Image run_img =
+        cfg.enforcement == os::Enforcement::Asc ? sys.install(img).image : img;
+    return std::pair{sys.machine().run(run_img), sys.kernel().tier_stats()};
+  };
+  const auto [r1, t1] = run();
+  const auto [r2, t2] = run();
+  ASSERT_TRUE(r1.completed) << r1.violation_detail;
+  ASSERT_TRUE(r2.completed) << r2.violation_detail;
+  EXPECT_EQ(r1.syscalls, 4u * 64 + 1);  // the loop's four calls, then exit
+  EXPECT_EQ(r1.cycles, r2.cycles);
+  EXPECT_EQ(r1.instructions, r2.instructions);
+  EXPECT_EQ(r1.syscalls, r2.syscalls);
+  EXPECT_TRUE(t1 == t2);
+  // The configuration's own tier served traps, so the run exercised it.
+  if (cfg.enforcement == os::Enforcement::Off) {
+    EXPECT_EQ(t1.eager, 0u);
+  } else if (cfg.inline_tier) {
+    EXPECT_GT(t1.inline_hits, 0u);
+  } else if (cfg.shadow) {
+    EXPECT_GT(t1.shadowed, 0u);
+  } else if (cfg.cache) {
+    EXPECT_GT(t1.cached, 0u);
+  } else {
+    EXPECT_EQ(t1.eager, r1.syscalls);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tables, VmTierDeterminism,
+    ::testing::Values(TierConfig{"Off", os::Enforcement::Off, false, false, false},
+                      TierConfig{"Asc", os::Enforcement::Asc, false, false, false},
+                      TierConfig{"Cache", os::Enforcement::Asc, true, false, false},
+                      TierConfig{"CacheShadow", os::Enforcement::Asc, true, true, false},
+                      TierConfig{"CacheShadowInline", os::Enforcement::Asc, true, true, true}),
+    [](const ::testing::TestParamInfo<TierConfig>& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace asc
