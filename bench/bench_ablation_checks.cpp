@@ -5,7 +5,8 @@
 // vs the bare call MAC, and string arguments (AS content MACs) vs numeric
 // ones. Run on getpid (no args) and on an open with a constant path (one
 // authenticated string). All of the cost decomposed here is enforcement-
-// layer work: what AscMonitor::inspect charges per trap (os/sysmonitor.h).
+// layer work: what Asc enforcement charges per trap (Kernel::inspect,
+// os/sysmonitor.cpp).
 #include <cstdio>
 
 #include "apps/libtoy.h"

@@ -7,12 +7,14 @@
 //   asc          -- authenticated system calls (full checking)
 //   daemon       -- user-space daemon: 2 context switches + lookup per call
 //   kernel-table -- in-kernel per-program table lookup per call
-//   asc+ktable   -- ChainMonitor stacking ASC checking and the in-kernel
-//                   allowlist, showing what composing monitors costs
+//   asc+ktable   -- the enforcement list {Asc, KernelTable}: ASC checking
+//                   followed by the in-kernel allowlist, showing what
+//                   stacking checks costs
 //
-// Each row is one SyscallMonitor implementation installed behind the same
-// kernel (os/sysmonitor.h); labels come from SyscallMonitor::name() so the
-// table reflects what is actually installed.
+// Each row is one enforcement list set on the same kernel
+// (os/sysmonitor.h); labels come from os::enforcement_name() of the
+// kernel's list, so the table reflects what is actually enforced.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -23,56 +25,48 @@
 namespace {
 
 using namespace asc;
+using Modes = std::vector<os::Enforcement>;
 
-struct Config {
-  const char* name;
-  os::Enforcement mode;
-  bool chain_ktable;  // additionally chain the in-kernel allowlist after it
+const Modes kConfigs[] = {
+    {os::Enforcement::Off},
+    {os::Enforcement::Asc},
+    {os::Enforcement::Daemon},
+    {os::Enforcement::KernelTable},
+    {os::Enforcement::Asc, os::Enforcement::KernelTable},
 };
 
-constexpr Config kConfigs[] = {
-    {"off", os::Enforcement::Off, false},
-    {"asc", os::Enforcement::Asc, false},
-    {"daemon", os::Enforcement::Daemon, false},
-    {"kernel-table", os::Enforcement::KernelTable, false},
-    {"asc+ktable", os::Enforcement::Asc, true},
-};
+bool enforces(const Modes& modes, os::Enforcement e) {
+  return std::find(modes.begin(), modes.end(), e) != modes.end();
+}
 
 struct Run {
-  std::string label;  // SyscallMonitor::name() of the installed monitor
+  std::string label;  // os::enforcement_name() of the kernel's list
   double cycles = 0;
   std::uint64_t syscalls = 0;
 };
 
-Run run_once(const Config& cfg) {
-  System sys(os::Personality::LinuxSim, test_key(), cfg.mode);
-  binary::Image img = apps::build_pyramid(os::Personality::LinuxSim);
-  binary::Image run_img = img;
+Run run_once(const Modes& modes) {
+  System sys(os::Personality::LinuxSim);
+  sys.kernel().set_enforcement(modes);
+  const std::string label = os::enforcement_name(modes);
+  const binary::Image img = apps::build_pyramid(os::Personality::LinuxSim);
   // All monitored modes enforce policies derived from the same static
   // analysis, so the comparison isolates the enforcement MECHANISM.
-  auto inst = sys.install(img);
-  if (cfg.mode == os::Enforcement::Asc) {
-    run_img = inst.image;
-  }
-  if (cfg.mode != os::Enforcement::Off && (cfg.mode != os::Enforcement::Asc || cfg.chain_ktable)) {
+  const auto inst = sys.install(img);
+  if (enforces(modes, os::Enforcement::Daemon) || enforces(modes, os::Enforcement::KernelTable)) {
     sys.kernel().set_monitor_policy("pyramid", monitor::table_from_asc_policies(inst.policies));
   }
-  if (cfg.chain_ktable) {
-    auto chain = std::make_unique<os::ChainMonitor>();
-    chain->add(os::make_monitor(cfg.mode, sys.kernel()));
-    chain->add(os::make_monitor(os::Enforcement::KernelTable, sys.kernel()));
-    sys.kernel().install_monitor(std::move(chain));
-  }
-  auto r = sys.machine().run(run_img, {"500"});
-  if (!r.completed) throw Error(std::string(cfg.name) + " run failed: " + r.violation_detail);
-  return {sys.kernel().monitor().name(), static_cast<double>(r.cycles), r.syscalls};
+  const auto r =
+      sys.machine().run(enforces(modes, os::Enforcement::Asc) ? inst.image : img, {"500"});
+  if (!r.completed) throw Error(label + " run failed: " + r.violation_detail);
+  return {label, static_cast<double>(r.cycles), r.syscalls};
 }
 
 void run_table() {
   std::printf("\n=== Ablation: enforcement mechanism cost (pyramid, syscall-dense) ===\n");
   std::printf("%-22s %14s %12s %16s\n", "monitor", "Mcycles", "overhead", "extra cyc/call");
   std::vector<Run> runs;
-  for (const Config& cfg : kConfigs) runs.push_back(run_once(cfg));
+  for (const Modes& modes : kConfigs) runs.push_back(run_once(modes));
   const Run& base = runs.front();  // kConfigs[0]: unmonitored
   for (const Run& run : runs) {
     const double extra = run.cycles - base.cycles;

@@ -4,8 +4,9 @@
 // application does, exponential in the worst case for a backtracking
 // matcher) with hint VERIFICATION (what the kernel does, one linear scan).
 // This is the quantitative argument for moving the matching out of the
-// kernel -- the verification side runs inside AscMonitor's checker at
-// enforcement time, so its cost is part of the per-trap monitor budget.
+// kernel -- the verification side runs inside the Asc enforcement mode's
+// checker at trap time, so its cost is part of the per-trap enforcement
+// budget.
 #include <chrono>
 #include <cstdio>
 #include <optional>

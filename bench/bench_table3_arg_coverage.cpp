@@ -4,8 +4,8 @@
 // arguments, output-only arguments (o/p), arguments protectable by the
 // basic static analysis (auth), multi-value arguments (mv), and fd
 // arguments traceable to fd-returning calls (fds). Pure installer-side
-// analysis: measures policy CONTENT, independent of which SyscallMonitor
-// later enforces it.
+// analysis: measures policy CONTENT, independent of which enforcement
+// mode later enforces it.
 #include <cstdio>
 
 #include "analysis/argclass.h"

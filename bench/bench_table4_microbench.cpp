@@ -5,8 +5,8 @@
 // (the deterministic analog of the paper's rdtsc readings). The paper
 // repeats each experiment 12 times and drops the highest and lowest reading
 // because rdtsc is noisy; the cost model is not, so each cell is one run.
-// Compared: original binaries on an unmonitored kernel (NullMonitor) vs
-// authenticated binaries with the AscMonitor installed; the per-call delta
+// Compared: original binaries on an unmonitored kernel (enforcement Off)
+// vs authenticated binaries on a kernel enforcing Asc; the per-call delta
 // is exactly the enforcement layer's charge. A guest run that does not
 // complete fails the bench (exit status 1).
 #include <cstdio>

@@ -6,10 +6,10 @@
 // gzip). Protocol (Table 6): one run per cell, in MODELED cycles (the
 // deterministic analog of the paper's `time` measurements, which it repeats
 // 4 times; a modeled run reads the same every time). The authenticated
-// column runs with the AscMonitor installed in the kernel's enforcement
-// layer; the baseline column with the NullMonitor. A guest run that does
-// not complete, or an unmonitored run whose threaded and switch engines
-// disagree on modeled cycles, fails the bench (exit status 1).
+// column runs with the kernel enforcing Asc; the baseline column with
+// enforcement Off. A guest run that does not complete, or an unmonitored
+// run whose threaded and switch engines disagree on modeled cycles, fails
+// the bench (exit status 1).
 #include <cstdio>
 #include <string>
 

@@ -38,8 +38,8 @@
 //                                concurrency. Output is identical at any
 //                                job count; --jobs 1 is the serial path.
 //     --monitor MODE             off | asc (default) | daemon | ktable;
-//                                selects the SyscallMonitor installed in the
-//                                kernel. daemon/ktable train their policy
+//                                selects the mode the kernel enforces.
+//                                daemon/ktable train their policy
 //                                table with one unmonitored run of the same
 //                                command line first.
 //     --failure-mode MODE        fail-stop (default) | budgeted:N |

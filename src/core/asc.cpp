@@ -26,8 +26,8 @@ crypto::Key128 derived_key(std::uint64_t seed) {
 System::System(os::Personality personality, const crypto::Key128& key, os::Enforcement mode,
                os::CostModel cost)
     : personality_(personality), installer_(key, personality), machine_(personality, cost) {
-  // Order is immaterial: set_enforcement installs a monitor that reads the
-  // kernel's key/policies/cost at inspect time, not at construction.
+  // Order is immaterial: enforcement reads the kernel's key/policies/cost
+  // at inspect time, not when the mode is set.
   machine_.kernel().set_key(key);
   machine_.kernel().set_enforcement(mode);
 }

@@ -36,11 +36,10 @@ crypto::Key128 derived_key(std::uint64_t seed);
 
 class System {
  public:
-  /// Creates an installer and a machine sharing `key`. `mode` selects which
-  /// built-in SyscallMonitor is installed in the kernel's enforcement layer
-  /// (AscMonitor by default; pass Enforcement::Off for baseline runs).
-  /// Custom or composed monitors go through kernel().install_monitor()
-  /// afterwards.
+  /// Creates an installer and a machine sharing `key`. `mode` is the mode
+  /// the kernel enforces (Asc by default; pass Enforcement::Off for
+  /// baseline runs). A list of modes goes through
+  /// kernel().set_enforcement() afterwards.
   explicit System(os::Personality personality, const crypto::Key128& key = test_key(),
                   os::Enforcement mode = os::Enforcement::Asc, os::CostModel cost = {});
 

@@ -7,6 +7,7 @@
 // installer/kernel key.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -44,6 +45,9 @@ class Cmac {
   /// Constant-time-ish comparison (not strictly required in a simulation,
   /// but cheap to do right).
   static bool equal(const Mac& a, const Mac& b);
+
+  /// Bytes an engine keeps on the heap: its key schedule.
+  static constexpr std::size_t heap_bytes() { return sizeof(Schedule); }
 
  private:
   /// AES round keys plus the CMAC subkeys K1/K2. Held through a pointer so
@@ -86,6 +90,8 @@ class MacKey {
     for (std::size_t i = 0; i < macs.size(); ++i) ok[i] = Cmac::equal(macs[i], expected[i]);
     return ok;
   }
+  /// Bytes a key keeps on the heap (its CMAC engine's schedule).
+  static constexpr std::size_t heap_bytes() { return Cmac::heap_bytes(); }
 
  private:
   Cmac cmac_;

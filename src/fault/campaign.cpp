@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "util/hex.h"
 #include "util/rng.h"
 
 namespace asc::fault {
@@ -59,19 +60,6 @@ std::string CampaignResult::summary() const {
   for (const auto& t : trips) out += "  " + t + "\n";
   return out;
 }
-
-namespace {
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 CampaignResult Campaign::run(const GuestProgram& prog) {
   // Install the program (and spawn helpers) once and take the clean
@@ -147,7 +135,7 @@ CampaignResult Campaign::run(const GuestProgram& prog) {
   // campaign's identity); the mutated executions fan out over the pool.
   const auto points = cfg_.points.empty() ? default_points() : cfg_.points;
   const util::Rng root(cfg_.seed);
-  const std::uint64_t tag = fnv1a(prog.name);
+  const std::uint64_t tag = util::fnv1a(prog.name);
   const bool replaying = !cfg_.explicit_specs.empty();
   std::vector<FaultSpec> specs = cfg_.explicit_specs;
   if (!replaying) {

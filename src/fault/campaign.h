@@ -18,7 +18,7 @@
 // the verdicts compared (graceful-degradation equivalence).
 //
 // Detection evidence comes from the audit layer of the trap pipeline: a run
-// counts as Detected only if the AscMonitor's verdict reached the AuditLog
+// counts as Detected only if Asc enforcement's verdict reached the AuditLog
 // as a Violation record (os/auditlog.h). Failure modes are an AuditLog
 // setting, which is why replaying the same mutations under a different mode
 // changes only kill decisions, never the audited violation classes.

@@ -111,7 +111,7 @@ ChaosResult ChaosEngine::run() {
       rotated = guest.rekey(guest.base, derived_key(0xC4A00001ULL));
       tenant.use(*rotated);
     }
-    if (monitor_swap) tenant.kernel().set_enforcement(os::Enforcement::Asc);  // fresh monitor
+    if (monitor_swap) tenant.kernel().set_enforcement(os::Enforcement::Asc);  // revokes promotions
     if (shadow_toggle) {
       tenant.kernel().set_policy_shadow(false);  // flushes every live record
       tenant.kernel().set_policy_shadow(true);

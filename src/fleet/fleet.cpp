@@ -7,20 +7,10 @@
 
 #include "apps/apps.h"
 #include "util/error.h"
+#include "util/hex.h"
 #include "util/rng.h"
 
 namespace asc::fleet {
-
-namespace {
-
-std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h = (h ^ static_cast<std::uint8_t>(c)) * 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 std::vector<fault::GuestProgram> default_fleet_guests(os::Personality p) {
   // Rerun-idempotent, light guests: a respawned lifecycle re-prepares the
@@ -48,7 +38,7 @@ FleetAudit merge_audit(std::vector<TenantVerdict>& tenants) {
     std::snprintf(tag, sizeof tag, "[t%05d %s] ", tv.tenant, tv.guest.c_str());
     for (os::VerdictRecord& rec : tv.audit) {
       m.lines.push_back(tag + rec.to_string());
-      h = fnv1a(h, m.lines.back());
+      h = util::fnv1a(m.lines.back(), h);
       m.records.push_back(std::move(rec));
     }
     tv.audit.clear();

@@ -23,27 +23,14 @@ struct TrapDepthGuard {
 }  // namespace
 
 Kernel::Kernel(Personality personality, CostModel cost)
-    : personality_(personality),
-      cost_(cost),
-      monitor_(std::make_unique<NullMonitor>()),
-      tenant_(cost_) {}
+    : personality_(personality), cost_(cost), tenant_(cost_) {}
 
-void Kernel::set_enforcement(Enforcement e) {
-  // Any monitor swap revokes every inline promotion: the new monitor has
+void Kernel::set_enforcement(std::vector<Enforcement> modes) {
+  // Any change of the list revokes every inline promotion: the new list has
   // inspected none of the promoted sites' traps.
   tenant_.tiers.on_monitor_swap();
-  enforcement_ = e;
-  monitor_ = make_monitor(e, *this);
-  asc_monitor_ = (e == Enforcement::Asc);
-}
-
-void Kernel::install_monitor(std::unique_ptr<SyscallMonitor> monitor) {
-  if (monitor == nullptr) throw Error("kernel: install_monitor(nullptr)");
-  tenant_.tiers.on_monitor_swap();
-  monitor_ = std::move(monitor);
-  // A custom monitor (even a chain containing AscMonitor) must see every
-  // trap, so the trap-less probe stands down until set_enforcement(Asc).
-  asc_monitor_ = false;
+  enforcement_ = std::move(modes);
+  asc_only_ = enforcement_.size() == 1 && enforcement_.front() == Enforcement::Asc;
 }
 
 void Kernel::set_key(const crypto::Key128& key) {
@@ -59,11 +46,6 @@ void Kernel::set_key(const crypto::Key128& key) {
 
 void Kernel::set_monitor_policy(const std::string& program, MonitorPolicy policy) {
   monitor_policies_[program] = std::move(policy);
-}
-
-const MonitorPolicy* Kernel::find_monitor_policy(const std::string& program) const {
-  auto it = monitor_policies_.find(program);
-  return it == monitor_policies_.end() ? nullptr : &it->second;
 }
 
 void Kernel::log_event(Process& p, const TrapContext& ctx, AuditKind kind, std::string detail) {
@@ -203,7 +185,7 @@ void Kernel::on_syscall(Process& p, std::uint32_t call_site) {
   // Any mismatch demoted the site inside try_inline and the trap takes the
   // full pipeline, which re-verifies every MAC -- tamper fail-stops there,
   // never here. An inline hit fires no stage hook after PreTrap.
-  const bool inline_hit = asc_monitor_ && tenant_.tiers.try_inline(p, call_site);
+  const bool inline_hit = asc_only_ && tenant_.tiers.try_inline(p, call_site);
 
   // ---- (1) trap layer: capture this call's context ----
   TrapContext ctx = capture_trap(p, call_site);
@@ -216,7 +198,7 @@ void Kernel::on_syscall(Process& p, std::uint32_t call_site) {
     // A violation verdict goes to the audit layer, which applies the failure
     // mode; only a kill ends the trap here. A tolerated violation (audit-only
     // / within the violation budget) falls through to normal dispatch.
-    MonitorVerdict verdict = monitor_->inspect(p, ctx);
+    MonitorVerdict verdict = inspect(p, ctx);
     if (stage_hook_) stage_hook_(p, ctx, TrapStage::Enforce);
     if (!verdict.allowed()) {
       ctx.verdict = verdict.violation;

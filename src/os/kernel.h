@@ -5,10 +5,10 @@
 //                          threads it through the stages below. One context
 //                          per trap, on the handler's stack, so nested traps
 //                          (Spawn) cannot clobber each other.
-//   (2) enforcement     -- os/sysmonitor.h: a pluggable SyscallMonitor
-//                          inspects the context and returns a verdict
-//                          (AscMonitor / DaemonMonitor / KernelTableMonitor /
-//                          NullMonitor, composable via ChainMonitor).
+//   (2) enforcement     -- os/sysmonitor.cpp: Kernel::inspect runs the
+//                          enforcement list (Off / Asc / Daemon /
+//                          KernelTable, in order, first violation wins)
+//                          on the context and returns a verdict.
 //   (3) dispatch        -- os/dispatch.cpp: the syscall handlers, reading
 //                          identity and arguments from the context.
 //   (4) audit           -- os/auditlog.h: the AuditLog records verdicts and
@@ -22,7 +22,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -62,7 +61,7 @@ struct RekeyCounters {
 class Kernel {
  public:
   explicit Kernel(Personality personality, CostModel cost = {});
-  // Installed monitors hold a reference to this kernel.
+  // The tier lattice holds a reference to this kernel's cost model.
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
 
@@ -74,26 +73,22 @@ class Kernel {
   const SimFs& fs() const { return fs_; }
 
   // ---- enforcement layer configuration ----
-  /// Select one of the built-in monitors by mode (see os/sysmonitor.h).
-  void set_enforcement(Enforcement e);
-  Enforcement enforcement() const { return enforcement_; }
-  /// Install a custom monitor (e.g. a ChainMonitor composing several); the
-  /// enforcement() getter keeps reporting the last set_enforcement() mode.
-  void install_monitor(std::unique_ptr<SyscallMonitor> monitor);
-  SyscallMonitor& monitor() { return *monitor_; }
-  const SyscallMonitor& monitor() const { return *monitor_; }
-  /// Install the MAC key (required for the ASC monitor). In the real system
+  /// Enforce one mode (see os/sysmonitor.h).
+  void set_enforcement(Enforcement e) { set_enforcement(std::vector<Enforcement>{e}); }
+  /// Enforce a list of modes, run in order on every trap; the first
+  /// violation wins and later modes are neither run nor charged. An empty
+  /// list allows everything.
+  void set_enforcement(std::vector<Enforcement> modes);
+  const std::vector<Enforcement>& enforcement() const { return enforcement_; }
+  /// Install the MAC key (required for Asc enforcement). In the real system
   /// only the installer and the kernel ever hold this key.
   void set_key(const crypto::Key128& key);
   const crypto::MacKey* key() const { return tenant_.key ? &*tenant_.key : nullptr; }
-  /// Policy for the baseline monitors, per program name.
+  /// Policy for the Daemon and KernelTable modes, per program name.
   void set_monitor_policy(const std::string& program, MonitorPolicy policy);
-  /// The installed policy for a program, or nullptr.
-  const MonitorPolicy* find_monitor_policy(const std::string& program) const;
-  /// Normalize path arguments before checking baseline-monitor path
-  /// policies (§5.4).
+  /// Normalize path arguments before checking the Daemon and KernelTable
+  /// path policies (§5.4).
   void set_normalize_paths(bool on) { normalize_paths_ = on; }
-  bool normalize_paths() const { return normalize_paths_; }
 
   // ---- the tier lattice (os/tiertable.h) ----
   /// The whole lattice: gates, thresholds, per-site and per-pid records,
@@ -129,20 +124,8 @@ class Kernel {
   /// An EXTERNAL invariant oracle (chaos engine, tests) detected an
   /// inconsistency in this pid's kernel bookkeeping: demote its health and
   /// quarantine its fast paths. Never counts toward the violation budget --
-  /// this is the monitor's defect, not the guest's.
+  /// this is the kernel's defect, not the guest's.
   void report_internal_fault(Process& p, const std::string& detail);
-  /// Cheap per-trap self-check of the fast-path bookkeeping (shadow nonce
-  /// coherence), run by the ASC monitor before it gates the fast paths.
-  /// Charges no modeled cycles and emits no records on clean runs. Demotes
-  /// on a mismatch. `owner` is the pid's lattice record
-  /// (TierTable::find_pid), which the verification resolves once.
-  void health_self_check(Process& p, const TrapContext& ctx, const TierTable::PidRecord* owner);
-  /// Outcome of one ASC verification of `p` (clean = no violation, eager =
-  /// served by neither fast path); drives streak counting and the earned
-  /// re-promotions. `owner` as for health_self_check. Charges no modeled
-  /// cycles.
-  void note_verification(Process& p, const TrapContext& ctx, TierTable::PidRecord* owner,
-                         bool clean, bool eager);
 
   // ---- live key rotation (differential rekey; installer/rekeyer.h) ----
   /// Move a live process onto `new_key` using the re-signed MAC bytes in
@@ -171,7 +154,7 @@ class Kernel {
   /// Stage hook: fires at every TrapStage boundary of on_syscall with the
   /// in-flight context -- the one trap hook for tests, tracers and fault
   /// injection (pass {} to clear). PreTrap fires first on every trap; see
-  /// os/trapcontext.h. The monitor is never on the stack when the hook runs,
+  /// os/trapcontext.h. Enforcement is never on the stack when the hook runs,
   /// so hooks may rotate keys, tear down the process, or invalidate
   /// fast-path entries. A hook leaves the threaded engine on.
   using StageHook = std::function<void(Process&, TrapContext&, TrapStage)>;
@@ -235,7 +218,27 @@ class Kernel {
   /// Audit a non-violation event (net/signal/spawn) with full trap context.
   void log_event(Process& p, const TrapContext& ctx, AuditKind kind, std::string detail);
 
+  // ---- enforcement layer (os/sysmonitor.cpp) ----
+  /// (2) Run the enforcement list on the captured trap.
+  MonitorVerdict inspect(Process& p, TrapContext& ctx);
+  /// The Daemon/KernelTable check: `p`'s program policy permits the call
+  /// (by number or fsread/fswrite alias, and by path pattern where one was
+  /// trained). False sets `why`.
+  bool table_allows(Process& p, const TrapContext& ctx, std::string* why) const;
+
   // ---- health machine internals (see os/health.h) ----
+  /// Cheap per-trap self-check of the fast-path bookkeeping (shadow nonce
+  /// coherence), run by Asc enforcement before it gates the fast paths.
+  /// Charges no modeled cycles and emits no records on clean runs. Demotes
+  /// on a mismatch. `owner` is the pid's lattice record
+  /// (TierTable::find_pid), which the verification resolves once.
+  void health_self_check(Process& p, const TrapContext& ctx, const TierTable::PidRecord* owner);
+  /// Outcome of one ASC verification of `p` (clean = no violation, eager =
+  /// served by neither fast path); drives streak counting and the earned
+  /// re-promotions. `owner` as for health_self_check. Charges no modeled
+  /// cycles.
+  void note_verification(Process& p, const TrapContext& ctx, TierTable::PidRecord* owner,
+                         bool clean, bool eager);
   /// Record an internal inconsistency: audit it, evict the pid's fast
   /// paths (TierTable::evict_pid), and demote one level. `ctx` may be null
   /// (oracle reports arrive outside any trap).
@@ -259,13 +262,11 @@ class Kernel {
   Personality personality_;
   CostModel cost_;
   SimFs fs_;
-  Enforcement enforcement_ = Enforcement::Off;
-  std::unique_ptr<SyscallMonitor> monitor_;
-  /// True iff the active monitor is the built-in ASC pipeline -- the only
-  /// monitor whose verifications can promote a site, so the only one the
-  /// inline probe may stand in for. Custom monitors (install_monitor)
-  /// conservatively clear it.
-  bool asc_monitor_ = false;
+  std::vector<Enforcement> enforcement_{Enforcement::Off};
+  /// True iff the enforcement list is exactly {Asc}: the only list the
+  /// trap-less inline probe may stand in for. Any other mode in the list
+  /// must see every trap, so a chain containing Asc clears it too.
+  bool asc_only_ = false;
   /// The per-tenant shard: key, tier lattice, audit (os/tenant.h).
   TenantState tenant_;
   std::map<std::string, MonitorPolicy> monitor_policies_;

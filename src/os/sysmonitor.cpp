@@ -1,3 +1,5 @@
+// The enforcement layer (os/sysmonitor.h): Kernel::inspect runs the
+// kernel's enforcement list on one captured trap.
 #include "os/sysmonitor.h"
 
 #include "os/checker.h"
@@ -17,6 +19,16 @@ std::string enforcement_name(Enforcement e) {
   return "?";
 }
 
+std::string enforcement_name(const std::vector<Enforcement>& modes) {
+  if (modes.size() == 1) return enforcement_name(modes.front());
+  std::string n = "chain(";
+  for (std::size_t i = 0; i < modes.size(); ++i) {
+    if (i > 0) n += "+";
+    n += enforcement_name(modes[i]);
+  }
+  return n + ")";
+}
+
 namespace {
 
 MonitorVerdict unknown_syscall(const TrapContext& ctx) {
@@ -25,57 +37,64 @@ MonitorVerdict unknown_syscall(const TrapContext& ctx) {
 
 }  // namespace
 
-MonitorVerdict NullMonitor::inspect(Process& p, TrapContext& ctx) {
-  (void)p;
-  (void)ctx;
+MonitorVerdict Kernel::inspect(Process& p, TrapContext& ctx) {
+  for (const Enforcement mode : enforcement_) {
+    switch (mode) {
+      case Enforcement::Off: break;
+      case Enforcement::Asc: {
+        if (!tenant_.key) throw Error("kernel: Asc enforcement without a key");
+        if (!ctx.id.has_value()) return unknown_syscall(ctx);
+        // One lookup of the pid's lattice record serves the whole
+        // verification. Self-check the fast-path bookkeeping BEFORE gating
+        // on it: a detected inconsistency demotes the pid's health and
+        // evicts the suspect state, so the gates below already reflect the
+        // demotion for this very trap.
+        TierTable::PidRecord* owner = tenant_.tiers.find_pid(p.pid);
+        health_self_check(p, ctx, owner);
+        CheckResult r = check_authenticated_call(p, ctx.call_site, ctx.sysno, *ctx.id,
+                                                 signature(*ctx.id), *tenant_.key, cost_,
+                                                 tenant_.tiers, owner);
+        ctx.charge(p, r.cycles);
+        note_verification(p, ctx, owner, r.violation == Violation::None,
+                          !r.cache_hit && !r.shadow_hit);
+        if (r.violation != Violation::None) return {r.violation, std::move(r.detail)};
+        break;
+      }
+      case Enforcement::Daemon:
+      case Enforcement::KernelTable: {
+        // The lookup is charged before the unknown-number check: the mode
+        // must consult its table to learn the number is unknown. The daemon
+        // pays two context switches (to it and back) on top (§2.3).
+        ctx.charge(p, mode == Enforcement::Daemon
+                          ? 2 * cost_.context_switch + cost_.daemon_lookup
+                          : cost_.ktable_lookup);
+        if (!ctx.id.has_value()) return unknown_syscall(ctx);
+        std::string why;
+        if (!table_allows(p, ctx, &why)) return {Violation::MonitorDenied, std::move(why)};
+        break;
+      }
+    }
+  }
   return {};
 }
 
-MonitorVerdict AscMonitor::inspect(Process& p, TrapContext& ctx) {
-  if (kernel_.key() == nullptr) throw Error("kernel: Asc enforcement without a key");
-  if (!ctx.id.has_value()) return unknown_syscall(ctx);
-  // One lookup of the pid's lattice record serves the whole verification.
-  // Self-check the fast-path bookkeeping BEFORE gating on it: a detected
-  // inconsistency demotes the pid's health and evicts the suspect state, so
-  // the gates below already reflect the demotion for this very trap.
-  TierTable& tiers = kernel_.tier_table();
-  TierTable::PidRecord* owner = tiers.find_pid(p.pid);
-  kernel_.health_self_check(p, ctx, owner);
-  const CheckResult r =
-      check_authenticated_call(p, ctx.call_site, ctx.sysno, *ctx.id, signature(*ctx.id),
-                               *kernel_.key(), kernel_.cost(), tiers, owner);
-  ctx.charge(p, r.cycles);
-  kernel_.note_verification(p, ctx, owner, r.violation == Violation::None,
-                            !r.cache_hit && !r.shadow_hit);
-  return {r.violation, r.detail};
-}
-
-MonitorVerdict PolicyTableMonitor::inspect(Process& p, TrapContext& ctx) {
-  // The lookup is charged before the unknown-number check: the monitor must
-  // consult its table to learn the number is unknown.
-  ctx.charge(p, lookup_cycles());
-  if (!ctx.id.has_value()) return unknown_syscall(ctx);
-  std::string why;
-  if (!allows(p, ctx, &why)) return {Violation::MonitorDenied, std::move(why)};
-  return {};
-}
-
-bool PolicyTableMonitor::allows(Process& p, const TrapContext& ctx, std::string* why) const {
-  const MonitorPolicy* pol = kernel_.find_monitor_policy(p.name);
-  if (pol == nullptr) {
+bool Kernel::table_allows(Process& p, const TrapContext& ctx, std::string* why) const {
+  const auto it = monitor_policies_.find(p.name);
+  if (it == monitor_policies_.end()) {
     *why = "no policy loaded for program";
     return false;
   }
+  const MonitorPolicy& pol = it->second;
   const auto& sig = signature(*ctx.id);
-  const bool allowed_by_alias = (pol->allow_fsread && sig.category == Category::FsRead) ||
-                                (pol->allow_fswrite && sig.category == Category::FsWrite);
-  if (pol->allowed.count(ctx.sysno) == 0 && !allowed_by_alias) {
+  const bool allowed_by_alias = (pol.allow_fsread && sig.category == Category::FsRead) ||
+                                (pol.allow_fswrite && sig.category == Category::FsWrite);
+  if (pol.allowed.count(ctx.sysno) == 0 && !allowed_by_alias) {
     *why = std::string("syscall ") + sig.name + " not permitted by policy";
     return false;
   }
   // Path constraints (if any were trained for this syscall).
-  auto pit = pol->path_patterns.find(ctx.sysno);
-  if (pit != pol->path_patterns.end() && !pit->second.empty() && sig.arity > 0 &&
+  auto pit = pol.path_patterns.find(ctx.sysno);
+  if (pit != pol.path_patterns.end() && !pit->second.empty() && sig.arity > 0 &&
       sig.args[0] == ArgKind::PathIn) {
     std::string path;
     try {
@@ -84,13 +103,12 @@ bool PolicyTableMonitor::allows(Process& p, const TrapContext& ctx, std::string*
       *why = "unreadable path argument";
       return false;
     }
-    if (kernel_.normalize_paths()) {
+    if (normalize_paths_) {
       // Full resolution first (follows a final symlink -- the §5.4 attack);
       // fall back to parent-only for files that do not exist yet (O_CREAT).
-      const SimFs& fs = kernel_.fs();
-      if (auto norm = fs.normalize(p.cwd, path)) {
+      if (auto norm = fs_.normalize(p.cwd, path)) {
         path = *norm;
-      } else if (auto parent = fs.normalize(p.cwd, path, /*parent_only=*/true)) {
+      } else if (auto parent = fs_.normalize(p.cwd, path, /*parent_only=*/true)) {
         path = *parent;
       }
     }
@@ -101,42 +119,6 @@ bool PolicyTableMonitor::allows(Process& p, const TrapContext& ctx, std::string*
     return false;
   }
   return true;
-}
-
-std::uint64_t DaemonMonitor::lookup_cycles() const {
-  const CostModel& cost = kernel_.cost();
-  return 2 * cost.context_switch + cost.daemon_lookup;
-}
-
-std::uint64_t KernelTableMonitor::lookup_cycles() const {
-  return kernel_.cost().ktable_lookup;
-}
-
-std::string ChainMonitor::name() const {
-  std::string n = "chain(";
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    if (i > 0) n += "+";
-    n += links_[i]->name();
-  }
-  return n + ")";
-}
-
-MonitorVerdict ChainMonitor::inspect(Process& p, TrapContext& ctx) {
-  for (const auto& link : links_) {
-    MonitorVerdict v = link->inspect(p, ctx);
-    if (!v.allowed()) return v;
-  }
-  return {};
-}
-
-std::unique_ptr<SyscallMonitor> make_monitor(Enforcement e, Kernel& kernel) {
-  switch (e) {
-    case Enforcement::Off: return std::make_unique<NullMonitor>();
-    case Enforcement::Asc: return std::make_unique<AscMonitor>(kernel);
-    case Enforcement::Daemon: return std::make_unique<DaemonMonitor>(kernel);
-    case Enforcement::KernelTable: return std::make_unique<KernelTableMonitor>(kernel);
-  }
-  return std::make_unique<NullMonitor>();
 }
 
 }  // namespace asc::os

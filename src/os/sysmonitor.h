@@ -1,49 +1,40 @@
-// The enforcement layer of the trap pipeline: SyscallMonitor, the pluggable
-// monitor interface, and the four built-in implementations the benches
-// compare (§4.2), extracted from what used to be inline branches of the
-// kernel's trap handler:
+// The enforcement layer of the trap pipeline: the modes the benches compare
+// (§4.2) and the policy format of the two baseline modes.
 //
-//   NullMonitor        -- no monitoring (the paper's "original" baseline)
-//   AscMonitor         -- authenticated system calls (§3.4 checking; the
-//                         paper's contribution), wrapping the checker and
-//                         the verified-call cache. Every call is checked;
-//                         unauthenticated calls are blocked.
-//   DaemonMonitor      -- user-space policy daemon baseline (Systrace/Ostia
-//                         style): each call costs two extra context switches
-//                         plus a policy lookup in the daemon.
-//   KernelTableMonitor -- fully in-kernel policy table baseline.
+//   Off         -- no monitoring (the paper's "original" baseline)
+//   Asc         -- authenticated system calls (§3.4 checking; the paper's
+//                  contribution), through the checker and the tier lattice.
+//                  Every call is checked; unauthenticated calls are blocked.
+//   Daemon      -- user-space policy daemon baseline (Systrace/Ostia
+//                  style): each call costs two extra context switches plus
+//                  a policy lookup in the daemon.
+//   KernelTable -- fully in-kernel policy table baseline.
 //
-// ChainMonitor composes monitors into a pipeline (first violation wins), so
-// enforcement policies stack -- e.g. ASC checking plus an extra in-kernel
-// allowlist as separate links. Monitors are strategy objects over
-// kernel-owned configuration (key, policies, cost model): they hold a
-// Kernel reference and read it at inspect time, so configuration order does
-// not matter.
+// A kernel enforces a list of modes (Kernel::set_enforcement), so checks
+// stack -- e.g. ASC checking plus an in-kernel allowlist. Kernel::inspect
+// (os/sysmonitor.cpp) runs the list in order, first violation wins, reading
+// the kernel's key, policies and cost model at inspect time, so
+// configuration order does not matter.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "os/process.h"
-#include "os/syscalls.h"
-#include "os/trapcontext.h"
 
 namespace asc::os {
 
-class Kernel;
-
-/// The classic enforcement-mode selector; maps 1:1 onto the built-in
-/// monitors via make_monitor().
 enum class Enforcement : std::uint8_t { Off, Asc, Daemon, KernelTable };
 
 std::string enforcement_name(Enforcement e);
+/// The name of an enforcement list: a one-mode list is named by its mode
+/// ("asc"), any other by its links ("chain(asc+kernel-table)", "chain()").
+std::string enforcement_name(const std::vector<Enforcement>& modes);
 
-/// Policy format used by the two baseline monitors (Daemon / KernelTable):
+/// Policy format used by the two baseline modes (Daemon / KernelTable):
 /// a set of permitted syscall numbers, optionally with path patterns, plus
 /// Systrace-style fsread/fswrite aliases.
 struct MonitorPolicy {
@@ -53,105 +44,12 @@ struct MonitorPolicy {
   bool allow_fswrite = false;  // permit every Category::FsWrite call
 };
 
-/// What a monitor concluded about one trap.
+/// What the enforcement layer concluded about one trap.
 struct MonitorVerdict {
   Violation violation = Violation::None;
   std::string detail;
 
   bool allowed() const { return violation == Violation::None; }
 };
-
-/// One enforcement monitor: inspects a captured trap before dispatch and
-/// returns a verdict. Implementations charge their modeled enforcement cost
-/// through the context (so audit timestamps and Table 4/6 cycle counts see
-/// it) and must not mutate guest-visible state.
-class SyscallMonitor {
- public:
-  virtual ~SyscallMonitor() = default;
-  virtual std::string name() const = 0;
-  virtual MonitorVerdict inspect(Process& p, TrapContext& ctx) = 0;
-};
-
-/// No monitoring; allows everything and charges nothing.
-class NullMonitor final : public SyscallMonitor {
- public:
-  std::string name() const override { return "off"; }
-  MonitorVerdict inspect(Process& p, TrapContext& ctx) override;
-};
-
-/// Authenticated system calls (§3.4): reconstructs the encoded call, checks
-/// the call MAC, string-argument MACs, control-flow policy state, and the
-/// §5.1/§5.3 extensions, via the kernel checker and its verified-call
-/// cache. Requires the MAC key to be installed.
-class AscMonitor final : public SyscallMonitor {
- public:
-  explicit AscMonitor(Kernel& kernel) : kernel_(kernel) {}
-  std::string name() const override { return "asc"; }
-  MonitorVerdict inspect(Process& p, TrapContext& ctx) override;
-
- private:
-  Kernel& kernel_;
-};
-
-/// Shared implementation of the two policy-table baselines: per-program
-/// syscall allowlist with optional path patterns (and Systrace aliases).
-/// Subclasses fix the per-call cost of where the table lives.
-class PolicyTableMonitor : public SyscallMonitor {
- public:
-  explicit PolicyTableMonitor(Kernel& kernel) : kernel_(kernel) {}
-  MonitorVerdict inspect(Process& p, TrapContext& ctx) override;
-
- protected:
-  /// Modeled cost of consulting the policy, charged on every trap.
-  virtual std::uint64_t lookup_cycles() const = 0;
-
-  Kernel& kernel_;
-
- private:
-  bool allows(Process& p, const TrapContext& ctx, std::string* why) const;
-};
-
-/// User-space policy daemon baseline: two context switches (to the daemon
-/// and back) plus the daemon's policy lookup; this is the architecture ASC
-/// avoids (§2.3).
-class DaemonMonitor final : public PolicyTableMonitor {
- public:
-  using PolicyTableMonitor::PolicyTableMonitor;
-  std::string name() const override { return "daemon"; }
-
- protected:
-  std::uint64_t lookup_cycles() const override;
-};
-
-/// Fully in-kernel policy table baseline: a table lookup per trap.
-class KernelTableMonitor final : public PolicyTableMonitor {
- public:
-  using PolicyTableMonitor::PolicyTableMonitor;
-  std::string name() const override { return "kernel-table"; }
-
- protected:
-  std::uint64_t lookup_cycles() const override;
-};
-
-/// Monitor combinator: runs each link in order; the first violation wins
-/// and later links do not run (their cost is not charged). An empty chain
-/// allows everything.
-class ChainMonitor final : public SyscallMonitor {
- public:
-  ChainMonitor() = default;
-  explicit ChainMonitor(std::vector<std::unique_ptr<SyscallMonitor>> links)
-      : links_(std::move(links)) {}
-  void add(std::unique_ptr<SyscallMonitor> link) { links_.push_back(std::move(link)); }
-  std::size_t size() const { return links_.size(); }
-  std::string name() const override;
-  MonitorVerdict inspect(Process& p, TrapContext& ctx) override;
-
- private:
-  std::vector<std::unique_ptr<SyscallMonitor>> links_;
-};
-
-/// The built-in monitor for an enforcement mode, bound to `kernel`'s
-/// configuration (key, policies, cost model, cache).
-std::unique_ptr<SyscallMonitor> make_monitor(Enforcement e, Kernel& kernel);
 
 }  // namespace asc::os

@@ -16,9 +16,10 @@
 // Sharding rationale (why these three and nothing else): each member is
 // keyed by pid or by the tenant's key, never by anything another tenant can
 // name. The pieces of Kernel that stay outside -- personality, cost model,
-// the simulated filesystem, the monitor, trace/tracing, the virtual clock --
-// are configuration or simulation plumbing, not enforcement state; sharing
-// or cloning them is a policy decision the embedder makes per System.
+// the simulated filesystem, the enforcement list, trace/tracing, the
+// virtual clock -- are configuration or simulation plumbing, not
+// enforcement state; sharing or cloning them is a policy decision the
+// embedder makes per System.
 #pragma once
 
 #include <cstdint>
@@ -52,10 +53,11 @@ struct TenantState {
   AuditLog audit;
 
   /// Approximate retained bytes of this shard (capacity-planning surface for
-  /// the Table 7 fleet bench: deterministic, counts the dynamic containers,
-  /// not allocator overhead).
+  /// the Table 7 fleet bench: deterministic, counts the dynamic containers
+  /// and the installed key's schedule, not allocator overhead).
   std::size_t approx_bytes() const {
-    return sizeof(TenantState) + tiers.approx_bytes() + audit.approx_bytes();
+    return sizeof(TenantState) + (key ? crypto::MacKey::heap_bytes() : 0) +
+           tiers.approx_bytes() + audit.approx_bytes();
   }
 };
 

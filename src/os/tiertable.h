@@ -144,7 +144,7 @@ enum class DemotionCause : std::uint8_t {
   KeyRotation,     // Kernel::set_key: no prior verification survives
   Teardown,        // process teardown / exec (TierTable::end_process)
   HealthDemotion,  // per-pid health machine left Healthy
-  MonitorSwap,     // enforcement monitor replaced mid-run
+  MonitorSwap,     // enforcement list replaced mid-run
   ProbeMismatch,   // inline probe saw registers/shadow diverge from snapshot
   Disabled,        // a fast path was switched off at runtime
   kCount,
@@ -391,8 +391,8 @@ class TierTable {
   /// Key rotation, under the OLD key: drop every site record (KeyRotation)
   /// and write every shadow back under the key that shadowed it.
   void on_key_rotation();
-  /// Monitor swap: the new monitor has authorized nothing, so every
-  /// promotion is revoked.
+  /// Monitor swap (Kernel::set_enforcement): the new enforcement list has
+  /// authorized nothing, so every promotion is revoked.
   void on_monitor_swap() { demote_all(DemotionCause::MonitorSwap); }
 
   // ---- inspection ----

@@ -25,6 +25,15 @@ std::string to_hex(std::span<const std::uint8_t> bytes) {
   return out;
 }
 
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes, std::uint64_t h) {
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+  return h;
+}
+
+std::uint64_t fnv1a(std::string_view s, std::uint64_t h) {
+  return fnv1a({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()}, h);
+}
+
 std::vector<std::uint8_t> from_hex(const std::string& hex) {
   if (hex.size() % 2 != 0) throw Error("from_hex: odd-length input");
   std::vector<std::uint8_t> out;

@@ -10,12 +10,21 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace asc::util {
 
 /// Lowercase hex string for a byte range ("deadbeef").
 std::string to_hex(std::span<const std::uint8_t> bytes);
+
+/// The FNV-1a-64 offset basis.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
+/// FNV-1a-64 of a byte string, continuing from the running digest `h`
+/// (digests of a sequence chain: h = fnv1a(next, h)).
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes, std::uint64_t h = kFnv1aBasis);
+std::uint64_t fnv1a(std::string_view s, std::uint64_t h = kFnv1aBasis);
 
 /// Parse a hex string (no separators) into bytes. Throws asc::Error on
 /// malformed input (odd length, non-hex character).

@@ -113,12 +113,8 @@ RunResult Machine::run_internal(const binary::Image& image, const std::vector<st
   setup_initial_stack(p, argv);
 
   RunResult res;
-  // pre_instr_hook's contract is per-instruction observation, which the
-  // threaded engine deliberately does not provide -- such runs take the
-  // reference interpreter regardless of the dispatch setting.
-  const bool threaded = dispatch_ == DispatchMode::Threaded && !pre_instr_hook;
   try {
-    if (threaded) {
+    if (dispatch_ == DispatchMode::Threaded) {
       p.predecode.set_fusion(superinstructions_);
       if (run_predecoded(p, kernel_, cycle_limit_) == EngineExit::CycleLimit) {
         res.cycle_limit_hit = true;
@@ -129,7 +125,6 @@ RunResult Machine::run_internal(const binary::Image& image, const std::vector<st
           res.cycle_limit_hit = true;
           break;
         }
-        if (pre_instr_hook) pre_instr_hook(p);
         Cpu::step(p, kernel_);
       }
     }

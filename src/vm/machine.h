@@ -7,7 +7,6 @@
 // inspect RunResult.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -76,22 +75,15 @@ class Machine {
   void set_cycle_limit(std::uint64_t limit) { cycle_limit_ = limit; }
 
   /// Select the execution engine. Defaults to Threaded (override with
-  /// ASC_DISPATCH=switch in the environment). Only a run with pre_instr_hook
-  /// installed takes the switch interpreter: that hook's contract is
-  /// per-instruction observation, which the threaded engine deliberately
-  /// does not provide. Trap hooks (Kernel::set_stage_hook, PreTrap included)
-  /// fire inside the kernel and leave the threaded engine on.
+  /// ASC_DISPATCH=switch in the environment). Trap hooks
+  /// (Kernel::set_stage_hook, PreTrap included) fire inside the kernel and
+  /// leave the selected engine on.
   void set_dispatch(DispatchMode mode) { dispatch_ = mode; }
   DispatchMode dispatch() const { return dispatch_; }
   /// Superinstruction fusion toggle for the threaded engine (differential
   /// tests pit fused and unfused streams against the reference).
   void set_superinstructions(bool on) { superinstructions_ = on; }
   bool superinstructions() const { return superinstructions_; }
-
-  /// Test hook fired before every instruction (forces the switch
-  /// interpreter). To act just before the kernel sees a SYSCALL, use the
-  /// kernel's PreTrap stage hook instead.
-  std::function<void(os::Process&)> pre_instr_hook;
 
  private:
   RunResult run_internal(const binary::Image& image, const std::vector<std::string>& argv,

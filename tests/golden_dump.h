@@ -19,6 +19,7 @@
 #include "apps/apps.h"
 #include "installer/installer.h"
 #include "monitor/ktable.h"
+#include "util/hex.h"
 #include "workloads.h"
 
 namespace asc::testing {
@@ -65,13 +66,8 @@ inline void prepare_screen_fs(os::SimFs& fs) {
 /// FNV-1a over a sequence of byte strings, printed as 16 hex digits.
 struct Fnv {
   std::uint64_t h = 1469598103934665603ull;
-  void add(const std::uint8_t* p, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 1099511628211ull;
-  }
-  void add(const std::vector<std::uint8_t>& v) { add(v.data(), v.size()); }
-  void add(const std::string& s) {
-    add(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
-  }
+  void add(const std::vector<std::uint8_t>& v) { h = util::fnv1a(v, h); }
+  void add(const std::string& s) { h = util::fnv1a(s, h); }
   std::string hex() const {
     char buf[24];
     std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));

@@ -322,26 +322,19 @@ vm::RunResult run_frankenstein(bool unique_ids, os::Violation* violation_out) {
   parts.asdata_tail_addr = as_b->vaddr() + policy::kPolicyStateSize;
   parts.asdata_tail.assign(as_b->bytes.begin() + policy::kPolicyStateSize, as_b->bytes.end());
 
-  // Hook: after A's getpid retires (call #1 done), redirect to B's spliced
-  // getuid sequence. We patch memory on the SECOND syscall's trap... no:
-  // patch right before the second syscall instruction would be too late to
-  // redirect. Instead patch memory up front and redirect control after the
-  // first syscall completes, detected via instruction count.
-  bool redirected = false;
-  int syscalls_seen = 0;
+  // Hook: at the end of A's first trap (its own authenticated getpid, which
+  // the splice must not clobber), splice in B's sequence and blobs and
+  // redirect: both engines resume at cpu.pc after the trap.
+  int traps = 0;
   auto& machine = sys.machine();
   machine.kernel().set_tracing(true);
-  testing::on_pre_trap(machine.kernel(), [&](os::Process&, std::uint32_t) { ++syscalls_seen; });
-  machine.pre_instr_hook = [&](os::Process& p) {
-    // Splice and redirect only AFTER A's own authenticated getpid retired
-    // (the splice must not clobber live code/blobs A still needs).
-    if (!redirected && syscalls_seen == 1) {
-      p.mem.write_bytes(parts.seq_start, parts.text_bytes);
-      p.mem.write_bytes(parts.asdata_tail_addr, parts.asdata_tail);
-      redirected = true;
-      p.cpu.pc = parts.seq_start;  // jump to B's authenticated getuid
-    }
-  };
+  machine.kernel().set_stage_hook([&](os::Process& p, os::TrapContext&, os::TrapStage s) {
+    if (s == os::TrapStage::PreTrap) ++traps;
+    if (s != os::TrapStage::Audit || traps != 1) return;
+    p.mem.write_bytes(parts.seq_start, parts.text_bytes);
+    p.mem.write_bytes(parts.asdata_tail_addr, parts.asdata_tail);
+    p.cpu.pc = parts.seq_start;  // jump to B's authenticated getuid
+  });
   auto r = machine.run(inst_a.image);
   if (violation_out != nullptr) {
     // The interesting outcome is whether the SPLICED CALL executed; after it

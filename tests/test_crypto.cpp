@@ -1,5 +1,5 @@
-// AES-128 and AES-CMAC against official test vectors, plus MAC properties
-// the ASC design depends on.
+// AES-128, AES-CMAC and FNV-1a against published test vectors, plus MAC
+// properties the ASC design depends on.
 #include <gtest/gtest.h>
 
 #include "crypto/aes.h"
@@ -15,6 +15,16 @@ Key128 key_of(const std::string& hex) {
   auto v = util::from_hex(hex);
   std::copy(v.begin(), v.end(), k.begin());
   return k;
+}
+
+// util::fnv1a, the digest of the fleet audit, the campaign's substream tags
+// and the installer golden: the published FNV-1a-64 vectors, and chaining.
+TEST(Fnv1a, MatchesPublishedVectorsAndChains) {
+  EXPECT_EQ(util::fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(util::fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(util::fnv1a("foobar"), 0x85944171f73967e8ULL);
+  EXPECT_EQ(util::fnv1a(util::bytes_of("foobar")), util::fnv1a("foobar"));
+  EXPECT_EQ(util::fnv1a("bar", util::fnv1a("foo")), util::fnv1a("foobar"));
 }
 
 TEST(Aes, Fips197AppendixB) {

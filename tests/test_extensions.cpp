@@ -115,9 +115,10 @@ TEST(Patterns, LyingHintIsKilledEvenForMatchingPath) {
 TEST(Patterns, TamperedPatternTextIsKilled) {
   System sys(os::Personality::LinuxSim);
   auto inst = install_with_tmp_pattern(sys, build_pattern_guest(false));
-  // Overwrite the pattern's AS content ("/tmp/*" -> "/etc/*").
+  // Overwrite the pattern's AS content ("/tmp/*" -> "/etc/*") at the first
+  // trap, before any check runs.
   bool patched = false;
-  sys.machine().pre_instr_hook = [&](os::Process& p) {
+  testing::on_pre_trap(sys.kernel(), [&](os::Process& p, std::uint32_t) {
     if (patched) return;
     patched = true;
     const auto* as = inst.image.find_section(binary::SectionKind::AsData);
@@ -130,7 +131,7 @@ TEST(Patterns, TamperedPatternTextIsKilled) {
         return;
       }
     }
-  };
+  });
   auto r = sys.machine().run(inst.image);
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.violation, os::Violation::BadPattern) << r.violation_detail;

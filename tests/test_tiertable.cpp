@@ -15,6 +15,7 @@
 #include "apps/libtoy.h"
 #include "core/asc.h"
 #include "isa/isa.h"
+#include "monitor/ktable.h"
 #include "os/tiertable.h"
 #include "policy/policy.h"
 #include "tasm/assembler.h"
@@ -211,6 +212,27 @@ TEST(TierTableRun, InlineTierIsOffByDefault) {
   ASSERT_TRUE(r.completed) << r.violation_detail;
   EXPECT_EQ(sys.kernel().tier_stats().inline_hits, 0u);
   EXPECT_EQ(sys.kernel().tier_stats().promotions, 0u);
+}
+
+// The trap-less probe stands in for exactly one enforcement list, {Asc}: any
+// other mode in the list must see every trap, so a chain that contains Asc
+// serves no inline hit and pays the table lookup on every call.
+TEST(TierTableRun, ChainContainingAscServesNoInlineHit) {
+  const LoopRun asc = run_pidloop(true);
+  ASSERT_TRUE(asc.result.completed) << asc.result.violation_detail;
+  ASSERT_GT(asc.stats.inline_hits, 0u);
+
+  const LoopRun full = run_pidloop(false);
+  const LoopRun chained = run_pidloop(true, 4, [](System& sys) {
+    const auto inst = sys.install(build_pidloop());
+    sys.kernel().set_monitor_policy("pidloop", monitor::table_from_asc_policies(inst.policies));
+    sys.kernel().set_enforcement({os::Enforcement::Asc, os::Enforcement::KernelTable});
+  });
+  ASSERT_TRUE(chained.result.completed) << chained.result.violation_detail;
+  EXPECT_EQ(chained.stats.inline_hits, 0u);
+  EXPECT_EQ(chained.result.syscalls, full.result.syscalls);
+  EXPECT_EQ(chained.result.cycles,
+            full.result.cycles + chained.result.syscalls * os::CostModel{}.ktable_lookup);
 }
 
 // The ISSUE's Table 4 target: getpid overhead at the inline tier within 5%

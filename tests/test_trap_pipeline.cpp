@@ -1,7 +1,7 @@
 // Tests for the staged trap pipeline: the golden-trace oracle (the refactor
 // must reproduce the monolithic kernel byte for byte), the nested-spawn
 // trap-context regression, Budgeted failure-mode boundaries, and the
-// SyscallMonitor interface (names, factory, ChainMonitor composition).
+// enforcement list (names, chains, training keeps the list).
 #include <fstream>
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include "apps/libtoy.h"
 #include "golden_dump.h"
 #include "monitor/ktable.h"
+#include "monitor/training.h"
 #include "tasm/assembler.h"
 
 #ifndef ASC_TESTS_DIR
@@ -192,18 +193,22 @@ TEST(TrapPipelineBudget, AuditOnlyRecordsEveryViolationAndNeverKills) {
 }
 
 // ---------------------------------------------------------------------------
-// The SyscallMonitor interface.
+// The enforcement list.
 // ---------------------------------------------------------------------------
 
 TEST(TrapPipelineMonitors, FactoryAndKernelAgreeOnNames) {
   System sys(os::Personality::LinuxSim);
   auto& k = sys.kernel();
-  for (auto e : {os::Enforcement::Off, os::Enforcement::Asc, os::Enforcement::Daemon,
-                 os::Enforcement::KernelTable}) {
+  const std::pair<os::Enforcement, const char*> modes[] = {
+      {os::Enforcement::Off, "off"},
+      {os::Enforcement::Asc, "asc"},
+      {os::Enforcement::Daemon, "daemon"},
+      {os::Enforcement::KernelTable, "kernel-table"}};
+  for (const auto& [e, name] : modes) {
     k.set_enforcement(e);
-    EXPECT_EQ(k.monitor().name(), os::enforcement_name(e));
-    EXPECT_EQ(k.enforcement(), e);
-    EXPECT_EQ(os::make_monitor(e, k)->name(), os::enforcement_name(e));
+    EXPECT_EQ(k.enforcement(), std::vector<os::Enforcement>{e});
+    EXPECT_EQ(os::enforcement_name(e), name);
+    EXPECT_EQ(os::enforcement_name(k.enforcement()), name);
   }
 }
 
@@ -223,11 +228,8 @@ TEST(TrapPipelineMonitors, ChainComposesAscWithKernelTable) {
   prepare_fs(chained.kernel().fs());
   auto& k = chained.kernel();
   k.set_monitor_policy("cat", monitor::table_from_asc_policies(inst.policies));
-  auto chain = std::make_unique<os::ChainMonitor>();
-  chain->add(os::make_monitor(os::Enforcement::Asc, k));
-  chain->add(os::make_monitor(os::Enforcement::KernelTable, k));
-  EXPECT_EQ(chain->name(), "chain(asc+kernel-table)");
-  k.install_monitor(std::move(chain));
+  k.set_enforcement({os::Enforcement::Asc, os::Enforcement::KernelTable});
+  EXPECT_EQ(os::enforcement_name(k.enforcement()), "chain(asc+kernel-table)");
 
   auto inst2 = chained.install(apps::build_tool_cat(pers));
   auto r1 = chained.machine().run(inst2.image, {"/lines.txt"});
@@ -240,10 +242,7 @@ TEST(TrapPipelineMonitors, ChainComposesAscWithKernelTable) {
   System denied(pers);
   prepare_fs(denied.kernel().fs());
   auto& kd = denied.kernel();
-  auto chain2 = std::make_unique<os::ChainMonitor>();
-  chain2->add(os::make_monitor(os::Enforcement::Asc, kd));
-  chain2->add(os::make_monitor(os::Enforcement::KernelTable, kd));
-  kd.install_monitor(std::move(chain2));
+  kd.set_enforcement({os::Enforcement::Asc, os::Enforcement::KernelTable});
   auto inst3 = denied.install(apps::build_tool_cat(pers));
   auto r2 = denied.machine().run(inst3.image, {"/lines.txt"});
   EXPECT_FALSE(r2.completed);
@@ -255,12 +254,39 @@ TEST(TrapPipelineMonitors, EmptyChainAllowsEverything) {
   const auto pers = os::Personality::LinuxSim;
   System sys(pers);
   prepare_fs(sys.kernel().fs());
-  sys.kernel().install_monitor(std::make_unique<os::ChainMonitor>());
-  EXPECT_EQ(sys.kernel().monitor().name(), "chain()");
+  sys.kernel().set_enforcement(std::vector<os::Enforcement>{});
+  EXPECT_EQ(os::enforcement_name(sys.kernel().enforcement()), "chain()");
   // A raw, unauthenticated image runs: the empty chain enforces nothing.
   auto r = sys.machine().run(apps::build_tool_cat(pers), {"/lines.txt"});
   EXPECT_TRUE(r.completed) << r.violation_detail;
   EXPECT_TRUE(sys.kernel().audit_log().empty());
+}
+
+TEST(TrapPipelineMonitors, TrainingLeavesTheChainInPlace) {
+  const auto pers = os::Personality::LinuxSim;
+  System asc_only(pers);
+  prepare_fs(asc_only.kernel().fs());
+  auto inst = asc_only.install(apps::build_tool_cat(pers));
+  auto r0 = asc_only.machine().run(inst.image, {"/lines.txt"});
+  ASSERT_TRUE(r0.completed) << r0.violation_detail;
+
+  // Training runs the raw program unmonitored and must then restore the
+  // whole list it found.
+  System sys(pers);
+  prepare_fs(sys.kernel().fs());
+  auto& k = sys.kernel();
+  k.set_monitor_policy("cat", monitor::table_from_asc_policies(inst.policies));
+  const std::vector<os::Enforcement> chain = {os::Enforcement::Asc,
+                                              os::Enforcement::KernelTable};
+  k.set_enforcement(chain);
+  const monitor::TrainingRun sample{{"/lines.txt"}, ""};
+  (void)monitor::train_policy(sys.machine(), apps::build_tool_cat(pers), {sample});
+  EXPECT_EQ(k.enforcement(), chain);
+
+  // Every trap of a run after training still pays the table lookup.
+  auto r1 = sys.machine().run(sys.install(apps::build_tool_cat(pers)).image, {"/lines.txt"});
+  ASSERT_TRUE(r1.completed) << r1.violation_detail;
+  EXPECT_EQ(r1.cycles, r0.cycles + r1.syscalls * k.cost().ktable_lookup);
 }
 
 // ---------------------------------------------------------------------------
